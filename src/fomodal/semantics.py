@@ -13,10 +13,20 @@ seriality, the closure conditions (n, k) reading `wR^n u and wR^k v
 imply uRv`, increasing or decreasing domains along the relation, and
 nonempty domains.
 
-Countermodel search enumerates models within given bounds, pruned up
-to isomorphism by keeping only the least representative under world
-and individual permutations, and returns the first model and world
-falsifying the goal.
+Countermodel search walks the structures (worlds, relation, domains)
+within given bounds, pruned up to isomorphism by keeping only the least
+representative under world and individual permutations, and evaluates
+the goal once per structure for all its valuations together: truth
+values are int bitmasks with one bit per valuation, numbered as
+enumerate_valuations numbers them, so negation is XOR with the
+all-ones mask and disjunction, the diamond and the existential are OR.
+It returns the same (model, world) as a walk over enumerate_models
+would: the first valuation, in the first structure, falsifying the
+goal at some world, and the least such world.  A mask spans at most
+2**12 valuations; with more atoms the valuations are taken in ordered
+blocks, each fixing the atoms past the twelfth.  The structure table of
+each pair of bounds, and its frame-filtered subsequence for each frame
+class, are cached per process in bounded caches.
 """
 
 from __future__ import annotations
@@ -229,20 +239,6 @@ def check_frame(model: KripkeModel, frame: FrameSpec) -> bool:
 # Enumeration and countermodel search
 # ===================================================================
 
-def permute_model(model: KripkeModel, world_perm, indiv_perm) -> KripkeModel:
-    """Isomorphic copy under a world permutation and an individual
-    permutation, each given as a mapping."""
-    return KripkeModel(
-        worlds=model.worlds,
-        rel=frozenset((world_perm[w], world_perm[u]) for w, u in model.rel),
-        domains=tuple(
-            frozenset(indiv_perm[i] for i in model.domains[old])
-            for old in _inverse(world_perm, model.worlds)),
-        valuation=frozenset(
-            (name, world_perm[w], tuple(indiv_perm[i] for i in args))
-            for name, w, args in model.valuation))
-
-
 def _inverse(perm, size):
     inv = [0] * size
     for old in range(size):
@@ -300,16 +296,21 @@ def _all_structures(max_worlds: int, max_individuals: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _frame_structures(max_worlds: int, max_individuals: int,
+                      frame: FrameSpec) -> tuple:
+    return tuple(s for s in _all_structures(max_worlds, max_individuals)
+                 if check_frame(KripkeModel(*s, frozenset()), frame))
+
+
 def enumerate_structures(max_worlds: int, max_individuals: int,
                          frame: FrameSpec | None = None):
     """(worlds, rel, domains) triples satisfying the frame conditions,
     one per isomorphism class, in order of increasing size."""
-    for n, rel, domains in _all_structures(max_worlds, max_individuals):
-        if frame is not None:
-            probe = KripkeModel(n, rel, domains, frozenset())
-            if not check_frame(probe, frame):
-                continue
-        yield n, rel, domains
+    if frame is None:
+        yield from _all_structures(max_worlds, max_individuals)
+    else:
+        yield from _frame_structures(max_worlds, max_individuals, frame)
 
 
 def enumerate_valuations(signature: dict[str, int], worlds: int, pool):
@@ -335,17 +336,173 @@ def enumerate_models(signature: dict[str, int], max_worlds: int,
             yield KripkeModel(n, rel, domains, valuation)
 
 
+# Bit-parallel evaluation.  The valuations of one structure are numbered
+# as enumerate_valuations numbers them: valuation v makes atom i true
+# when bit i of v is set.  A mask is an int whose bit v is a truth value
+# under valuation v, so each connective acts on every valuation at once.
+
+_MASK_BITS = 12  # a mask spans at most 2**12 valuations
+
+_BOTTOM, _PRED, _NEG, _OR, _DIA, _EXISTS = range(6)
+
+
+def _compile(phi: Formula) -> list[tuple]:
+    """phi as nodes (op, names, arg) in post-order, equal subformulas
+    shared, the root last.  names are the node's free variables in
+    sorted order; an assignment to them is a tuple of individuals in
+    that order.  arg is (predicate, argument positions in names) for a
+    predicate and a (child, projection) pair per child otherwise, where
+    the projection picks the child's assignment out of the node's, or of
+    the node's extended by the bound individual for exists; None means
+    the child's assignment is the node's own."""
+    nodes: list[tuple] = []
+    ids: dict[Formula, int] = {}
+
+    def child(body, names):
+        i = visit(body)
+        inner = nodes[i][1]
+        return i, (None if inner == names
+                   else tuple(names.index(x) for x in inner))
+
+    def visit(psi):
+        got = ids.get(psi)
+        if got is not None:
+            return got
+        names = tuple(sorted(free_vars(psi)))
+        match psi:
+            case Bottom():
+                node = (_BOTTOM, names, None)
+            case Pred(name=name, args=args):
+                node = (_PRED, names, (name, tuple(names.index(a) for a in args)))
+            case Neg(body=body):
+                node = (_NEG, names, child(body, names))
+            case Or(left=left, right=right):
+                node = (_OR, names, child(left, names) + child(right, names))
+            case Dia(body=body):
+                node = (_DIA, names, child(body, names))
+            case Exists(bound=bound, body=body):
+                node = (_EXISTS, names, child(body, names + (bound,)))
+            case _:
+                raise TypeError(f"not a formula: {psi!r}")
+        ids[psi] = len(nodes)
+        nodes.append(node)
+        return ids[psi]
+
+    visit(phi)
+    return nodes
+
+
+@lru_cache(maxsize=_MASK_BITS + 1)
+def _low_masks(bits: int) -> tuple[int, ...]:
+    """Mask i over 2**bits valuations: the valuations with bit i set."""
+    full = (1 << (1 << bits)) - 1
+    masks = []
+    for i in range(bits):
+        half = 1 << i
+        # ones at half..2*half-1, repeated with period 2*half
+        masks.append(((1 << half) - 1 << half) * (full // ((1 << 2 * half) - 1)))
+    return tuple(masks)
+
+
+def _pick(env: tuple, projection) -> tuple:
+    return env if projection is None else tuple(env[j] for j in projection)
+
+
+def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
+                full) -> list[int]:
+    """The root's mask at each world.  Every node gets a table from the
+    assignments of its free variables to its mask at each world, built
+    after its children's."""
+    tables: list[dict] = []
+    for op, names, arg in program:
+        table = {}
+        for env in envs[len(names)]:
+            if op == _PRED:
+                name, positions = arg
+                args = tuple(env[j] for j in positions)
+                row = [masks[atom_index[name, w, args]] for w in range(worlds)]
+            elif op == _NEG:
+                row = [full ^ m for m in tables[arg[0]][_pick(env, arg[1])]]
+            elif op == _OR:
+                left = tables[arg[0]][_pick(env, arg[1])]
+                right = tables[arg[2]][_pick(env, arg[3])]
+                row = [a | b for a, b in zip(left, right)]
+            elif op == _DIA:
+                body = tables[arg[0]][_pick(env, arg[1])]
+                row = []
+                for w in range(worlds):
+                    m = 0
+                    for u in succ[w]:
+                        m |= body[u]
+                    row.append(m)
+            elif op == _EXISTS:
+                body = tables[arg[0]]
+                row = []
+                for w in range(worlds):
+                    m = 0
+                    for d in domains[w]:
+                        m |= body[_pick(env + (d,), arg[1])][w]
+                    row.append(m)
+            else:  # _BOTTOM
+                row = [0] * worlds
+            table[env] = row
+        tables.append(table)
+    return tables[-1][()]
+
+
 def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
                       max_individuals: int = 2):
     """First (model, world) falsifying the closed formula phi on a
-    frame satisfying the conditions, or None within the bounds."""
+    frame satisfying the conditions, or None within the bounds.
+
+    The result is the first model of enumerate_models, and the least
+    world of it, that falsifies phi.  Each structure is evaluated once,
+    over masks of up to 2**_MASK_BITS valuations; the atoms past the
+    first _MASK_BITS are fixed per block of valuations, and blocks are
+    taken in order."""
+    if max_worlds < 1 or max_individuals < 0:
+        raise SemanticsError(
+            f"bounds need max_worlds >= 1 and max_individuals >= 0, "
+            f"got {max_worlds} and {max_individuals}")
     if free_vars(phi):
         raise SemanticsError(
             f"countermodel search needs a closed formula, free: {sorted(free_vars(phi))}")
     signature = predicate_arities([phi])
-    for model in enumerate_models(signature, max_worlds, max_individuals, frame):
-        ev = Evaluator(model)
-        for w in range(model.worlds):
-            if not ev.formula(w, phi):
-                return model, w
+    program = _compile(phi)
+    layouts = {}
+    for n, rel, domains in enumerate_structures(max_worlds, max_individuals, frame):
+        pool = tuple(sorted(set().union(*domains)))
+        layout = layouts.get((n, pool))
+        if layout is None:
+            # numbered as enumerate_valuations numbers them
+            atoms = [(name, w, args) for name in sorted(signature)
+                     for w in range(n)
+                     for args in product(pool, repeat=signature[name])]
+            envs = {len(names): list(product(pool, repeat=len(names)))
+                    for _, names, _ in program}
+            bits = min(len(atoms), _MASK_BITS)
+            layout = layouts[n, pool] = (
+                atoms, {atom: i for i, atom in enumerate(atoms)}, envs, bits,
+                (1 << (1 << bits)) - 1, _low_masks(bits))
+        atoms, atom_index, envs, bits, full, low = layout
+        succ = [[] for _ in range(n)]
+        for w, u in rel:
+            succ[w].append(u)
+        high = len(atoms) - bits
+        for block in range(1 << high):
+            masks = low + tuple(full if block >> j & 1 else 0
+                                for j in range(high)) if high else low
+            falsified = [full ^ m for m in _root_masks(
+                program, n, succ, domains, envs, atom_index, masks, full)]
+            first = 0
+            for m in falsified:
+                first |= m
+            if not first:
+                continue
+            bit = (first & -first).bit_length() - 1
+            world = next(w for w in range(n) if falsified[w] >> bit & 1)
+            v = block << bits | bit
+            valuation = frozenset(atoms[i] for i in range(len(atoms))
+                                  if v >> i & 1)
+            return KripkeModel(n, rel, domains, valuation), world
     return None

@@ -54,10 +54,6 @@ def without_once(items: tuple, item) -> tuple:
     return tuple(out)
 
 
-def multiset_count(items: tuple, item) -> int:
-    return sum(1 for i in items if i == item)
-
-
 def fresh_label(taken, base: str = "w") -> str:
     """Next unused label of the form base<number>."""
     taken = set(taken)

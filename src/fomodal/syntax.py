@@ -17,6 +17,12 @@ the whole disjunction.  Identifiers are letters, digits and underscores
 with optional trailing primes; `false`, `exists` and `forall` are
 reserved.
 
+A parsed formula has at most MAX_DEPTH (200) connectives on any branch
+of its expanded tree; deeper input is a ParseError, so the recursive
+functions over formulas never meet a tree deeper than Python's
+recursion limit allows.  The parser itself keeps its open groups on an
+explicit stack.
+
 Terms are variables only; there are no constants or function symbols.
 Predicates may be nullary.  Parsing renames bound variables apart, so
 in any formula produced here each `exists` binds a distinct name that
@@ -352,7 +358,70 @@ def _tokenize(text: str):
     return tokens
 
 
+# binary connectives: precedence, and whether they group to the right
+_BINARY = {"and": (3, False), "or": (2, False), "arrow": (1, True)}
+
+# parsed formulas are at most this deep, so that the recursive functions
+# over formulas stay within Python's recursion limit
+MAX_DEPTH = 200
+
+
+class _Group:
+    """One formula under construction: the whole input, a parenthesized
+    group, or a quantifier body.  prefixes wait for the next operand;
+    operands and operators hold the binary connectives not yet built."""
+
+    def __init__(self, opener: str):
+        self.opener = opener
+        self.prefixes: list[tuple[str, str | None]] = []
+        self.operands: list[Formula] = []
+        self.operators: list[str] = []
+
+    def add_operand(self, phi: Formula) -> None:
+        for kind, var in reversed(self.prefixes):
+            if kind == "neg":
+                phi = Neg(phi)
+            elif kind == "dia":
+                phi = Dia(phi)
+            elif kind == "box":
+                phi = box(phi)
+            elif kind == "exists":
+                phi = Exists(var, phi)
+            else:
+                phi = forall(var, phi)
+        self.prefixes.clear()
+        self.operands.append(phi)
+
+    def add_operator(self, kind: str) -> None:
+        prec, right = _BINARY[kind]
+        while self.operators:
+            top = _BINARY[self.operators[-1]][0]
+            if top < prec or (top == prec and right):
+                break
+            self._reduce()
+        self.operators.append(kind)
+
+    def finish(self) -> Formula:
+        while self.operators:
+            self._reduce()
+        return self.operands.pop()
+
+    def _reduce(self) -> None:
+        kind = self.operators.pop()
+        right = self.operands.pop()
+        left = self.operands.pop()
+        if kind == "and":
+            self.operands.append(conj(left, right))
+        elif kind == "or":
+            self.operands.append(Or(left, right))
+        else:
+            self.operands.append(implies(left, right))
+
+
 class _Parser:
+    """Operator precedence parsing with an explicit stack of groups, so
+    deeply nested input cannot exhaust Python's recursion limit."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -373,53 +442,41 @@ class _Parser:
         return tok
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return implies(left, self.formula())
-        return left
+        outer: list[_Group] = []
+        group = _Group("top")
+        while True:
+            kind, value, pos = self.next()
+            if kind in ("neg", "dia", "box"):
+                group.prefixes.append((kind, None))
+                continue
+            if kind in ("exists", "forall"):
+                var = self.expect("ident")[1]
+                self.expect("dot")
+                group.prefixes.append((kind, var))
+                outer.append(group)
+                group = _Group("quantifier")  # longest scope
+                continue
+            if kind == "lparen":
+                outer.append(group)
+                group = _Group("paren")
+                continue
+            operand = self.atom(kind, value, pos)
+            # attach the operand, closing every group it completes
+            while True:
+                group.add_operand(operand)
+                if self.peek()[0] in _BINARY:
+                    group.add_operator(self.next()[0])
+                    break
+                operand = group.finish()
+                if group.opener == "top":
+                    return operand
+                if group.opener == "paren":
+                    self.expect("rparen")
+                group = outer.pop()
 
-    def disjunction(self) -> Formula:
-        phi = self.conjunction()
-        while self.peek()[0] == "or":
-            self.next()
-            phi = Or(phi, self.conjunction())
-        return phi
-
-    def conjunction(self) -> Formula:
-        phi = self.unary()
-        while self.peek()[0] == "and":
-            self.next()
-            phi = conj(phi, self.unary())
-        return phi
-
-    def unary(self) -> Formula:
-        kind, _, pos = self.peek()
-        if kind == "neg":
-            self.next()
-            return Neg(self.unary())
-        if kind == "dia":
-            self.next()
-            return Dia(self.unary())
-        if kind == "box":
-            self.next()
-            return box(self.unary())
-        if kind in ("exists", "forall"):
-            self.next()
-            var = self.expect("ident")[1]
-            self.expect("dot")
-            body = self.formula()  # longest scope
-            return Exists(var, body) if kind == "exists" else forall(var, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.next()
+    def atom(self, kind, value, pos) -> Formula:
         if kind == "false":
             return Bottom()
-        if kind == "lparen":
-            phi = self.formula()
-            self.expect("rparen")
-            return phi
         if kind == "ident":
             if self.peek()[0] != "lparen":
                 return Pred(value)
@@ -433,12 +490,33 @@ class _Parser:
         raise ParseError(f"expected a formula, found {value!r}", pos)
 
 
+def _depth(phi: Formula) -> int:
+    """Connectives on the longest branch of phi, found without recursion."""
+    deepest = 0
+    todo = [(phi, 0)]
+    while todo:
+        psi, depth = todo.pop()
+        deepest = max(deepest, depth)
+        if isinstance(psi, (Neg, Dia, Exists)):
+            todo.append((psi.body, depth + 1))
+        elif isinstance(psi, Or):
+            todo.append((psi.left, depth + 1))
+            todo.append((psi.right, depth + 1))
+    return deepest
+
+
 def parse_formula(text: str) -> Formula:
+    """Parse the concrete syntax; a formula whose expanded tree has more
+    than MAX_DEPTH connectives on one branch is a ParseError."""
     parser = _Parser(text)
     phi = parser.formula()
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    # one token adds at most three connectives to a branch
+    if 3 * len(parser.tokens) > MAX_DEPTH and _depth(phi) > MAX_DEPTH:
+        raise ParseError(
+            f"formula nested more than {MAX_DEPTH} connectives deep", 0)
     predicate_arities([phi])
     return rename_apart(phi)
 

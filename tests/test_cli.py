@@ -163,6 +163,29 @@ def test_countermodel_found_and_absent(capsys):
     assert _json(out)["status"] == "none"
 
 
+@pytest.mark.parametrize("bounds", [("--max-worlds", "0"),
+                                    ("--max-worlds", "-1"),
+                                    ("--max-individuals", "-1")])
+def test_countermodel_rejects_bad_bounds(capsys, bounds):
+    code = main(["countermodel", "p", *bounds])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: bounds need")
+
+
+@pytest.mark.parametrize("text", ["~" * 3000 + "p", " | ".join(["p"] * 3000)])
+def test_over_deep_formula_is_an_input_error(capsys, text):
+    for argv in (["prove", text], ["countermodel", text]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: formula nested more than 200")
+    nested = json.dumps({"conclusion": {"kind": "nested", "right": [text]},
+                         "rule": "id"})
+    assert _run(capsys, "check", nested)[0] == 3
+
+
 def test_output_file_and_stdin(capsys, tmp_path):
     dest = tmp_path / "result.json"
     code, out = _run(capsys, "prove", "--serial", "-o", str(dest),

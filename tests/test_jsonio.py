@@ -57,6 +57,8 @@ def test_sequent_rejects_malformed_input():
         sequent_from_json({"kind": "labeled", "rel": [["w"]]})
     with pytest.raises(JsonError, match="left formula"):
         sequent_from_json({"kind": "nested", "left": ["( p"]})
+    with pytest.raises(JsonError, match="right formula: .* more than 200"):
+        sequent_from_json({"kind": "nested", "right": ["~" * 201 + "p"]})
     with pytest.raises(JsonError, match="must be nested"):
         sequent_from_json({"kind": "nested",
                            "children": [{"kind": "labeled"}]})

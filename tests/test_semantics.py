@@ -1,13 +1,17 @@
 """Model evaluation, frame checking and countermodel search."""
 
+import random
+
 import pytest
 
-from fomodal.semantics import (KripkeModel, SemanticsError, check_frame,
-                               enumerate_models, enumerate_structures,
-                               eval_formula, find_countermodel,
-                               labeled_sequent_valid)
+from fomodal.semantics import (KripkeModel, SemanticsError, _all_structures,
+                               check_frame, enumerate_models,
+                               enumerate_structures, eval_formula,
+                               find_countermodel, labeled_sequent_valid)
 from fomodal.sequents import parse_labeled
-from fomodal.syntax import box, frame_spec, parse_formula
+from fomodal.syntax import (Bottom, Dia, Exists, Neg, Or, Pred, box,
+                            frame_spec, implies, parse_formula,
+                            predicate_arities)
 
 
 def _chain_model():
@@ -93,9 +97,12 @@ def test_check_frame_conditions():
 
 
 def test_enumerate_structures_respects_frame():
-    for n, rel, domains in enumerate_structures(2, 1, frame_spec(serial=True)):
-        model = KripkeModel(n, rel, domains, frozenset())
-        assert check_frame(model, frame_spec(serial=True))
+    serial = frame_spec(serial=True)
+    kept = list(enumerate_structures(2, 1, serial))
+    assert kept == [s for s in _all_structures(2, 1)
+                    if check_frame(KripkeModel(*s, frozenset()), serial)]
+    # a second pass over the same frame and bounds yields the same
+    assert list(enumerate_structures(2, 1, serial)) == kept
 
 
 def test_enumerate_models_covers_valuations():
@@ -140,3 +147,90 @@ def test_find_countermodel_barcan():
 def test_find_countermodel_requires_closed_formula():
     with pytest.raises(SemanticsError):
         find_countermodel(parse_formula("p(x)"), frame_spec())
+
+
+@pytest.mark.parametrize("bounds", [(0, 2), (-1, 2), (3, -1)])
+def test_find_countermodel_rejects_bad_bounds(bounds):
+    with pytest.raises(SemanticsError, match="bounds"):
+        find_countermodel(parse_formula("p"), frame_spec(), *bounds)
+
+
+# -- the search against the brute-force reference ------------------------
+
+def _reference(phi, frame, max_worlds, max_individuals):
+    """The first (model, world) of enumerate_models falsifying phi."""
+    signature = predicate_arities([phi])
+    for model in enumerate_models(signature, max_worlds, max_individuals,
+                                  frame):
+        for w in range(model.worlds):
+            if not eval_formula(model, w, phi):
+                return model, w
+    return None
+
+
+FRAMES = [frame_spec(), frame_spec(serial=True), frame_spec(paths=[(0, 0)]),
+          frame_spec(paths=[(1, 0)]), frame_spec(paths=[(0, 2)]),
+          frame_spec(paths=[(1, 1)]), frame_spec(paths=[(0, 0), (1, 1)]),
+          frame_spec(inc=True), frame_spec(dec=True), frame_spec(const=True),
+          frame_spec(nonempty=True),
+          frame_spec(serial=True, paths=[(0, 2), (1, 1)])]
+
+
+def _random_formula(rng, depth, bound=()):
+    if depth == 0 or rng.random() < 0.2:
+        if bound and rng.random() < 0.5:
+            return Pred("q", (rng.choice(bound),))
+        return rng.choice([Pred("p"), Pred("r"), Bottom()])
+    pick = rng.randrange(4)
+    if pick == 0:
+        return Neg(_random_formula(rng, depth - 1, bound))
+    if pick == 1:
+        return Or(_random_formula(rng, depth - 1, bound),
+                  _random_formula(rng, depth - 1, bound))
+    if pick == 2:
+        return Dia(_random_formula(rng, depth - 1, bound))
+    var = f"x{len(bound)}"
+    return Exists(var, _random_formula(rng, depth - 1, bound + (var,)))
+
+
+def _cases():
+    rng = random.Random(20221003)
+    for _ in range(40):
+        phi = _random_formula(rng, 3)
+        shape = rng.randrange(3)
+        if shape == 1:  # valid: every structure is searched
+            phi = implies(phi, phi)
+        elif shape == 2:  # valid, modal
+            phi = implies(Dia(phi), Dia(Or(phi, _random_formula(rng, 1))))
+        yield phi, rng.choice(FRAMES), rng.choice([(1, 1), (2, 1), (2, 2)])
+    barcan = parse_formula("(forall x. []p(x)) -> [](forall x. p(x))")
+    yield barcan, frame_spec(dec=True), (2, 1)
+    yield barcan, frame_spec(), (2, 1)
+
+
+def test_find_countermodel_matches_the_reference():
+    outcomes = []
+    for phi, frame, bounds in _cases():
+        found = find_countermodel(phi, frame, *bounds)
+        assert found == _reference(phi, frame, *bounds), (phi, frame, bounds)
+        outcomes.append(found is None)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_find_countermodel_past_the_first_block():
+    # valuations come in blocks of 2**12.  With 13 atoms the only
+    # countermodel of the negated conjunction makes every atom true:
+    # the last valuation of the second block
+    names = [f"p{i}" for i in range(1, 14)]
+    conjunction = parse_formula("~(" + " & ".join(names) + ")")
+    everything = frozenset((name, 0, ()) for name in names)
+    assert find_countermodel(conjunction, frame_spec(), 1, 0) == (
+        KripkeModel(1, frozenset(), (frozenset(),), everything), 0)
+    # 14 atoms a..n, of which m and n are fixed per block: every block
+    # but the first has countermodels, and the search must return the
+    # first of them, which makes a..m true
+    low = "abcdefghijkl"
+    phi = parse_formula(f"~(n | (m & {' & '.join(low)}))")
+    true = frozenset((name, 0, ()) for name in low + "m")
+    assert find_countermodel(phi, frame_spec(), 1, 0) == (
+        KripkeModel(1, frozenset(), (frozenset(),), true), 0)

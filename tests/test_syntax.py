@@ -87,6 +87,19 @@ def test_parse_rejects_garbage():
             parse_formula(bad)
 
 
+def test_parse_depth_limit():
+    # depth counts the connectives on the longest branch of the
+    # expanded tree; parentheses add none
+    for text in ["<>" * 200 + "p", "~(" * 200 + "p" + ")" * 200,
+                 " | ".join(["p"] * 201), "(" * 3000 + "p" + ")" * 3000]:
+        parse_formula(text)
+    for text in ["<>" * 201 + "p", "~(" * 201 + "p" + ")" * 201,
+                 " | ".join(["p"] * 202), "[]" * 67 + "p",
+                 "exists x. " * 3000 + "p(x)", "p -> " * 3000 + "p"]:
+        with pytest.raises(ParseError, match="more than 200"):
+            parse_formula(text)
+
+
 def test_parse_binders_renamed_apart():
     phi = parse_formula("exists x. p(x) | exists x. q(x)")
     bound = []
