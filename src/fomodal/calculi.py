@@ -332,13 +332,13 @@ def _take(items: tuple, item, what: str) -> tuple:
         raise PrincipalMissing(f"{what} not present") from None
 
 
-def _fresh_label_in_labeled(seq: LabeledSequent, label: str):
+def _fresh_label(seq: LabeledSequent | NestedSequent, label: str):
     _need(label is not None, MalformedParams, "missing created label")
     _need(label not in seq.labels(), FreshnessViolation,
           f"label {label} already occurs")
 
 
-def _fresh_var_in_labeled(seq: LabeledSequent, var: str):
+def _fresh_var(seq: LabeledSequent | NestedSequent, var: str):
     _need(var is not None, MalformedParams, "missing created variable")
     _need(var not in seq.variables(), FreshnessViolation,
           f"variable {var} already occurs")
@@ -396,7 +396,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
     if name == "dia_l":
         _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
         left = _take(seq.left, (p.label, p.formula), "principal diamond")
-        _fresh_label_in_labeled(seq, p.target)
+        _fresh_label(seq, p.target)
         return (seq.replace(rel=seq.rel + ((p.label, p.target),),
                             left=left + ((p.target, p.formula.body),)),)
 
@@ -412,7 +412,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         _need(isinstance(p.formula, Exists), MalformedParams,
               "principal must be an existential")
         left = _take(seq.left, (p.label, p.formula), "principal existential")
-        _fresh_var_in_labeled(seq, p.variable)
+        _fresh_var(seq, p.variable)
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
         return (seq.replace(dom=seq.dom + ((p.variable, p.label),),
                             left=left + ((p.label, instance),)),)
@@ -430,7 +430,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
 
     if name == "d":
         _known_label(seq, p.label)
-        _fresh_label_in_labeled(seq, p.target)
+        _fresh_label(seq, p.target)
         return (seq.replace(rel=seq.rel + ((p.label, p.target),)),)
 
     if name == "g":
@@ -454,7 +454,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
 
     if name == "nd":
         _known_label(seq, p.label)
-        _fresh_var_in_labeled(seq, p.variable)
+        _fresh_var(seq, p.variable)
         return (seq.replace(dom=seq.dom + ((p.variable, p.label),)),)
 
     if name == "p_dia":
@@ -483,7 +483,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
               "principal must be an existential")
         _need((p.label, p.formula) in seq.right, PrincipalMissing,
               "principal existential missing on the right")
-        _fresh_var_in_labeled(seq, p.variable)
+        _fresh_var(seq, p.variable)
         condition = side_condition(calc, rule, seq, p)
         _need(condition.holds, SideConditionViolation,
               condition.reason or "path condition fails")
@@ -525,25 +525,6 @@ def _component(seq: NestedSequent, label: str) -> NestedSequent:
     return node
 
 
-def _fresh_label_in_nested(seq: NestedSequent, label: str):
-    _need(label is not None, MalformedParams, "missing created label")
-    _need(label not in seq.labels(), FreshnessViolation,
-          f"label {label} already occurs")
-
-
-def _fresh_var_in_nested(seq: NestedSequent, var: str):
-    _need(var is not None, MalformedParams, "missing created variable")
-    _need(var not in seq.variables(), FreshnessViolation,
-          f"variable {var} already occurs")
-
-
-def _take_component(items: tuple, item, what: str) -> tuple:
-    try:
-        return without_once(items, item)
-    except ValueError:
-        raise PrincipalMissing(f"{what} not present") from None
-
-
 def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
                   p: RuleParams) -> tuple:
     name = rule.name
@@ -566,7 +547,7 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
         node = _component(seq, p.label)
         _need(p.formula in node.left, PrincipalMissing, "principal negation not present")
         return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, _take_component(c.left, p.formula, "negation"), c.vars,
+            c.label, _take(c.left, p.formula, "negation"), c.vars,
             c.right + (p.formula.body,), c.children)),)
 
     if name == "neg_r":
@@ -575,7 +556,7 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
         _need(p.formula in node.right, PrincipalMissing, "principal negation not present")
         return (seq.replace_component(p.label, lambda c: NestedSequent(
             c.label, c.left + (p.formula.body,), c.vars,
-            _take_component(c.right, p.formula, "negation"), c.children)),)
+            _take(c.right, p.formula, "negation"), c.children)),)
 
     if name == "or_l":
         _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
@@ -585,7 +566,7 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
         def with_disjunct(which):
             return seq.replace_component(p.label, lambda c: NestedSequent(
                 c.label,
-                _take_component(c.left, p.formula, "disjunction") + (which,),
+                _take(c.left, p.formula, "disjunction") + (which,),
                 c.vars, c.right, c.children))
         return (with_disjunct(p.formula.left), with_disjunct(p.formula.right))
 
@@ -595,7 +576,7 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
         _need(p.formula in node.right, PrincipalMissing, "principal disjunction not present")
         return (seq.replace_component(p.label, lambda c: NestedSequent(
             c.label, c.left, c.vars,
-            _take_component(c.right, p.formula, "disjunction")
+            _take(c.right, p.formula, "disjunction")
             + (p.formula.left, p.formula.right),
             c.children)),)
 
@@ -603,10 +584,10 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
         _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
         node = _component(seq, p.label)
         _need(p.formula in node.left, PrincipalMissing, "principal diamond not present")
-        _fresh_label_in_nested(seq, p.target)
+        _fresh_label(seq, p.target)
         child = NestedSequent(p.target, (p.formula.body,), (), (), ())
         return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, _take_component(c.left, p.formula, "diamond"), c.vars,
+            c.label, _take(c.left, p.formula, "diamond"), c.vars,
             c.right, c.children + (child,))),)
 
     if name == "exists_l":
@@ -614,16 +595,16 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
               "principal must be an existential")
         node = _component(seq, p.label)
         _need(p.formula in node.left, PrincipalMissing, "principal existential not present")
-        _fresh_var_in_nested(seq, p.variable)
+        _fresh_var(seq, p.variable)
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
         return (seq.replace_component(p.label, lambda c: NestedSequent(
             c.label,
-            _take_component(c.left, p.formula, "existential") + (instance,),
+            _take(c.left, p.formula, "existential") + (instance,),
             c.vars + (p.variable,), c.right, c.children)),)
 
     if name == "d":
         _component(seq, p.label)
-        _fresh_label_in_nested(seq, p.target)
+        _fresh_label(seq, p.target)
         child = NestedSequent(p.target, (), (), (), ())
         return (seq.replace_component(p.label, lambda c: NestedSequent(
             c.label, c.left, c.vars, c.right, c.children + (child,))),)
@@ -660,7 +641,7 @@ def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
         _need(p.formula in node.right, PrincipalMissing,
               "principal existential not present")
         _component(seq, p.target)
-        _fresh_var_in_nested(seq, p.variable)
+        _fresh_var(seq, p.variable)
         condition = side_condition(calc, rule, seq, p)
         _need(condition.holds, SideConditionViolation,
               condition.reason or "path condition fails")

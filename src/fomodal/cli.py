@@ -24,9 +24,9 @@ import sys
 from .calculi import CalculusSpec, ProofTree, check, propagation_system
 from .grammar import (ALPHABET, GrammarError, check_string, derives,
                       of_paths, parse_production, s4, s5, system, union)
-from .jsonio import (JsonError, model_to_json, path_to_json, proof_from_json,
-                     proof_to_json, sequent_from_json, sequent_to_json,
-                     system_to_json)
+from .jsonio import (JsonError, loads, model_to_json, path_to_json,
+                     proof_from_json, proof_to_json, sequent_from_json,
+                     sequent_to_json, system_to_json)
 from .propagation import (PropagationError, build_graph, reachable,
                           witness_path)
 from .prover import ProverError, SearchBudget, prove_formula, prove_sequent
@@ -74,11 +74,7 @@ def _read_input(value: str) -> str:
 
 
 def _read_json(value: str):
-    text = _read_input(value)
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise CliError(f"not valid JSON: {exc}")
+    return loads(_read_input(value))
 
 
 def _print(args, payload: dict, pretty_lines) -> None:

@@ -20,10 +20,12 @@ Three families of systems matter here:
   the endpoints of an n-step and a k-step path.
 
 Membership t in L_S(a) is decided by reading the system as a
-context-free grammar and running an Earley recognizer; the brute-force
-one-step closure is provided for cross-checking only.  The functions
-s4 and s5 are aliases for directed and undirected, following the names
-of the modal logics whose reachability they encode.
+context-free grammar and saturating reachability triples over the
+chain graph of t, the same saturation that decides reachability in
+propagation graphs; the brute-force one-step closure is provided for
+cross-checking only.  The functions s4 and s5 are aliases for directed
+and undirected, following the names of the modal logics whose
+reachability they encode.
 """
 
 from __future__ import annotations
@@ -163,15 +165,18 @@ def one_step(s: str, sys: ThueSystem) -> set[str]:
 
 
 # ===================================================================
-# Derivability as context-free membership
+# Derivability as context-free reachability
 # ===================================================================
 #
 # Read each letter a as a nonterminal N_a with the productions
 #     N_a -> a                    (leave the letter unrewritten)
 #     N_a -> N_c1 ... N_ck        for each production a -> c1...ck
-# Then t is derivable from a iff N_a generates t.  The recognizer is a
-# small Earley chart; nullable nonterminals are precomputed so that the
-# predictor can complete empty derivations in place.
+# Then t is derivable from a iff N_a generates t.  On a graph whose
+# edges carry letters, saturate finds every triple (N, u, v) such that
+# some walk from u to v spells a string N generates: the worklist
+# construction of CFL reachability (Reps, "Program analysis via graph
+# reachability", 1998).  derives asks it about the chain graph of the
+# target string; propagation asks it about the graph of a sequent.
 
 @dataclass(frozen=True)
 class Cfg:
@@ -179,16 +184,14 @@ class Cfg:
     at most two.
 
     Nonterminals are integers; start[a] names the nonterminal for the
-    letter a.  Helper nonterminals introduced while binarizing remember
-    the production they came from in origin, for diagnostics.
+    letter a.  Binarizing a long right side introduces helper
+    nonterminals numbered from 2.
     """
     terminal_rules: tuple[tuple[int, str], ...]
     unit_rules: tuple[tuple[int, int], ...]
     binary_rules: tuple[tuple[int, int, int], ...]
-    empty_rules: tuple[int, ...]
     nullable: frozenset[int]
     start: tuple[tuple[str, int], ...]
-    origin: tuple[tuple[int, Production], ...]
 
     def start_symbol(self, char: str) -> int:
         for c, n in self.start:
@@ -197,20 +200,19 @@ class Cfg:
         raise GrammarError(f"bad start character {char!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def to_cfg(sys: ThueSystem) -> Cfg:
     start = {DIA: 0, BDIA: 1}
     terminal_rules = [(0, DIA), (1, BDIA)]
     unit_rules = []
     binary_rules = []
-    empty_rules = []
-    origin = []
+    nullable = set()
     next_nt = 2
     for prod in sys.sorted_productions():
         lhs = start[prod.lhs]
         symbols = [start[c] for c in prod.rhs]
         if not symbols:
-            empty_rules.append(lhs)
+            nullable.add(lhs)
             continue
         if len(symbols) == 1:
             unit_rules.append((lhs, symbols[0]))
@@ -220,13 +222,11 @@ def to_cfg(sys: ThueSystem) -> Cfg:
         while len(symbols) > 2:
             helper = next_nt
             next_nt += 1
-            origin.append((helper, prod))
             binary_rules.append((head, symbols[0], helper))
             head = helper
             symbols = symbols[1:]
         binary_rules.append((head, symbols[0], symbols[1]))
 
-    nullable = set(empty_rules)
     changed = True
     while changed:
         changed = False
@@ -242,22 +242,76 @@ def to_cfg(sys: ThueSystem) -> Cfg:
     return Cfg(terminal_rules=tuple(terminal_rules),
                unit_rules=tuple(unit_rules),
                binary_rules=tuple(binary_rules),
-               empty_rules=tuple(empty_rules),
                nullable=frozenset(nullable),
-               start=tuple(start.items()),
-               origin=tuple(origin))
+               start=tuple(start.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _raw_rules(sys: ThueSystem):
-    """Earley rules per nonterminal.  Right sides are tuples whose
-    elements are nonterminal numbers or literal letters; the rule
-    N_a -> a keeps the letter unrewritten."""
-    start = {DIA: 0, BDIA: 1}
-    rules = {0: [(DIA,)], 1: [(BDIA,)]}
-    for prod in sys.sorted_productions():
-        rules[start[prod.lhs]].append(tuple(start[c] for c in prod.rhs))
-    return rules
+    """The rules of to_cfg(sys) indexed for saturate: unit rules a -> b
+    by b, binary rules a -> b c by b and by c."""
+    cfg = to_cfg(sys)
+    units_by_rhs: dict[int, list[int]] = {}
+    for a, b in cfg.unit_rules:
+        units_by_rhs.setdefault(b, []).append(a)
+    bin_by_first: dict[int, list[tuple[int, int]]] = {}
+    bin_by_second: dict[int, list[tuple[int, int]]] = {}
+    for a, b, c in cfg.binary_rules:
+        bin_by_first.setdefault(b, []).append((a, c))
+        bin_by_second.setdefault(c, []).append((a, b))
+    return units_by_rhs, bin_by_first, bin_by_second
+
+
+def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
+    """Derivation table of all triples (nonterminal, u, v) of to_cfg(sys)
+    over the graph with the given vertices and (u, letter, v) edges.
+
+    Each triple maps to the one derivation recorded for it: ("edge", e)
+    for a single edge e, ("empty",) for a nullable nonterminal at u = v,
+    ("unit", t) or ("bin", t1, t2) for the triples a rule combined.
+    Triples are recorded in a fixed order for given inputs, so the
+    derivations, and paths read back from them, are reproducible."""
+    cfg = to_cfg(sys)
+    units_by_rhs, bin_by_first, bin_by_second = _raw_rules(sys)
+    back: dict[tuple, tuple] = {}
+    worklist: list[tuple] = []
+
+    def record(triple, reason):
+        if triple not in back:
+            back[triple] = reason
+            worklist.append(triple)
+
+    for nt, letter in cfg.terminal_rules:
+        for edge in sorted(edges):
+            w, c, u = edge
+            if c == letter:
+                record((nt, w, u), ("edge", edge))
+    for nt in sorted(cfg.nullable):
+        for v in sorted(vertices):
+            record((nt, v, v), ("empty",))
+
+    # index facts by (nonterminal, source) and (nonterminal, target)
+    outgoing: dict[tuple, set[tuple]] = {}
+    incoming: dict[tuple, set[tuple]] = {}
+    for triple in list(back):
+        nt, u, v = triple
+        outgoing.setdefault((nt, u), set()).add(triple)
+        incoming.setdefault((nt, v), set()).add(triple)
+
+    while worklist:
+        triple = worklist.pop()
+        nt, u, v = triple
+        outgoing.setdefault((nt, u), set()).add(triple)
+        incoming.setdefault((nt, v), set()).add(triple)
+        for a in units_by_rhs.get(nt, ()):
+            record((a, u, v), ("unit", triple))
+        for a, second in bin_by_first.get(nt, ()):
+            for other in list(outgoing.get((second, v), ())):
+                record((a, u, other[2]), ("bin", triple, other))
+        for a, first in bin_by_second.get(nt, ()):
+            for other in list(incoming.get((first, u), ())):
+                record((a, other[1], v), ("bin", other, triple))
+    return back
 
 
 def derives(sys: ThueSystem, char: str, target: str) -> bool:
@@ -265,43 +319,7 @@ def derives(sys: ThueSystem, char: str, target: str) -> bool:
     if char not in _CONVERSE:
         raise GrammarError(f"start must be a single letter d or b, got {char!r}")
     check_string(target)
-    return _earley(sys, char, target)
-
-
-def _earley(sys: ThueSystem, char: str, target: str) -> bool:
-    rules = _raw_rules(sys)
-    nullable = to_cfg(sys).nullable
-    start_nt = 0 if char == DIA else 1
     n = len(target)
-
-    # items (lhs, rhs, dot, from); predicting a nullable nonterminal also
-    # advances the dot, which keeps empty-span completions from being lost
-    root = ("root", (start_nt,), 0, 0)
-    chart: list[set] = [set() for _ in range(n + 1)]
-    chart[0].add(root)
-    for pos in range(n + 1):
-        worklist = list(chart[pos])
-        while worklist:
-            lhs, rhs, dot, begin = worklist.pop()
-            if dot < len(rhs):
-                sym = rhs[dot]
-                if isinstance(sym, str):
-                    if pos < n and target[pos] == sym:
-                        chart[pos + 1].add((lhs, rhs, dot + 1, begin))
-                    continue
-                fresh = [(sym, alt, 0, pos) for alt in rules[sym]]
-                if sym in nullable:
-                    fresh.append((lhs, rhs, dot + 1, begin))
-                for item in fresh:
-                    if item not in chart[pos]:
-                        chart[pos].add(item)
-                        worklist.append(item)
-            elif lhs != "root":
-                for waiting in list(chart[begin]):
-                    wlhs, wrhs, wdot, wbegin = waiting
-                    if wdot < len(wrhs) and wrhs[wdot] == lhs:
-                        item = (wlhs, wrhs, wdot + 1, wbegin)
-                        if item not in chart[pos]:
-                            chart[pos].add(item)
-                            worklist.append(item)
-    return ("root", (start_nt,), 1, 0) in chart[n]
+    chain = [(i, c, i + 1) for i, c in enumerate(target)]
+    table = saturate(sys, range(n + 1), chain)
+    return (to_cfg(sys).start_symbol(char), 0, n) in table

@@ -4,11 +4,19 @@ Formulas travel as their ASCII rendering and are parsed back on read,
 so the schemas stay readable and independent of the AST layout.  Every
 from_json function validates its input and raises JsonError with a
 message naming the offending key.
+
+JSON text from outside is read with loads, which refuses arrays and
+objects nested more than MAX_NESTING (500) deep: json.loads and the
+readers here recurse once per level.  A proof takes two levels per
+premise and two per nested component, so every proof the prover emits
+within its default max_depth of 200 passes.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from itertools import accumulate
 
 from .calculi import ProofTree, RuleId, RuleParams
 from .grammar import GrammarError, ThueSystem, parse_production, system
@@ -20,6 +28,26 @@ from .syntax import Formula, FormulaError, FrameSpec, parse_formula, render_form
 
 class JsonError(Exception):
     pass
+
+
+MAX_NESTING = 500
+
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_JSON_BRACKET = re.compile(r"[][{}]")
+_NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def loads(text: str):
+    """json.loads for text from outside, with nesting at most
+    MAX_NESTING deep; too deep or malformed text is a JsonError."""
+    brackets = _JSON_BRACKET.findall(_JSON_STRING.sub("", text))
+    if max(accumulate(map(_NESTING_STEP.__getitem__, brackets)),
+           default=0) > MAX_NESTING:
+        raise JsonError(f"JSON nested more than {MAX_NESTING} deep")
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise JsonError(f"not valid JSON: {exc}") from None
 
 
 def _expect(obj, kind, what: str):

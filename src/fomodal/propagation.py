@@ -9,13 +9,13 @@ language of a start letter.  Reachability under that constraint is what
 licenses the propagation and availability side conditions of the
 refined calculi.
 
-The solver reads S as a context-free grammar in the binarized form
-produced by grammar.to_cfg and saturates reachability triples
-(nonterminal, source, target) with a worklist, the standard CFL
-reachability construction.  Each derived triple remembers one
-derivation, so a concrete witness path can be read back without any
-further search.  Results are cached per graph and system; graphs are
-immutable once built.
+Reachability is decided by grammar.saturate, the CFL-reachability
+engine that also decides grammar membership: it reads S as a binarized
+context-free grammar and derives every triple (nonterminal, source,
+target) of the graph.  Each triple keeps the one derivation that
+produced it, so a concrete witness path is read back from the table
+without any further search.  Tables are cached per graph and system;
+graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import grammar
-from .grammar import DIA, BDIA, ThueSystem, converse_string, to_cfg
+from .grammar import DIA, BDIA, ThueSystem, saturate, to_cfg
 from .sequents import LabeledSequent, NestedSequent, to_labeled
 
 
@@ -152,63 +152,11 @@ class _Closure:
     rewriting system, with one remembered derivation per triple."""
 
     def __init__(self, graph: PropagationGraph, system: ThueSystem):
-        self.graph = graph
-        self.system = system
         self.cfg = to_cfg(system)
-        self.back: dict[tuple, tuple] = {}
+        self.back = saturate(system, graph.vertices, graph.edges)
         self.by_source: dict[tuple, set[str]] = {}
-        self._saturate()
-
-    def _record(self, triple, reason, worklist):
-        if triple in self.back:
-            return
-        self.back[triple] = reason
-        nt, u, v = triple
-        self.by_source.setdefault((nt, u), set()).add(v)
-        worklist.append(triple)
-
-    def _saturate(self):
-        cfg = self.cfg
-        units_by_rhs: dict[int, list[int]] = {}
-        for a, b in cfg.unit_rules:
-            units_by_rhs.setdefault(b, []).append(a)
-        bin_by_first: dict[int, list[tuple[int, int]]] = {}
-        bin_by_second: dict[int, list[tuple[int, int]]] = {}
-        for a, b, c in cfg.binary_rules:
-            bin_by_first.setdefault(b, []).append((a, c))
-            bin_by_second.setdefault(c, []).append((a, b))
-
-        worklist: list[tuple] = []
-        for nt, letter in cfg.terminal_rules:
-            for edge in sorted(self.graph.edges):
-                w, c, u = edge
-                if c == letter:
-                    self._record((nt, w, u), ("edge", edge), worklist)
-        for nt in sorted(cfg.nullable):
-            for v in sorted(self.graph.vertices):
-                self._record((nt, v, v), ("empty",), worklist)
-
-        # index facts by (nonterminal, source) and (nonterminal, target)
-        outgoing: dict[tuple, set[tuple]] = {}
-        incoming: dict[tuple, set[tuple]] = {}
-        for triple in list(self.back):
-            nt, u, v = triple
-            outgoing.setdefault((nt, u), set()).add(triple)
-            incoming.setdefault((nt, v), set()).add(triple)
-
-        while worklist:
-            triple = worklist.pop()
-            nt, u, v = triple
-            outgoing.setdefault((nt, u), set()).add(triple)
-            incoming.setdefault((nt, v), set()).add(triple)
-            for a in units_by_rhs.get(nt, ()):
-                self._record((a, u, v), ("unit", triple), worklist)
-            for a, second in bin_by_first.get(nt, ()):
-                for other in list(outgoing.get((second, v), ())):
-                    self._record((a, u, other[2]), ("bin", triple, other), worklist)
-            for a, first in bin_by_second.get(nt, ()):
-                for other in list(incoming.get((first, u), ())):
-                    self._record((a, other[1], v), ("bin", other, triple), worklist)
+        for nt, u, v in self.back:
+            self.by_source.setdefault((nt, u), set()).add(v)
 
     def targets(self, char: str, source: str) -> frozenset[str]:
         nt = self.cfg.start_symbol(char)

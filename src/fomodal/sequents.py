@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .syntax import Formula, alpha_canonical, all_vars, render_formula
+from .syntax import (MAX_DEPTH, Formula, alpha_canonical, all_vars,
+                     render_formula)
 
 
 class SequentError(Exception):
@@ -426,13 +428,20 @@ def _split_top(text: str, separator: str) -> list[str]:
     return parts
 
 
+# child brackets of the nested notation; "[]" is a box, not a child
+_CHILD_BRACKET = re.compile(r"\[\]|[][]")
+_BRACKET_STEP = {"[": 1, "]": -1, "[]": 0}
+
+
 def parse_nested(text: str, root_label: str = "w0") -> NestedSequent:
     """Parse the form `G ; x, y |- D, [ ... ]@u`.
 
     The three slots may each be empty.  Children are bracketed sequents
     in the right slot, each optionally tagged with @label; missing
     labels are filled in afterwards, counting up from w1, and the root
-    may likewise be tagged with a trailing @label.
+    may likewise be tagged with a trailing @label.  Children nest at
+    most syntax.MAX_DEPTH brackets deep, like the connectives of a
+    formula; deeper input is a SequentError.
     """
     from .syntax import parse_formula
 
@@ -475,6 +484,14 @@ def parse_nested(text: str, root_label: str = "w0") -> NestedSequent:
             else:
                 right.append(parse_formula(t))
         return {"left": left, "vars": vars_, "right": right, "kids": kids}
+
+    # parse_body recurses once per child, and each level rescans its
+    # text, so the depth is bounded before parsing starts
+    steps = _CHILD_BRACKET.findall(text)
+    if max(accumulate(map(_BRACKET_STEP.__getitem__, steps)),
+           default=0) > MAX_DEPTH:
+        raise SequentError(
+            f"sequent nested more than {MAX_DEPTH} brackets deep")
 
     text = text.strip()
     root_tag = None

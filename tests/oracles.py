@@ -8,7 +8,7 @@ definitions rather than the algorithms under test.
 import itertools
 import random
 
-from fomodal.grammar import ALPHABET, derives, one_step
+from fomodal.grammar import ALPHABET, BDIA, DIA, one_step
 from fomodal.sequents import LabeledSequent, NestedSequent
 from fomodal.syntax import Bottom, Dia, Exists, Neg, Or, Pred
 
@@ -52,6 +52,60 @@ def all_strings(max_len: int):
             yield "".join(tup)
 
 
+def earley_member(sys_, char: str, target: str) -> bool:
+    """Is target derivable from char in sys_?  An Earley recognizer over
+    the grammar with one nonterminal per letter, 0 for d and 1 for b,
+    with the rule N_a -> a and N_a -> N_c1 ... N_ck per production
+    a -> c1...ck; a reference for grammar.derives that shares none of
+    its code."""
+    start = {DIA: 0, BDIA: 1}
+    rules = {0: [(DIA,)], 1: [(BDIA,)]}
+    for prod in sys_.sorted_productions():
+        rules[start[prod.lhs]].append(tuple(start[c] for c in prod.rhs))
+    nullable = set()
+    changed = True
+    while changed:
+        changed = False
+        for nt, alternatives in rules.items():
+            if nt not in nullable and any(
+                    all(sym in nullable for sym in alt) for alt in alternatives):
+                nullable.add(nt)
+                changed = True
+
+    n = len(target)
+    # items (lhs, rhs, dot, from); predicting a nullable nonterminal also
+    # advances the dot, which keeps empty-span completions from being lost
+    root = ("root", (start[char],), 0, 0)
+    chart = [set() for _ in range(n + 1)]
+    chart[0].add(root)
+    for pos in range(n + 1):
+        worklist = list(chart[pos])
+        while worklist:
+            lhs, rhs, dot, begin = worklist.pop()
+            if dot < len(rhs):
+                sym = rhs[dot]
+                if isinstance(sym, str):
+                    if pos < n and target[pos] == sym:
+                        chart[pos + 1].add((lhs, rhs, dot + 1, begin))
+                    continue
+                fresh = [(sym, alt, 0, pos) for alt in rules[sym]]
+                if sym in nullable:
+                    fresh.append((lhs, rhs, dot + 1, begin))
+                for item in fresh:
+                    if item not in chart[pos]:
+                        chart[pos].add(item)
+                        worklist.append(item)
+            elif lhs != "root":
+                for waiting in list(chart[begin]):
+                    wlhs, wrhs, wdot, wbegin = waiting
+                    if wdot < len(wrhs) and wrhs[wdot] == lhs:
+                        item = (wlhs, wrhs, wdot + 1, wbegin)
+                        if item not in chart[pos]:
+                            chart[pos].add(item)
+                            worklist.append(item)
+    return ("root", (start[char],), 1, 0) in chart[n]
+
+
 # ===================================================================
 # Reachability by string enumeration
 # ===================================================================
@@ -72,7 +126,7 @@ def enumerate_reachable(edges, vertices, sys_, char: str, source: str,
     at most max_len steps."""
     found = set()
     for string in all_strings(max_len):
-        if not derives(sys_, char, string):
+        if not earley_member(sys_, char, string):
             continue
         found |= walk_targets(edges, source, string)
     return found

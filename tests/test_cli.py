@@ -186,6 +186,37 @@ def test_over_deep_formula_is_an_input_error(capsys, text):
     assert _run(capsys, "check", nested)[0] == 3
 
 
+def test_over_deep_proof_json_is_an_input_error(capsys):
+    leaf = '{"conclusion": {"kind": "labeled"}, "rule": "ax"}'
+    text = ('{"conclusion": {"kind": "labeled"}, "rule": "ax", "premises": ['
+            * 3000 + leaf + "]}" * 3000)
+    for command in ("check", "refine"):
+        code = main([command, text])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: JSON nested more than 500")
+
+
+def test_check_takes_a_proof_near_the_prover_depth_limit(capsys):
+    # or_r, 197 negation steps and ax: height 199, the default
+    # SearchBudget.max_depth of 200 allows at most 201
+    code, out = _run(capsys, "prove", "--proof", "~" * 197 + "p | p")
+    assert code == 0
+    proof = json.dumps(_json(out)["proof"])
+    assert proof_from_json(json.loads(proof)).height() == 199
+    assert _run(capsys, "check", "--calculus", "nested", proof)[0] == 0
+
+
+def test_over_deep_nested_sequent_is_an_input_error(capsys):
+    text = "p ; |- " + "[q ; |- " * 3000 + "r" + "]" * 3000
+    for argv in (["translate", "--to-labeled", text],
+                 ["prove", "--sequent", text], ["graph", text]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: sequent nested more than 200")
+
+
 def test_output_file_and_stdin(capsys, tmp_path):
     dest = tmp_path / "result.json"
     code, out = _run(capsys, "prove", "--serial", "-o", str(dest),

@@ -1,11 +1,15 @@
 """Rewriting systems and language membership."""
 
+import random
+
 import pytest
 
+from fomodal.calculi import availability_system, propagation_system
 from fomodal.grammar import (BDIA, DIA, GrammarError, Production, converse_string,
                              derives, empty_system, of_paths, one_step,
                              parse_production, s4, s5, system, union)
-from oracles import all_strings, saturated_members
+from fomodal.syntax import frame_spec
+from oracles import all_strings, earley_member, saturated_members
 
 
 def test_converse_reverses_and_flips():
@@ -93,3 +97,41 @@ def test_reflexive_path_system_erases():
     sys_ = of_paths([(0, 0)])
     assert derives(sys_, DIA, "")
     assert not derives(sys_, DIA, "b")
+
+
+# the 13 frame classes of the benchmark's random sweep, plus KD45
+FRAME_CLASSES = [
+    frame_spec(), frame_spec(serial=True), frame_spec(paths=[(0, 0)]),
+    frame_spec(paths=[(1, 0)]), frame_spec(paths=[(0, 2)]),
+    frame_spec(paths=[(1, 1)]), frame_spec(serial=True, paths=[(0, 2)]),
+    frame_spec(paths=[(0, 0), (0, 2)]), frame_spec(paths=[(0, 0), (1, 1)]),
+    frame_spec(inc=True), frame_spec(dec=True), frame_spec(const=True),
+    frame_spec(nonempty=True),
+    frame_spec(serial=True, paths=[(0, 2), (1, 1)])]
+
+
+def _frame_systems():
+    systems = [propagation_system(frame) for frame in FRAME_CLASSES]
+    systems += [avail[0] for avail in map(availability_system, FRAME_CLASSES)
+                if avail is not None]
+    return list(dict.fromkeys(systems))
+
+
+def test_derives_matches_earley_recognizer():
+    # the frame classes have right sides of length two at most; the last
+    # three systems also exercise the binarization of longer ones
+    systems = _frame_systems() + [of_paths([(1, 2)]),
+                                  of_paths([(0, 0), (2, 1)]),
+                                  union(s4(), of_paths([(0, 3)]))]
+    for sys_ in systems:
+        for char in (DIA, BDIA):
+            for target in all_strings(8):
+                assert derives(sys_, char, target) == \
+                    earley_member(sys_, char, target), (str(sys_), char, target)
+    rng = random.Random(3)
+    for _ in range(200):
+        sys_, char = rng.choice(systems), rng.choice((DIA, BDIA))
+        target = "".join(rng.choice((DIA, BDIA))
+                         for _ in range(rng.randint(9, 32)))
+        assert derives(sys_, char, target) == \
+            earley_member(sys_, char, target), (str(sys_), char, target)

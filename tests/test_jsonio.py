@@ -5,8 +5,9 @@ import json
 import pytest
 
 from fomodal.calculi import RuleId, RuleParams
-from fomodal.jsonio import (JsonError, frame_from_json, frame_to_json,
-                            model_from_json, model_to_json, params_from_json,
+from fomodal.jsonio import (MAX_NESTING, JsonError, frame_from_json,
+                            frame_to_json, loads, model_from_json,
+                            model_to_json, params_from_json,
                             params_to_json, path_from_json, path_to_json,
                             proof_from_json, proof_to_json, rule_from_json,
                             rule_to_json, sequent_from_json, sequent_to_json,
@@ -101,6 +102,17 @@ def test_proof_round_trip():
 def test_proof_needs_core_keys():
     with pytest.raises(JsonError, match="'conclusion' and 'rule'"):
         proof_from_json({"rule": "ax"})
+
+
+def test_loads_limits_nesting_outside_strings():
+    assert loads("[" * MAX_NESTING + "]" * MAX_NESTING) is not None
+    with pytest.raises(JsonError, match=f"nested more than {MAX_NESTING}"):
+        loads("[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1))
+    # brackets inside strings, escaped quotes included, do not nest
+    text = '{"a": "\\"' + "[" * 3000 + '", "b": ["{]"]}'
+    assert loads(text) == {"a": '"' + "[" * 3000, "b": ["{]"]}
+    with pytest.raises(JsonError, match="not valid JSON"):
+        loads("{not json")
 
 
 def test_system_round_trip():

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from fomodal.grammar import derives, of_paths, s4, s5, union
+from fomodal.grammar import of_paths, s4, s5, union
 from fomodal.propagation import (PropagationError, PropagationGraph, PropPath,
                                  available, build_graph, edge_path, empty_path,
                                  join_paths, reachable, witness_path)
 from fomodal.sequents import parse_labeled
-from oracles import enumerate_reachable, random_edges
+from oracles import earley_member, enumerate_reachable, random_edges
 
 
 def test_prop_path_basics():
@@ -74,7 +74,7 @@ def test_witness_path_is_valid_and_in_language():
     assert path is not None
     assert path.source == "w" and path.target == "v"
     assert graph.validate_path(path)
-    assert derives(sys_, "d", path.string())
+    assert earley_member(sys_, "d", path.string())
     assert witness_path(graph, sys_, "b", "w", "v") is None
 
 

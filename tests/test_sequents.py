@@ -5,11 +5,11 @@ import random
 import pytest
 
 from fomodal.sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
-                              NotATreeError, check_unique_labels, compose,
-                              fresh_label, is_labeled_tree, labeled_alpha_eq,
-                              nested_alpha_eq, parse_labeled, parse_nested,
-                              render_labeled, render_nested, shape_key,
-                              to_labeled, to_nested)
+                              NotATreeError, SequentError, check_unique_labels,
+                              compose, fresh_label, is_labeled_tree,
+                              labeled_alpha_eq, nested_alpha_eq, parse_labeled,
+                              parse_nested, render_labeled, render_nested,
+                              shape_key, to_labeled, to_nested)
 from fomodal.syntax import Dia, Or, Pred, parse_formula
 from oracles import random_labeled_tree, random_nested
 
@@ -139,6 +139,14 @@ def test_render_parse_nested_round_trip():
         seq = random_nested(rng)
         again = parse_nested(render_nested(seq))
         assert nested_alpha_eq(seq, again)
+
+
+def test_parse_nested_depth_limit():
+    def brackets(n):
+        return "p ; |- " + "[q ; |- " * n + "r" + "]" * n
+    assert len(parse_nested(brackets(200)).labels()) == 201
+    with pytest.raises(SequentError, match="nested more than 200 brackets"):
+        parse_nested(brackets(201))
 
 
 def test_nested_replace_component():
