@@ -23,9 +23,10 @@ Membership t in L_S(a) is decided by reading the system as a
 context-free grammar and saturating reachability triples over the
 chain graph of t, the same saturation that decides reachability in
 propagation graphs; the brute-force one-step closure is provided for
-cross-checking only.  The functions s4 and s5 are aliases for directed
-and undirected, following the names of the modal logics whose
-reachability they encode.
+cross-checking only.  derives keeps its last 1024 answers, because
+replaying a proof decides the same witness strings again.  The
+functions s4 and s5 are aliases for directed and undirected, following
+the names of the modal logics whose reachability they encode.
 """
 
 from __future__ import annotations
@@ -314,6 +315,7 @@ def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
     return back
 
 
+@lru_cache(maxsize=1024)
 def derives(sys: ThueSystem, char: str, target: str) -> bool:
     """Is target derivable from the single letter char in sys?"""
     if char not in _CONVERSE:

@@ -15,9 +15,19 @@ nonempty domains.
 
 Countermodel search walks the structures (worlds, relation, domains)
 within given bounds, pruned up to isomorphism by keeping only the least
-representative under world and individual permutations, and evaluates
-the goal once per structure for all its valuations together: truth
-values are int bitmasks with one bit per valuation, numbered as
+representative under world and individual permutations.  The table is
+built without trying permutations per candidate: the least relation of
+each class on n worlds is found once, with the world permutations that
+fix it, and a domain choice up to individual permutations is a multiset
+of membership columns, so one table per world permutation gives the
+rank of each domain choice's least image; a structure is kept when no
+permutation fixing its relation gives its domains a smaller rank.
+Bounds with more than MAX_CANDIDATES candidates, 2**(n*n) relations
+times (2**n - 1)**p domain choices summed over n worlds and p
+individuals, are refused before anything is enumerated: five worlds,
+or four worlds with two individuals, are out of reach.  The search
+evaluates the goal once per structure for all its valuations together:
+truth values are int bitmasks with one bit per valuation, numbered as
 enumerate_valuations numbers them, so negation is XOR with the
 all-ones mask and disjunction, the diamond and the existential are OR.
 It returns the same (model, world) as a walk over enumerate_models
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .sequents import LabeledSequent
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
@@ -239,61 +249,124 @@ def check_frame(model: KripkeModel, frame: FrameSpec) -> bool:
 # Enumeration and countermodel search
 # ===================================================================
 
-def _inverse(perm, size):
-    inv = [0] * size
-    for old in range(size):
-        inv[perm[old]] = old
-    return inv
+# A relation on n worlds is a bitmask with bit w*n+u for the pair (w, u).
+# Structures are ordered by their relation's pairs in sorted order, then
+# by each world's individuals in sorted order, compared as tuples.  The
+# least image of a domain choice under individual permutations numbers
+# the individuals of world 0 first, and within each part those of world
+# 1 first, and so on: it sorts the individuals by membership column.
+
+MAX_CANDIDATES = 1 << 21  # larger bounds are refused
 
 
-def _structure_key(rel, domains):
-    return (tuple(sorted(rel)), tuple(tuple(sorted(d)) for d in domains))
+def _check_bounds(max_worlds: int, max_individuals: int) -> None:
+    """Refuse bounds below one world or zero individuals, and bounds
+    with more than MAX_CANDIDATES candidate structures: 2**(n*n)
+    relations times (2**n - 1)**p domain choices for each world count
+    n and pool size p."""
+    if max_worlds < 1 or max_individuals < 0:
+        raise SemanticsError(
+            f"bounds need max_worlds >= 1 and max_individuals >= 0, "
+            f"got {max_worlds} and {max_individuals}")
+    candidates = 0
+    for n in range(1, max_worlds + 1):
+        columns = (1 << n) - 1  # the nonempty sets of worlds
+        if columns == 1:
+            choices = max_individuals + 1
+        else:
+            # sum of columns**p; past this many individuals the sum
+            # exceeds MAX_CANDIDATES anyway
+            k = min(max_individuals, MAX_CANDIDATES.bit_length())
+            choices = (columns ** (k + 1) - 1) // (columns - 1)
+        candidates += (1 << n * n) * choices
+        if candidates > MAX_CANDIDATES:
+            raise SemanticsError(
+                f"bounds ({max_worlds}, {max_individuals}) are out of "
+                f"reach: more than {MAX_CANDIDATES} candidate structures")
 
 
-def _canonical_structure(rel, domains, pool_size):
-    """Is (rel, domains) the least representative of its isomorphism
-    class under world and individual permutations?"""
-    n = len(domains)
-    mine = _structure_key(rel, domains)
+def _relation_key(bits: int) -> tuple[int, ...]:
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+@lru_cache(maxsize=8)
+def _relation_classes(n: int) -> tuple[tuple[int, tuple], ...]:
+    """(relation, automorphisms) for the least relation of each
+    isomorphism class on n worlds, the automorphisms being the world
+    permutations that fix it."""
+    perms = list(permutations(range(n)))
+    row_mask = (1 << n) - 1
+    # the image of a row (one world's successors) under each permutation
+    rows = [[sum(1 << wp[u] for u in range(n) if row >> u & 1)
+             for row in range(1 << n)] for wp in perms]
+
+    def image(k, bits):
+        wp, table = perms[k], rows[k]
+        out = 0
+        for w in range(n):
+            out |= table[bits >> w * n & row_mask] << wp[w] * n
+        return out
+
+    seen = bytearray(1 << n * n)
+    classes = []
+    for bits in range(1 << n * n):
+        if seen[bits]:
+            continue
+        orbit = {image(k, bits) for k in range(len(perms))}
+        for other in orbit:
+            seen[other] = 1
+        least = min(orbit, key=_relation_key)
+        classes.append((least, tuple(wp for k, wp in enumerate(perms)
+                                     if image(k, least) == least)))
+    return tuple(classes)
+
+
+def _structure_block(n: int, p: int) -> list[tuple]:
+    """The least structures of n worlds whose domains cover the pool
+    0..p-1, ordered by their domains as a tuple of subset bitmasks, then
+    by relation bitmask."""
+    top = n - 1
+    # a choice is the columns of the individuals 0..p-1 in descending
+    # order, the column of an individual having bit top-w set when it
+    # is in the domain of world w: the choices least under individual
+    # permutations
+    choices = list(combinations_with_replacement(range((1 << n) - 1, 0, -1),
+                                                 p))
+
+    def key(columns):
+        return tuple(tuple(j for j in range(p) if columns[j] >> top - w & 1)
+                     for w in range(n))
+
+    rank = {c: r for r, c in enumerate(sorted(choices, key=key))}
+    # the rank of the least image of each choice under each world
+    # permutation together with every individual permutation
+    image_rank = {}
     for wp in permutations(range(n)):
-        for ip in permutations(range(pool_size)):
-            moved_rel = {(wp[w], wp[u]) for w, u in rel}
-            inv = _inverse(wp, n)
-            moved_dom = tuple(frozenset(ip[i] for i in domains[inv[w]])
-                              for w in range(n))
-            if _structure_key(moved_rel, moved_dom) < mine:
-                return False
-    return True
-
-
-def _domain_choices(n, pool_size):
-    """All assignments of subsets of 0..pool_size-1 to n worlds whose
-    union is the whole pool."""
-    pool = list(range(pool_size))
-    subsets = []
-    for bits in range(1 << pool_size):
-        subsets.append(frozenset(i for i in pool if bits >> i & 1))
-    for choice in product(subsets, repeat=n):
-        union = set()
-        for d in choice:
-            union |= d
-        if len(union) == pool_size:
-            yield tuple(choice)
+        moved = [sum(1 << top - wp[w] for w in range(n) if col >> top - w & 1)
+                 for col in range(1 << n)]
+        image_rank[wp] = {
+            c: rank[tuple(sorted((moved[col] for col in c), reverse=True))]
+            for c in choices}
+    domains = {c: tuple(frozenset(j for j in range(p)
+                                  if c[j] >> top - w & 1) for w in range(n))
+               for c in choices}
+    block = []
+    for bits, automorphisms in _relation_classes(n):
+        rel = frozenset(divmod(i, n) for i in _relation_key(bits))
+        for c in choices:
+            if all(image_rank[wp][c] >= rank[c] for wp in automorphisms):
+                block.append((tuple(sum(1 << i for i in d)
+                                    for d in domains[c]), bits,
+                              (n, rel, domains[c])))
+    block.sort(key=lambda entry: entry[:2])
+    return [structure for _, _, structure in block]
 
 
 @lru_cache(maxsize=8)
 def _all_structures(max_worlds: int, max_individuals: int) -> tuple:
-    out = []
-    for n in range(1, max_worlds + 1):
-        pairs = [(w, u) for w in range(n) for u in range(n)]
-        for pool_size in range(max_individuals + 1):
-            for domains in _domain_choices(n, pool_size):
-                for bits in range(1 << len(pairs)):
-                    rel = frozenset(pairs[i] for i in range(len(pairs))
-                                    if bits >> i & 1)
-                    if _canonical_structure(rel, domains, pool_size):
-                        out.append((n, rel, domains))
-    return tuple(out)
+    return tuple(s for n in range(1, max_worlds + 1)
+                 for p in range(max_individuals + 1)
+                 for s in _structure_block(n, p))
 
 
 @lru_cache(maxsize=64)
@@ -305,12 +378,14 @@ def _frame_structures(max_worlds: int, max_individuals: int,
 
 def enumerate_structures(max_worlds: int, max_individuals: int,
                          frame: FrameSpec | None = None):
-    """(worlds, rel, domains) triples satisfying the frame conditions,
-    one per isomorphism class, in order of increasing size."""
+    """An iterator over the (worlds, rel, domains) triples satisfying
+    the frame conditions, one per isomorphism class, in order of
+    increasing size.  Raises SemanticsError at once for bounds below
+    one world or zero individuals, or out of reach."""
+    _check_bounds(max_worlds, max_individuals)
     if frame is None:
-        yield from _all_structures(max_worlds, max_individuals)
-    else:
-        yield from _frame_structures(max_worlds, max_individuals, frame)
+        return iter(_all_structures(max_worlds, max_individuals))
+    return iter(_frame_structures(max_worlds, max_individuals, frame))
 
 
 def enumerate_valuations(signature: dict[str, int], worlds: int, pool):
@@ -459,18 +534,16 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
     world of it, that falsifies phi.  Each structure is evaluated once,
     over masks of up to 2**_MASK_BITS valuations; the atoms past the
     first _MASK_BITS are fixed per block of valuations, and blocks are
-    taken in order."""
-    if max_worlds < 1 or max_individuals < 0:
-        raise SemanticsError(
-            f"bounds need max_worlds >= 1 and max_individuals >= 0, "
-            f"got {max_worlds} and {max_individuals}")
+    taken in order.  Bounds are refused as enumerate_structures refuses
+    them, before any structure is searched."""
+    structures = enumerate_structures(max_worlds, max_individuals, frame)
     if free_vars(phi):
         raise SemanticsError(
             f"countermodel search needs a closed formula, free: {sorted(free_vars(phi))}")
     signature = predicate_arities([phi])
     program = _compile(phi)
     layouts = {}
-    for n, rel, domains in enumerate_structures(max_worlds, max_individuals, frame):
+    for n, rel, domains in structures:
         pool = tuple(sorted(set().union(*domains)))
         layout = layouts.get((n, pool))
         if layout is None:

@@ -5,6 +5,7 @@ enumerations and direct structural recursions that mirror the
 definitions rather than the algorithms under test.
 """
 
+import functools
 import itertools
 import random
 
@@ -130,6 +131,65 @@ def enumerate_reachable(edges, vertices, sys_, char: str, source: str,
             continue
         found |= walk_targets(edges, source, string)
     return found
+
+
+# ===================================================================
+# Kripke structures up to isomorphism
+# ===================================================================
+
+def _structure_key(rel, domains):
+    return (tuple(sorted(rel)), tuple(tuple(sorted(d)) for d in domains))
+
+
+def structure_images(rel, domains, pool_size: int):
+    """(rel, domains) moved by every pair of a world permutation and a
+    permutation of the individuals 0..pool_size-1."""
+    n = len(domains)
+    for wp in itertools.permutations(range(n)):
+        moved_rel = frozenset((wp[w], wp[u]) for w, u in rel)
+        for ip in itertools.permutations(range(pool_size)):
+            moved_dom = [frozenset()] * n
+            for w in range(n):
+                moved_dom[wp[w]] = frozenset(ip[i] for i in domains[w])
+            yield moved_rel, tuple(moved_dom)
+
+
+def is_least_structure(rel, domains, pool_size: int) -> bool:
+    """Is (rel, domains) the least representative of its isomorphism
+    class?  Structures compare by their relation's sorted pairs, then by
+    each world's sorted individuals; every image is tried."""
+    mine = _structure_key(rel, domains)
+    return all(_structure_key(*image) >= mine
+               for image in structure_images(rel, domains, pool_size))
+
+
+@functools.lru_cache(maxsize=None)
+def _least_block(n: int, pool_size: int) -> tuple:
+    pairs = [(w, u) for w in range(n) for u in range(n)]
+    subsets = [frozenset(i for i in range(pool_size) if bits >> i & 1)
+               for bits in range(1 << pool_size)]
+    out = []
+    for domains in itertools.product(subsets, repeat=n):
+        if len(frozenset().union(*domains)) != pool_size:
+            continue
+        for bits in range(1 << len(pairs)):
+            rel = frozenset(pairs[i] for i in range(len(pairs))
+                            if bits >> i & 1)
+            if is_least_structure(rel, domains, pool_size):
+                out.append((n, rel, domains))
+    return tuple(out)
+
+
+def least_structures(max_worlds: int, max_individuals: int) -> tuple:
+    """The (worlds, rel, domains) structure table by brute force: for
+    each world count, then each pool size, every assignment of subsets
+    of the pool to the worlds that covers it, in itertools.product
+    order over the subsets by bitmask, and every relation by bitmask
+    (bit w*n+u for the pair (w, u)), kept when is_least_structure
+    holds.  A reference for semantics._all_structures."""
+    return tuple(s for n in range(1, max_worlds + 1)
+                 for p in range(max_individuals + 1)
+                 for s in _least_block(n, p))
 
 
 # ===================================================================

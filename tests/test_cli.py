@@ -174,6 +174,31 @@ def test_countermodel_rejects_bad_bounds(capsys, bounds):
     assert captured.err.startswith("error: bounds need")
 
 
+@pytest.mark.parametrize("bounds", [("--max-worlds", "5"),
+                                    ("--max-worlds", "4",
+                                     "--max-individuals", "2"),
+                                    ("--max-individuals", "5"),
+                                    ("--max-worlds", "1",
+                                     "--max-individuals", "10000000")])
+def test_countermodel_refuses_out_of_reach_bounds(capsys, bounds):
+    code = main(["countermodel", "p -> p", *bounds])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "out of reach" in captured.err
+
+
+def test_countermodel_reaches_four_worlds(capsys):
+    # a path of three steps and none of four needs four worlds
+    text = "~(<><><> ~false & [][][][] false)"
+    code, out = _run(capsys, "countermodel", text)
+    assert code == 0
+    code, out = _run(capsys, "countermodel", "--max-worlds", "4",
+                     "--max-individuals", "1", text)
+    assert code == 2
+    assert _json(out)["model"]["worlds"] == 4
+
+
 @pytest.mark.parametrize("text", ["~" * 3000 + "p", " | ".join(["p"] * 3000)])
 def test_over_deep_formula_is_an_input_error(capsys, text):
     for argv in (["prove", text], ["countermodel", text]):

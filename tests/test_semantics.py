@@ -13,6 +13,8 @@ from fomodal.syntax import (Bottom, Dia, Exists, Neg, Or, Pred, box,
                             frame_spec, implies, parse_formula,
                             predicate_arities)
 
+from oracles import least_structures, structure_images
+
 
 def _chain_model():
     # two worlds 0 -> 1, one individual at each, p true at 1
@@ -103,6 +105,52 @@ def test_enumerate_structures_respects_frame():
                     if check_frame(KripkeModel(*s, frozenset()), serial)]
     # a second pass over the same frame and bounds yields the same
     assert list(enumerate_structures(2, 1, serial)) == kept
+
+
+@pytest.mark.parametrize("bounds", [(m, k) for m in (1, 2, 3)
+                                    for k in (0, 1, 2)] + [(1, 3), (2, 3)])
+def test_structure_table_matches_the_reference(bounds):
+    assert _all_structures(*bounds) == least_structures(*bounds)
+
+
+def test_structure_table_counts_relation_classes():
+    # binary relations on 1..4 unlabeled points (OEIS A000595)
+    table = _all_structures(4, 0)
+    assert len(table) == 3160
+    assert [sum(1 for s in table if s[0] == n) for n in (1, 2, 3, 4)] == [
+        2, 10, 104, 3044]
+
+
+def test_structure_table_is_isomorph_free_at_four_worlds():
+    table = _all_structures(4, 1)
+    kept = set(table)
+    rng = random.Random(1998)
+    # no other structure of the table is an image of a sampled one
+    for n, rel, domains in rng.sample(table, 300):
+        pool = len(frozenset().union(*domains))
+        for image in structure_images(rel, domains, pool):
+            assert image == (rel, domains) or (n, *image) not in kept
+    # every sampled candidate has an image in the table
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        pairs = [(w, u) for w in range(n) for u in range(n)]
+        rel = frozenset(pair for pair in pairs if rng.random() < 0.5)
+        pool = rng.randint(0, 1)
+        domains = tuple(frozenset(i for i in range(pool)
+                                  if rng.random() < 0.5) for _ in range(n))
+        if len(frozenset().union(*domains)) < pool:
+            domains = (frozenset(range(pool)),) + domains[1:]
+        assert any((n, *image) in kept
+                   for image in structure_images(rel, domains, pool))
+
+
+@pytest.mark.parametrize("bounds", [(5, 0), (4, 2), (3, 5), (2, 11),
+                                    (1, 10 ** 9)])
+def test_enumerate_structures_refuses_out_of_reach_bounds(bounds):
+    with pytest.raises(SemanticsError, match="out of reach"):
+        enumerate_structures(*bounds)
+    with pytest.raises(SemanticsError, match="out of reach"):
+        find_countermodel(parse_formula("p"), frame_spec(), *bounds)
 
 
 def test_enumerate_models_covers_valuations():
