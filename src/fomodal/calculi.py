@@ -13,7 +13,12 @@ Three calculi share one rule vocabulary:
   (present for nonempty domains) instantiates with a fresh variable
   placed at a path-connected component.  The plain dia_r and exists_r
   are special cases of p_dia and s_ex1 and are left out.
-* NestedN: the same rules read on nested sequents.
+* NestedN: the RefinedL rules read through the labeled view of a
+  nested sequent.  A nested sequent is a labeled tree sequent with a
+  fixed root, so a NestedN rule flattens its conclusion (a view cached
+  on the sequent), applies the RefinedL rule there and reads each
+  premise back as a tree under the same root.  The principal component
+  must exist; children of the premises come out sorted by label.
 
 A Mixed kind, union of G3 and RefinedL, exists so that the
 intermediate stages of rule elimination can be checked.
@@ -42,12 +47,14 @@ stored witness without a new search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import propagation
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
 from .propagation import PropPath, build_graph, witness_path
-from .sequents import (LabeledSequent, NestedSequent, labeled_alpha_eq,
-                       nested_alpha_eq, to_labeled, without_once)
+from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
+                       labeled_alpha_eq, nested_alpha_eq, to_labeled,
+                       to_nested, without_once)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      substitute)
 
@@ -177,6 +184,7 @@ class ProofTree:
 _LOGICAL = (AX, BOT_L, NEG_L, NEG_R, OR_L, OR_R, DIA_L, EXISTS_L)
 
 
+@lru_cache(maxsize=256)
 def rule_set(calc: CalculusSpec) -> frozenset[RuleId]:
     frame = calc.frame
     rules = set(_LOGICAL)
@@ -302,22 +310,29 @@ def _path_condition(graph, system: ThueSystem, char: str, source: str,
 
 
 # ===================================================================
-# Rule application, labeled
+# Rule application
 # ===================================================================
 
 def apply_rule(calc: CalculusSpec, seq, rule: RuleId,
                params: RuleParams) -> tuple:
-    """Premises of the rule instance, as sequents, in schema order."""
+    """Premises of the rule instance, as sequents, in schema order.
+
+    A NestedN rule is applied to the labeled view of its conclusion,
+    and each premise is read back as a tree under the same root."""
     if rule not in rule_set(calc):
         raise RuleNotInCalculus(f"{rule} is not a rule of {calc.kind} "
                                 f"over this frame")
-    if calc.kind == "NestedN":
-        if not isinstance(seq, NestedSequent):
-            raise MalformedParams("NestedN proofs use nested sequents")
-        return _apply_nested(calc, seq, rule, params)
-    if not isinstance(seq, LabeledSequent):
-        raise MalformedParams(f"{calc.kind} proofs use labeled sequents")
-    return _apply_labeled(calc, seq, rule, params)
+    if calc.kind != "NestedN":
+        if not isinstance(seq, LabeledSequent):
+            raise MalformedParams(f"{calc.kind} proofs use labeled sequents")
+        return _apply_labeled(calc, seq, rule, params)
+    if not isinstance(seq, NestedSequent):
+        raise MalformedParams("NestedN proofs use nested sequents")
+    _need(params.label is not None, MalformedParams, "missing component label")
+    _need(seq.find(params.label) is not None, SideConditionViolation,
+          f"no component labeled {params.label}")
+    premises = _apply_labeled(calc, to_labeled(seq), rule, params)
+    return tuple(to_nested(premise, root=seq.label) for premise in premises)
 
 
 def _need(condition: bool, error, message: str):
@@ -332,13 +347,13 @@ def _take(items: tuple, item, what: str) -> tuple:
         raise PrincipalMissing(f"{what} not present") from None
 
 
-def _fresh_label(seq: LabeledSequent | NestedSequent, label: str):
+def _fresh_label(seq: LabeledSequent, label: str):
     _need(label is not None, MalformedParams, "missing created label")
     _need(label not in seq.labels(), FreshnessViolation,
           f"label {label} already occurs")
 
 
-def _fresh_var(seq: LabeledSequent | NestedSequent, var: str):
+def _fresh_var(seq: LabeledSequent, var: str):
     _need(var is not None, MalformedParams, "missing created variable")
     _need(var not in seq.variables(), FreshnessViolation,
           f"variable {var} already occurs")
@@ -431,6 +446,9 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
     if name == "d":
         _known_label(seq, p.label)
         _fresh_label(seq, p.target)
+        # the principal is taken even where the conclusion shows no label
+        _need(p.target != p.label, FreshnessViolation,
+              f"label {p.target} already occurs")
         return (seq.replace(rel=seq.rel + ((p.label, p.target),)),)
 
     if name == "g":
@@ -514,147 +532,6 @@ def _apply_g(seq: LabeledSequent, rule: RuleId, p: RuleParams) -> tuple:
 
 
 # ===================================================================
-# Rule application, nested
-# ===================================================================
-
-def _component(seq: NestedSequent, label: str) -> NestedSequent:
-    _need(label is not None, MalformedParams, "missing component label")
-    node = seq.find(label)
-    _need(node is not None, SideConditionViolation,
-          f"no component labeled {label}")
-    return node
-
-
-def _apply_nested(calc: CalculusSpec, seq: NestedSequent, rule: RuleId,
-                  p: RuleParams) -> tuple:
-    name = rule.name
-
-    if name == "ax":
-        node = _component(seq, p.label)
-        _need(isinstance(p.formula, Pred), MalformedParams,
-              "ax applies to an atomic formula")
-        _need(p.formula in node.left, PrincipalMissing, "atom missing on the left")
-        _need(p.formula in node.right, PrincipalMissing, "atom missing on the right")
-        return ()
-
-    if name == "bot_l":
-        node = _component(seq, p.label)
-        _need(Bottom() in node.left, PrincipalMissing, "falsum missing on the left")
-        return ()
-
-    if name == "neg_l":
-        _need(isinstance(p.formula, Neg), MalformedParams, "principal must be a negation")
-        node = _component(seq, p.label)
-        _need(p.formula in node.left, PrincipalMissing, "principal negation not present")
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, _take(c.left, p.formula, "negation"), c.vars,
-            c.right + (p.formula.body,), c.children)),)
-
-    if name == "neg_r":
-        _need(isinstance(p.formula, Neg), MalformedParams, "principal must be a negation")
-        node = _component(seq, p.label)
-        _need(p.formula in node.right, PrincipalMissing, "principal negation not present")
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, c.left + (p.formula.body,), c.vars,
-            _take(c.right, p.formula, "negation"), c.children)),)
-
-    if name == "or_l":
-        _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
-        node = _component(seq, p.label)
-        _need(p.formula in node.left, PrincipalMissing, "principal disjunction not present")
-
-        def with_disjunct(which):
-            return seq.replace_component(p.label, lambda c: NestedSequent(
-                c.label,
-                _take(c.left, p.formula, "disjunction") + (which,),
-                c.vars, c.right, c.children))
-        return (with_disjunct(p.formula.left), with_disjunct(p.formula.right))
-
-    if name == "or_r":
-        _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
-        node = _component(seq, p.label)
-        _need(p.formula in node.right, PrincipalMissing, "principal disjunction not present")
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, c.left, c.vars,
-            _take(c.right, p.formula, "disjunction")
-            + (p.formula.left, p.formula.right),
-            c.children)),)
-
-    if name == "dia_l":
-        _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
-        node = _component(seq, p.label)
-        _need(p.formula in node.left, PrincipalMissing, "principal diamond not present")
-        _fresh_label(seq, p.target)
-        child = NestedSequent(p.target, (p.formula.body,), (), (), ())
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, _take(c.left, p.formula, "diamond"), c.vars,
-            c.right, c.children + (child,))),)
-
-    if name == "exists_l":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        node = _component(seq, p.label)
-        _need(p.formula in node.left, PrincipalMissing, "principal existential not present")
-        _fresh_var(seq, p.variable)
-        instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label,
-            _take(c.left, p.formula, "existential") + (instance,),
-            c.vars + (p.variable,), c.right, c.children)),)
-
-    if name == "d":
-        _component(seq, p.label)
-        _fresh_label(seq, p.target)
-        child = NestedSequent(p.target, (), (), (), ())
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, c.left, c.vars, c.right, c.children + (child,))),)
-
-    if name == "p_dia":
-        _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
-        node = _component(seq, p.label)
-        _need(p.formula in node.right, PrincipalMissing, "principal diamond not present")
-        _component(seq, p.target)
-        condition = side_condition(calc, rule, seq, p)
-        _need(condition.holds, SideConditionViolation,
-              condition.reason or "propagation condition fails")
-        return (seq.replace_component(p.target, lambda c: NestedSequent(
-            c.label, c.left, c.vars, c.right + (p.formula.body,), c.children)),)
-
-    if name == "s_ex1":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        node = _component(seq, p.label)
-        _need(p.formula in node.right, PrincipalMissing,
-              "principal existential not present")
-        _need(p.variable is not None, MalformedParams, "missing instantiating variable")
-        condition = side_condition(calc, rule, seq, p)
-        _need(condition.holds, SideConditionViolation,
-              condition.reason or "availability condition fails")
-        instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        return (seq.replace_component(p.label, lambda c: NestedSequent(
-            c.label, c.left, c.vars, c.right + (instance,), c.children)),)
-
-    if name == "s_ex2":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        node = _component(seq, p.label)
-        _need(p.formula in node.right, PrincipalMissing,
-              "principal existential not present")
-        _component(seq, p.target)
-        _fresh_var(seq, p.variable)
-        condition = side_condition(calc, rule, seq, p)
-        _need(condition.holds, SideConditionViolation,
-              condition.reason or "path condition fails")
-        instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        with_var = seq.replace_component(p.target, lambda c: NestedSequent(
-            c.label, c.left, c.vars + (p.variable,), c.right, c.children))
-        return (with_var.replace_component(p.label, lambda c: NestedSequent(
-            c.label, c.left, c.vars, c.right + (instance,), c.children)),)
-
-    raise MalformedParams(f"unknown rule {rule} for nested sequents")
-
-
-# ===================================================================
 # Proof checking
 # ===================================================================
 
@@ -672,7 +549,10 @@ def _sequents_match(a, b) -> bool:
     if isinstance(a, NestedSequent) != isinstance(b, NestedSequent):
         return False
     if isinstance(a, NestedSequent):
-        return nested_alpha_eq(a, b)
+        try:
+            return nested_alpha_eq(a, b)
+        except DuplicateLabelError:
+            return False
     return labeled_alpha_eq(a, b)
 
 
@@ -682,7 +562,7 @@ def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
     for path, node in proof.walk():
         try:
             premises = apply_rule(calc, node.conclusion, node.rule, node.params)
-        except RuleApplicationError as err:
+        except (RuleApplicationError, DuplicateLabelError) as err:
             return CheckReport(False, path, f"{node.rule}: {err}")
         if len(premises) != len(node.premises):
             return CheckReport(

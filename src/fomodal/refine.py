@@ -40,7 +40,8 @@ from .calculi import (AX, BOT_L, DIA_R, EXISTS_R, P_DIA, RELATIONAL, S_EX1,
                       side_condition)
 from .grammar import BDIA, DIA
 from .propagation import PropPath
-from .sequents import is_labeled_tree, labeled_alpha_eq, to_labeled, to_nested
+from .sequents import (NotATreeError, is_labeled_tree, labeled_alpha_eq,
+                       to_labeled, to_nested)
 from .syntax import FrameSpec
 
 
@@ -290,12 +291,12 @@ def nestify(frame: FrameSpec, proof: ProofTree) -> ProofTree:
     root = root or "w0"
 
     def go(node: ProofTree) -> ProofTree:
-        good, r = is_labeled_tree(node.conclusion)
-        if not good:
-            raise RefineError("a sequent in the proof is not a tree")
-        if r is not None and r != root:
+        try:
+            nested = to_nested(node.conclusion, root=root)
+        except NotATreeError:
+            raise RefineError("a sequent in the proof is not a tree") from None
+        if nested.label != root:
             raise RefineError("root label changes inside the proof")
-        nested = to_nested(node.conclusion, root=root)
         return ProofTree(nested, node.rule, node.params,
                          tuple(go(p) for p in node.premises))
 

@@ -24,8 +24,9 @@ rank of each domain choice's least image; a structure is kept when no
 permutation fixing its relation gives its domains a smaller rank.
 Bounds with more than MAX_CANDIDATES candidates, 2**(n*n) relations
 times (2**n - 1)**p domain choices summed over n worlds and p
-individuals, are refused before anything is enumerated: five worlds,
-or four worlds with two individuals, are out of reach.  The search
+individuals (at one world, each counting max(p, 1)), are refused
+before anything is enumerated: five worlds, four worlds with two
+individuals, or one world with 2000 individuals.  The search
 evaluates the goal once per structure for all its valuations together:
 truth values are int bitmasks with one bit per valuation, numbered as
 enumerate_valuations numbers them, so negation is XOR with the
@@ -34,7 +35,8 @@ It returns the same (model, world) as a walk over enumerate_models
 would: the first valuation, in the first structure, falsifying the
 goal at some world, and the least such world.  A mask spans at most
 2**12 valuations; with more atoms the valuations are taken in ordered
-blocks, each fixing the atoms past the twelfth.  The structure table of
+blocks, each fixing the atoms past the twelfth.  A search is refused
+before it would pass MAX_VALUATIONS valuations.  The structure table of
 each pair of bounds, and its frame-filtered subsequence for each frame
 class, are cached per process in bounded caches.
 """
@@ -263,7 +265,9 @@ def _check_bounds(max_worlds: int, max_individuals: int) -> None:
     """Refuse bounds below one world or zero individuals, and bounds
     with more than MAX_CANDIDATES candidate structures: 2**(n*n)
     relations times (2**n - 1)**p domain choices for each world count
-    n and pool size p."""
+    n and pool size p.  At one world a domain of p individuals counts
+    max(p, 1) times, since the table there grows with the square of
+    the pool."""
     if max_worlds < 1 or max_individuals < 0:
         raise SemanticsError(
             f"bounds need max_worlds >= 1 and max_individuals >= 0, "
@@ -272,7 +276,8 @@ def _check_bounds(max_worlds: int, max_individuals: int) -> None:
     for n in range(1, max_worlds + 1):
         columns = (1 << n) - 1  # the nonempty sets of worlds
         if columns == 1:
-            choices = max_individuals + 1
+            # sum of max(p, 1) for p up to the pool
+            choices = 1 + max_individuals * (max_individuals + 1) // 2
         else:
             # sum of columns**p; past this many individuals the sum
             # exceeds MAX_CANDIDATES anyway
@@ -417,6 +422,7 @@ def enumerate_models(signature: dict[str, int], max_worlds: int,
 # under valuation v, so each connective acts on every valuation at once.
 
 _MASK_BITS = 12  # a mask spans at most 2**12 valuations
+MAX_VALUATIONS = 1 << 24  # a search stops before passing this many
 
 _BOTTOM, _PRED, _NEG, _OR, _DIA, _EXISTS = range(6)
 
@@ -525,6 +531,12 @@ def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
     return tables[-1][()]
 
 
+def _search_out_of_reach(max_worlds: int, max_individuals: int):
+    return SemanticsError(
+        f"search out of reach: more than {MAX_VALUATIONS} valuations at "
+        f"bounds ({max_worlds}, {max_individuals})")
+
+
 def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
                       max_individuals: int = 2):
     """First (model, world) falsifying the closed formula phi on a
@@ -535,7 +547,8 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
     over masks of up to 2**_MASK_BITS valuations; the atoms past the
     first _MASK_BITS are fixed per block of valuations, and blocks are
     taken in order.  Bounds are refused as enumerate_structures refuses
-    them, before any structure is searched."""
+    them, before any structure is searched, and SemanticsError is raised
+    before a structure would take the search past MAX_VALUATIONS."""
     structures = enumerate_structures(max_worlds, max_individuals, frame)
     if free_vars(phi):
         raise SemanticsError(
@@ -543,10 +556,15 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
     signature = predicate_arities([phi])
     program = _compile(phi)
     layouts = {}
+    searched = 0
     for n, rel, domains in structures:
         pool = tuple(sorted(set().union(*domains)))
         layout = layouts.get((n, pool))
         if layout is None:
+            # counted first: past the limit they may be too many to list
+            width = sum(n * len(pool) ** a for a in signature.values())
+            if width >= MAX_VALUATIONS.bit_length():
+                raise _search_out_of_reach(max_worlds, max_individuals)
             # numbered as enumerate_valuations numbers them
             atoms = [(name, w, args) for name in sorted(signature)
                      for w in range(n)
@@ -558,6 +576,9 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
                 atoms, {atom: i for i, atom in enumerate(atoms)}, envs, bits,
                 (1 << (1 << bits)) - 1, _low_masks(bits))
         atoms, atom_index, envs, bits, full, low = layout
+        searched += 1 << len(atoms)
+        if searched > MAX_VALUATIONS:
+            raise _search_out_of_reach(max_worlds, max_individuals)
         succ = [[] for _ in range(n)]
         for w, u in rel:
             succ[w].append(u)

@@ -9,20 +9,26 @@ that component, and a multiset of right formulas.
 Both kinds are immutable values.  The flat multisets are stored in a
 canonical sorted order so that multiset equality coincides with
 structural equality; the children of a nested component keep the order
-they were built in, and canonical() sorts them recursively by label
-when order-insensitive comparison is wanted.
+they were built in.
 
 A labeled sequent whose relational atoms form a tree (and whose other
 atoms only mention labels of that tree) translates to a nested sequent
 and back without loss; the two translations here are inverse to each
-other on such sequents.
+other on such sequents.  A nested sequent keeps its labeled view: the
+first to_labeled of it stores the flattened sequent on it, and
+to_nested stores its input on its result, so each tree is flattened at
+most once.  Comparison up to bound variable names, nested_alpha_eq,
+compares the root labels and then the views, so the order of children
+does not matter there.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 
 from .syntax import (MAX_DEPTH, Formula, alpha_canonical, all_vars,
                      render_formula)
@@ -40,11 +46,11 @@ class DuplicateLabelError(SequentError):
     pass
 
 
-def label_key(label: str):
-    # short-before-long keeps w2 ahead of w10
-    return (len(label), label)
+_first = itemgetter(0)
+_second = itemgetter(1)
 
 
+@lru_cache(maxsize=4096)
 def formula_key(phi: Formula) -> str:
     return render_formula(phi)
 
@@ -74,6 +80,22 @@ def fresh_label(taken, base: str = "w") -> str:
 # Labeled sequents
 # ===================================================================
 
+def _labeled_formula_key(item):
+    return (len(item[0]), item[0], formula_key(item[1]))
+
+
+# the canonical order of each slot of a labeled sequent; labels sort
+# short-before-long, which keeps w2 ahead of w10.  Within one label,
+# formulas sort by formula_key and variables by name, as in the
+# components of a NestedSequent, so to_nested need not sort again.
+_SLOT_KEYS = {
+    "rel": lambda atom: (len(atom[0]), atom[0], len(atom[1]), atom[1]),
+    "dom": lambda atom: (atom[0], len(atom[1]), atom[1]),
+    "left": _labeled_formula_key,
+    "right": _labeled_formula_key,
+}
+
+
 @dataclass(frozen=True)
 class LabeledSequent:
     """rel holds pairs (w, u) for wRu; dom holds pairs (x, w) for
@@ -84,26 +106,14 @@ class LabeledSequent:
     right: tuple[tuple[str, Formula], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "rel", tuple(
-            sorted(self.rel, key=lambda a: (label_key(a[0]), label_key(a[1])))))
-        object.__setattr__(self, "dom", tuple(
-            sorted(self.dom, key=lambda a: (a[0], label_key(a[1])))))
-        for slot in ("left", "right"):
-            object.__setattr__(self, slot, tuple(
-                sorted(getattr(self, slot),
-                       key=lambda a: (label_key(a[0]), formula_key(a[1])))))
+        for slot, key in _SLOT_KEYS.items():
+            object.__setattr__(self, slot, tuple(sorted(getattr(self, slot),
+                                                        key=key)))
 
     def labels(self) -> frozenset[str]:
-        out = set()
-        for w, u in self.rel:
-            out.add(w)
-            out.add(u)
-        for _, w in self.dom:
-            out.add(w)
-        for w, _ in self.left:
-            out.add(w)
-        for w, _ in self.right:
-            out.add(w)
+        out = set(map(_first, self.rel))
+        out.update(map(_second, self.rel), map(_second, self.dom),
+                   map(_first, self.left), map(_first, self.right))
         return frozenset(out)
 
     def variables(self) -> frozenset[str]:
@@ -118,10 +128,12 @@ class LabeledSequent:
             yield phi
 
     def replace(self, **changes) -> LabeledSequent:
-        fields = {"rel": self.rel, "dom": self.dom,
-                  "left": self.left, "right": self.right}
-        fields.update(changes)
-        return LabeledSequent(**fields)
+        """A copy with some slots changed; only those are sorted anew."""
+        out = object.__new__(LabeledSequent)
+        for slot, key in _SLOT_KEYS.items():
+            object.__setattr__(out, slot, tuple(sorted(changes[slot], key=key))
+                               if slot in changes else getattr(self, slot))
+        return out
 
     def __str__(self):
         return render_labeled(self)
@@ -202,35 +214,11 @@ def is_labeled_tree(seq: LabeledSequent) -> tuple[bool, str | None]:
     atoms qualifies when it mentions at most one label; if it mentions
     none at all the root comes back as None.
     """
-    every = seq.labels()
-    if not seq.rel:
-        if len(every) > 1:
-            return (False, None)
-        return (True, next(iter(every), None))
-
-    parent: dict[str, str] = {}
-    for w, u in seq.rel:
-        if u in parent:
-            return (False, None)  # duplicate atom or second in-edge
-        parent[u] = w
-    rel_labels = set(parent)
-    for w, _ in seq.rel:
-        rel_labels.add(w)
-    roots = [l for l in rel_labels if l not in parent]
-    if len(roots) != 1:
+    try:
+        phi = to_nested(seq)
+    except NotATreeError:
         return (False, None)
-    root = roots[0]
-    for start in rel_labels:
-        seen = {start}
-        node = start
-        while node != root:
-            node = parent[node]
-            if node in seen:
-                return (False, None)
-            seen.add(node)
-    if not every <= rel_labels:
-        return (False, None)
-    return (True, root)
+    return (True, None if seq == LabeledSequent() else phi.label)
 
 
 # ===================================================================
@@ -275,24 +263,6 @@ class NestedSequent:
                 return node
         return None
 
-    def replace_component(self, label: str, builder) -> NestedSequent:
-        """Rebuild the tree with builder applied to the component named
-        label; builder maps a NestedSequent to its replacement."""
-        def rebuild(node: NestedSequent) -> NestedSequent:
-            if node.label == label:
-                return builder(node)
-            return NestedSequent(node.label, node.left, node.vars, node.right,
-                                 tuple(rebuild(c) for c in node.children))
-        if self.find(label) is None:
-            raise SequentError(f"no component labeled {label}")
-        return rebuild(self)
-
-    def canonical(self) -> NestedSequent:
-        """Sort children recursively by label for order-insensitive use."""
-        kids = tuple(sorted((c.canonical() for c in self.children),
-                            key=lambda c: label_key(c.label)))
-        return NestedSequent(self.label, self.left, self.vars, self.right, kids)
-
     def __str__(self):
         return render_nested(self)
 
@@ -305,20 +275,10 @@ def check_unique_labels(phi: NestedSequent) -> None:
         seen.add(label)
 
 
-def nested_alpha_key(phi: NestedSequent):
-    node = phi.canonical()
-
-    def key(n: NestedSequent):
-        return (n.label,
-                tuple(sorted(render_formula(alpha_canonical(f)) for f in n.left)),
-                n.vars,
-                tuple(sorted(render_formula(alpha_canonical(f)) for f in n.right)),
-                tuple(key(c) for c in n.children))
-    return key(node)
-
-
 def nested_alpha_eq(a: NestedSequent, b: NestedSequent) -> bool:
-    return nested_alpha_key(a) == nested_alpha_key(b)
+    """Equality up to bound variable names and the order of children.
+    Raises DuplicateLabelError when a label occurs twice in either."""
+    return a.label == b.label and labeled_alpha_eq(to_labeled(a), to_labeled(b))
 
 
 def shape_key(phi: NestedSequent):
@@ -339,51 +299,66 @@ def shape_key(phi: NestedSequent):
 def to_labeled(phi: NestedSequent) -> LabeledSequent:
     """Flatten a nested sequent into a labeled sequent; each component
     contributes its formulas and variables at its own label and one
-    relational atom per child."""
+    relational atom per child.  The result is kept on phi as its view."""
+    view = getattr(phi, "_view", None)
+    if view is not None:
+        return view
     check_unique_labels(phi)
     rel, dom, left, right = [], [], [], []
-
-    def walk(node: NestedSequent):
-        for x in node.vars:
-            dom.append((x, node.label))
-        for f in node.left:
-            left.append((node.label, f))
-        for f in node.right:
-            right.append((node.label, f))
-        for child in node.children:
-            rel.append((node.label, child.label))
-            walk(child)
-
-    walk(phi)
-    return LabeledSequent(rel=tuple(rel), dom=tuple(dom),
+    for node in phi.walk():
+        dom.extend((x, node.label) for x in node.vars)
+        left.extend((node.label, f) for f in node.left)
+        right.extend((node.label, f) for f in node.right)
+        rel.extend((node.label, child.label) for child in node.children)
+    view = LabeledSequent(rel=tuple(rel), dom=tuple(dom),
                           left=tuple(left), right=tuple(right))
+    object.__setattr__(phi, "_view", view)
+    return view
 
 
 def to_nested(seq: LabeledSequent, root: str | None = None) -> NestedSequent:
-    """Rebuild the component tree of a labeled tree sequent.  Children
-    come out sorted by label.  The root argument only names the root of
-    a sequent that mentions no label at all."""
-    ok, tree_root = is_labeled_tree(seq)
-    if not ok:
-        raise NotATreeError(f"not a labeled tree sequent: {seq}")
-    if tree_root is None:
-        tree_root = root if root is not None else "w0"
-
-    children: dict[str, list[str]] = {}
+    """Rebuild the component tree of a labeled tree sequent, with seq
+    kept as its view.  Children come out sorted by label.  The root
+    argument only names the root of a sequent that mentions no label
+    at all.  Raises NotATreeError unless the relational atoms form a
+    tree, one parent per child, that covers every label used."""
+    kids: dict[str, list] = {}
+    left: dict[str, list] = {}
+    vars_: dict[str, list] = {}
+    right: dict[str, list] = {}
     for w, u in seq.rel:
-        children.setdefault(w, []).append(u)
-    for kids in children.values():
-        kids.sort(key=label_key)
+        kids.setdefault(w, []).append(u)
+    for w, f in seq.left:
+        left.setdefault(w, []).append(f)
+    for x, w in seq.dom:
+        vars_.setdefault(w, []).append(x)
+    for w, f in seq.right:
+        right.setdefault(w, []).append(f)
+    parents = set(map(_second, seq.rel))
+    labels = kids.keys() | parents | left.keys() | vars_.keys() | right.keys()
+    tops = labels - parents
+    if len(parents) < len(seq.rel) or len(tops) != (1 if labels else 0):
+        raise NotATreeError(f"not a labeled tree sequent: {seq}")
+    built = []
+    put = object.__setattr__
 
     def build(label: str) -> NestedSequent:
-        return NestedSequent(
-            label=label,
-            left=tuple(f for w, f in seq.left if w == label),
-            vars=tuple(x for x, w in seq.dom if w == label),
-            right=tuple(f for w, f in seq.right if w == label),
-            children=tuple(build(child) for child in children.get(label, [])))
+        # the slots of seq are sorted, so each part already is in the
+        # order NestedSequent keeps and need not be sorted again
+        built.append(label)
+        node = object.__new__(NestedSequent)
+        put(node, "label", label)
+        put(node, "left", tuple(left.get(label, ())))
+        put(node, "vars", tuple(vars_.get(label, ())))
+        put(node, "right", tuple(right.get(label, ())))
+        put(node, "children", tuple([build(c) for c in kids.get(label, ())]))
+        return node
 
-    return build(tree_root)
+    phi = build(next(iter(tops), "w0" if root is None else root))
+    if len(built) < len(labels):  # a cycle away from the root
+        raise NotATreeError(f"not a labeled tree sequent: {seq}")
+    put(phi, "_view", seq)
+    return phi
 
 
 # ===================================================================

@@ -53,38 +53,60 @@ class ArityError(FormulaError):
 # Abstract syntax
 # ===================================================================
 
+def _remember_hash(cls):
+    """Keep a formula's hash once computed.  Formulas key many caches
+    and sets, and the generated hash walks the whole tree each time."""
+    generated = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class Formula:
     pass
 
 
+@_remember_hash
 @dataclass(frozen=True)
 class Pred(Formula):
     name: str
     args: tuple[str, ...] = ()
 
 
+@_remember_hash
 @dataclass(frozen=True)
 class Bottom(Formula):
     pass
 
 
+@_remember_hash
 @dataclass(frozen=True)
 class Neg(Formula):
     body: Formula
 
 
+@_remember_hash
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
+@_remember_hash
 @dataclass(frozen=True)
 class Dia(Formula):
     body: Formula
 
 
+@_remember_hash
 @dataclass(frozen=True)
 class Exists(Formula):
     bound: str
@@ -111,7 +133,7 @@ def implies(left: Formula, right: Formula) -> Formula:
 # Variables and substitution
 # ===================================================================
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def free_vars(phi: Formula) -> frozenset[str]:
     match phi:
         case Pred(args=args):
@@ -127,7 +149,7 @@ def free_vars(phi: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def all_vars(phi: Formula) -> frozenset[str]:
     """Every variable occurring in phi, free or bound."""
     match phi:

@@ -12,7 +12,8 @@ from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
                              propagation_system, rule_set, side_condition)
 from fomodal.grammar import s4, s5, of_paths, union
 from fomodal.propagation import PropPath
-from fomodal.sequents import parse_labeled, parse_nested, render_nested
+from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
+                              render_nested)
 from fomodal.syntax import frame_spec, parse_formula
 
 
@@ -288,6 +289,108 @@ def test_side_condition_reports_witness():
     assert cond.witness.string() == "dd"
 
 
+# a NestedN sequent with three components; the rendered premises below
+# pin the rules' behaviour on it
+NESTED_CALC = CalculusSpec("NestedN", frame_spec(serial=True, paths=[(0, 2)],
+                                                 inc=True, nonempty=True))
+NESTED_SEQ = ("p, ~q, r | s, <>t, exists x. f(x), false ; y "
+              "|- p, ~s, q | t, <>p, exists z. g(z), "
+              "[q ;  |- exists z. g(z), [ ; v |- <>q]@w2]@w1")
+ROOT_L = "<>t, exists x. f(x), false, p, r | s, ~q"
+ROOT_R = "<>p, exists z. g(z), p, q | t, ~s"
+W2 = "[ ; v |- <>q]@w2"
+W1 = f"[q ;  |- exists z. g(z), {W2}]@w1"
+
+
+def _nested_rule_table():
+    f = parse_formula
+    P = RuleParams
+    return [
+        # (rule, params, rendered premises or the exception raised)
+        (AX, P(label="w0", formula=f("p")), ()),
+        (AX, P(label="w1", formula=f("q")), PrincipalMissing),
+        (AX, P(label="zz", formula=f("p")), SideConditionViolation),
+        (BOT_L, P(label="w0"), ()),
+        (BOT_L, P(label="w1"), PrincipalMissing),
+        (BOT_L, P(label="zz"), SideConditionViolation),
+        (NEG_L, P(label="w0", formula=f("~q")),
+         (f"<>t, exists x. f(x), false, p, r | s ; y |- "
+          f"<>p, exists z. g(z), p, q, q | t, ~s, {W1}",)),
+        (NEG_L, P(label="w1", formula=f("~q")), PrincipalMissing),
+        (NEG_L, P(label="zz", formula=f("~q")), SideConditionViolation),
+        (NEG_R, P(label="w0", formula=f("~s")),
+         (f"<>t, exists x. f(x), false, p, r | s, s, ~q ; y |- "
+          f"<>p, exists z. g(z), p, q | t, {W1}",)),
+        (NEG_R, P(label="w1", formula=f("~s")), PrincipalMissing),
+        (NEG_R, P(label="zz", formula=f("~s")), SideConditionViolation),
+        (OR_L, P(label="w0", formula=f("r | s")),
+         (f"<>t, exists x. f(x), false, p, r, ~q ; y |- {ROOT_R}, {W1}",
+          f"<>t, exists x. f(x), false, p, s, ~q ; y |- {ROOT_R}, {W1}")),
+        (OR_L, P(label="w1", formula=f("r | s")), PrincipalMissing),
+        (OR_L, P(label="zz", formula=f("r | s")), SideConditionViolation),
+        (OR_R, P(label="w0", formula=f("q | t")),
+         (f"{ROOT_L} ; y |- <>p, exists z. g(z), p, q, t, ~s, {W1}",)),
+        (OR_R, P(label="w1", formula=f("q | t")), PrincipalMissing),
+        (OR_R, P(label="zz", formula=f("q | t")), SideConditionViolation),
+        (DIA_L, P(label="w0", formula=f("<>t"), target="w3"),
+         (f"exists x. f(x), false, p, r | s, ~q ; y |- "
+          f"{ROOT_R}, {W1}, [t ;  |- ]@w3",)),
+        (DIA_L, P(label="w1", formula=f("<>t"), target="w3"), PrincipalMissing),
+        (DIA_L, P(label="w0", formula=f("<>t"), target="w2"),
+         FreshnessViolation),
+        (DIA_L, P(label="zz", formula=f("<>t"), target="w3"),
+         SideConditionViolation),
+        (EXISTS_L, P(label="w0", formula=f("exists x. f(x)"), variable="u"),
+         (f"<>t, f(u), false, p, r | s, ~q ; u, y |- {ROOT_R}, {W1}",)),
+        (EXISTS_L, P(label="w1", formula=f("exists x. f(x)"), variable="u"),
+         PrincipalMissing),
+        (EXISTS_L, P(label="w0", formula=f("exists x. f(x)"), variable="v"),
+         FreshnessViolation),
+        (EXISTS_L, P(label="zz", formula=f("exists x. f(x)"), variable="u"),
+         SideConditionViolation),
+        (D, P(label="w1", target="w3"),
+         (f"{ROOT_L} ; y |- {ROOT_R}, "
+          f"[q ;  |- exists z. g(z), {W2}, [ ;  |- ]@w3]@w1",)),
+        (D, P(label="w1", target="w0"), FreshnessViolation),
+        (D, P(label="zz", target="w3"), SideConditionViolation),
+        (P_DIA, P(label="w0", formula=f("<>p"), target="w2"),
+         (f"{ROOT_L} ; y |- {ROOT_R}, "
+          f"[q ;  |- exists z. g(z), [ ; v |- <>q, p]@w2]@w1",)),
+        (P_DIA, P(label="w1", formula=f("<>p"), target="w2"), PrincipalMissing),
+        (P_DIA, P(label="zz", formula=f("<>p"), target="w2"),
+         SideConditionViolation),
+        (P_DIA, P(label="w0", formula=f("<>p"), target="zz"),
+         SideConditionViolation),
+        # backward steps are outside the (0,2) closure language
+        (P_DIA, P(label="w2", formula=f("<>q"), target="w0"),
+         SideConditionViolation),
+        (S_EX1, P(label="w1", formula=f("exists z. g(z)"), variable="y"),
+         (f"{ROOT_L} ; y |- {ROOT_R}, "
+          f"[q ;  |- exists z. g(z), g(y), {W2}]@w1",)),
+        (S_EX1, P(label="w2", formula=f("exists z. g(z)"), variable="y"),
+         PrincipalMissing),
+        (S_EX1, P(label="zz", formula=f("exists z. g(z)"), variable="y"),
+         SideConditionViolation),
+        # with increasing domains only, v at a successor is not available
+        (S_EX1, P(label="w0", formula=f("exists z. g(z)"), variable="v"),
+         SideConditionViolation),
+        (S_EX2, P(label="w1", formula=f("exists z. g(z)"), variable="u",
+                  target="w0"),
+         (f"{ROOT_L} ; u, y |- {ROOT_R}, "
+          f"[q ;  |- exists z. g(z), g(u), {W2}]@w1",)),
+        (S_EX2, P(label="w2", formula=f("exists z. g(z)"), variable="u",
+                  target="w0"), PrincipalMissing),
+        (S_EX2, P(label="w1", formula=f("exists z. g(z)"), variable="y",
+                  target="w0"), FreshnessViolation),
+        (S_EX2, P(label="zz", formula=f("exists z. g(z)"), variable="u",
+                  target="w0"), SideConditionViolation),
+        (S_EX2, P(label="w1", formula=f("exists z. g(z)"), variable="u",
+                  target="zz"), SideConditionViolation),
+        (S_EX2, P(label="w1", formula=f("exists z. g(z)"), variable="u",
+                  target="w2"), SideConditionViolation),
+    ]
+
+
 def test_apply_nested_rules_mirror_labeled():
     calc = CalculusSpec("NestedN", frame_spec(paths=[(0, 2)]))
     seq = parse_nested("<><>p ;  |- <>p")
@@ -300,6 +403,48 @@ def test_apply_nested_rules_mirror_labeled():
                           RuleParams(label="w0", formula=parse_formula("<>p"),
                                      target="w1"))
     assert render_nested(prem2) == " ;  |- <>p, [<>p ;  |- p]@w1"
+
+    seq = parse_nested(NESTED_SEQ)
+    assert render_nested(seq) == f"{ROOT_L} ; y |- {ROOT_R}, {W1}"
+    table = _nested_rule_table()
+    assert {rule for rule, _, _ in table} == rule_set(NESTED_CALC)
+    for rule, params, expected in table:
+        case = (rule, params.label, params.target, params.variable)
+        if isinstance(expected, tuple):
+            premises = apply_rule(NESTED_CALC, seq, rule, params)
+            assert tuple(map(render_nested, premises)) == expected, case
+        else:
+            with pytest.raises(expected):
+                apply_rule(NESTED_CALC, seq, rule, params)
+
+
+def test_d_needs_a_label_other_than_a_lone_empty_root():
+    # the labeled view of a lone empty root mentions no label at all
+    calc = CalculusSpec("NestedN", frame_spec(serial=True))
+    with pytest.raises(FreshnessViolation):
+        apply_rule(calc, NestedSequent("w0"), D,
+                   RuleParams(label="w0", target="w0"))
+    (prem,) = apply_rule(calc, NestedSequent("w0"), D,
+                         RuleParams(label="w0", target="w1"))
+    assert render_nested(prem) == " ;  |- [ ;  |- ]@w1"
+
+
+def test_check_reports_repeated_label_in_nested_premise():
+    calc = CalculusSpec("NestedN", frame_spec())
+    seq = parse_nested("~p ;  |- [ ;  |- ]@w1")
+    twice = NestedSequent("w0", (), (), (parse_formula("p"),),
+                          (NestedSequent("w1"), NestedSequent("w1")))
+    leaf = ProofTree(twice, AX, RuleParams(label="w0",
+                                           formula=parse_formula("p")))
+    proof = ProofTree(seq, NEG_L, RuleParams(label="w0",
+                                             formula=parse_formula("~p")),
+                      (leaf,))
+    report = check(calc, proof)
+    assert not report.ok
+    assert report.node == (0,)
+    # a conclusion repeating a label is refused too, not raised
+    root = ProofTree(twice, BOT_L, RuleParams(label="w0"))
+    assert not check(calc, root).ok
 
 
 def test_check_accepts_and_pinpoints():

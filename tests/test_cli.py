@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -179,13 +180,41 @@ def test_countermodel_rejects_bad_bounds(capsys, bounds):
                                      "--max-individuals", "2"),
                                     ("--max-individuals", "5"),
                                     ("--max-worlds", "1",
-                                     "--max-individuals", "10000000")])
+                                     "--max-individuals", "10000000"),
+                                    # one world, weighed by pool size
+                                    ("--max-worlds", "1",
+                                     "--max-individuals", "1000000"),
+                                    ("--max-worlds", "1",
+                                     "--max-individuals", "2000")])
 def test_countermodel_refuses_out_of_reach_bounds(capsys, bounds):
     code = main(["countermodel", "p -> p", *bounds])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "out of reach" in captured.err
+
+
+def test_countermodel_stops_at_the_valuation_limit(capsys):
+    # two binary predicates at (3, 2): 2**24 valuations per structure
+    # with three worlds and two individuals
+    text = ("forall x. forall y. ((p(x, y) | q(x, y)) -> "
+            "(p(x, y) | q(x, y)))")
+    start = time.perf_counter()
+    code = main(["countermodel", text])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert captured.out == ""
+    assert "out of reach" in captured.err and "valuations" in captured.err
+    # the same search over fewer individuals is in reach
+    code, out = _run(capsys, "countermodel", "--max-individuals", "1", text)
+    assert code == 0
+    assert _json(out)["status"] == "none"
+    # a countermodel in the first structures is found at (3, 2)
+    code, out = _run(capsys, "countermodel",
+                     "forall x. forall y. (p(x, y) | q(x, y))")
+    assert code == 2
+    assert _json(out)["status"] == "countermodel"
 
 
 def test_countermodel_reaches_four_worlds(capsys):

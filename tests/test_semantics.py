@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fomodal.semantics import (KripkeModel, SemanticsError, _all_structures,
-                               check_frame, enumerate_models,
+                               _check_bounds, check_frame, enumerate_models,
                                enumerate_structures, eval_formula,
                                find_countermodel, labeled_sequent_valid)
 from fomodal.sequents import parse_labeled
@@ -145,12 +145,40 @@ def test_structure_table_is_isomorph_free_at_four_worlds():
 
 
 @pytest.mark.parametrize("bounds", [(5, 0), (4, 2), (3, 5), (2, 11),
-                                    (1, 10 ** 9)])
+                                    (1, 10 ** 9), (1, 10 ** 6), (1, 2000)])
 def test_enumerate_structures_refuses_out_of_reach_bounds(bounds):
     with pytest.raises(SemanticsError, match="out of reach"):
         enumerate_structures(*bounds)
     with pytest.raises(SemanticsError, match="out of reach"):
         find_countermodel(parse_formula("p"), frame_spec(), *bounds)
+
+
+def test_bounds_in_reach_stay_accepted():
+    # the corpus bounds, four worlds with one individual, ten and four
+    # individuals at two and three worlds, and one world with a
+    # thousand individuals
+    for bounds in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 0), (4, 1), (2, 10),
+                   (3, 4), (1, 1000)]:
+        _check_bounds(*bounds)
+
+
+def test_find_countermodel_stops_at_the_valuation_limit():
+    # two binary predicates: 2**24 valuations per structure at (3, 2)
+    binary = parse_formula("forall x. forall y. ((p(x, y) | q(x, y)) -> "
+                           "(p(x, y) | q(x, y)))")
+    with pytest.raises(SemanticsError, match="out of reach: .* valuations"):
+        find_countermodel(binary, frame_spec(), 3, 2)
+    assert find_countermodel(binary, frame_spec(), 2, 2) is None
+    # three unary predicates: 2**18 valuations per such structure
+    unary = parse_formula("forall x. ((p(x) | q(x) | r(x)) -> "
+                          "(p(x) | q(x) | r(x)))")
+    with pytest.raises(SemanticsError, match="out of reach"):
+        find_countermodel(unary, frame_spec(), 3, 2)
+    # a countermodel met before the limit is still found
+    model, world = find_countermodel(
+        parse_formula("forall x. forall y. (p(x, y) | q(x, y))"),
+        frame_spec(), 3, 2)
+    assert (model.worlds, world) == (1, 0)
 
 
 def test_enumerate_models_covers_valuations():

@@ -117,6 +117,23 @@ def test_to_nested_requires_tree():
         to_nested(parse_labeled("wRv, uRv |- "))
 
 
+def test_to_nested_and_replace_sort_as_the_constructors_do():
+    # several formulas and variables per label, listed out of order
+    seq = parse_labeled("w0Rw10, w0Rw2, z in D(w0), x in D(w0), y in D(w2), "
+                        "w0: q, w0: <>p, w2: r | p, w2: p, w10: q "
+                        "|- w0: p & q, w0: false, w10: r, w10: <>r")
+    f = parse_formula
+    assert to_nested(seq) == NestedSequent(
+        "w0", (f("q"), f("<>p")), ("z", "x"), (f("p & q"), f("false")),
+        (NestedSequent("w2", (f("r | p"), f("p")), ("y",)),
+         NestedSequent("w10", (f("q"),), (), (f("<>r"), f("r")))))
+    left = (("w10", f("p")), ("w2", f("q | p")), ("w2", f("<>q")),
+            ("w0", f("p")))
+    dom = (("y", "w10"), ("x", "w10"), ("x", "w2"))
+    assert seq.replace(left=left, dom=dom) == LabeledSequent(
+        seq.rel, dom, left, seq.right)
+
+
 def test_round_trip_nested_to_labeled():
     rng = random.Random(7)
     for _ in range(100):
@@ -147,15 +164,3 @@ def test_parse_nested_depth_limit():
     assert len(parse_nested(brackets(200)).labels()) == 201
     with pytest.raises(SequentError, match="nested more than 200 brackets"):
         parse_nested(brackets(201))
-
-
-def test_nested_replace_component():
-    seq = parse_nested(" ;  |- [p ;  |- ]@v")
-
-    def stuff(comp):
-        return NestedSequent(comp.label, comp.left, comp.vars,
-                             comp.right + (Pred("q"),), comp.children)
-
-    out = seq.replace_component("v", stuff)
-    assert out.find("v").right == (Pred("q"),)
-    assert seq.find("v").right == ()
