@@ -28,7 +28,8 @@ of premises forced by the given parameters, raising when the principal
 formula is absent, a freshness condition fails, or a side condition
 does not hold.  The checker replays every node of a proof tree this
 way and compares the stored premises against the recomputed ones up to
-multiset equality and renaming of bound variables.
+multiset equality and renaming of bound variables; the comparison is
+structural first and renders alpha-canonical keys only on a mismatch.
 
 Side conditions of the reachability rules are decided on the
 propagation graph of the conclusion.  Which rewriting system and start
@@ -41,7 +42,8 @@ letter govern availability depends on the domain conditions:
                   (for s_ex2: the target component is w itself)
 
 Rule parameters carry any witness path, so checking revalidates the
-stored witness without a new search.
+stored witness without a new search.  The two system builders are
+cached per frame, in bounded caches.
 """
 
 from __future__ import annotations
@@ -212,10 +214,12 @@ def rule_set(calc: CalculusSpec) -> frozenset[RuleId]:
 # Side conditions of the reachability rules
 # ===================================================================
 
+@lru_cache(maxsize=64)
 def propagation_system(frame: FrameSpec) -> ThueSystem:
     return of_paths(frame.paths)
 
 
+@lru_cache(maxsize=64)
 def availability_system(frame: FrameSpec) -> tuple[ThueSystem, str] | None:
     """System and start letter governing availability, or None when
     neither domain-monotonicity condition is present."""

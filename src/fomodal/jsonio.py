@@ -1,9 +1,11 @@
 """JSON encoding of formulas, sequents, proofs, frames and models.
 
 Formulas travel as their ASCII rendering and are parsed back on read,
-so the schemas stay readable and independent of the AST layout.  Every
-from_json function validates its input and raises JsonError with a
-message naming the offending key.
+so the schemas stay readable and independent of the AST layout.  One
+decode parses each distinct formula text once: proof_from_json keeps a
+dict from text to formula for the length of the call, so repeated
+texts share one formula object.  Every from_json function validates
+its input and raises JsonError with a message naming the offending key.
 
 JSON text from outside is read with loads, which refuses arrays and
 objects nested more than MAX_NESTING (500) deep: json.loads and the
@@ -57,12 +59,17 @@ def _expect(obj, kind, what: str):
     return obj
 
 
-def _formula(text, what: str) -> Formula:
+def _formula(text, what: str, parsed: dict[str, Formula]) -> Formula:
+    """The formula of text, parsed once per decode: parsed maps each
+    text read so far in this decode to its formula."""
     _expect(text, str, what)
-    try:
-        return parse_formula(text)
-    except FormulaError as err:
-        raise JsonError(f"{what}: {err}") from None
+    phi = parsed.get(text)
+    if phi is None:
+        try:
+            phi = parsed[text] = parse_formula(text)
+        except FormulaError as err:
+            raise JsonError(f"{what}: {err}") from None
+    return phi
 
 
 # ===================================================================
@@ -111,7 +118,7 @@ def sequent_to_json(seq) -> dict:
     raise JsonError(f"not a sequent: {type(seq).__name__}")
 
 
-def _labeled_pairs(obj, what: str):
+def _labeled_pairs(obj, what: str, parsed: dict[str, Formula]):
     _expect(obj, list, what)
     out = []
     for entry in obj:
@@ -119,11 +126,15 @@ def _labeled_pairs(obj, what: str):
         if len(entry) != 2:
             raise JsonError(f"{what} entry {entry!r} is not a pair")
         out.append((_expect(entry[0], str, f"{what} label"),
-                    _formula(entry[1], f"{what} formula")))
+                    _formula(entry[1], f"{what} formula", parsed)))
     return tuple(out)
 
 
 def sequent_from_json(obj):
+    return _sequent(obj, {})
+
+
+def _sequent(obj, parsed: dict[str, Formula]):
     _expect(obj, dict, "sequent")
     kind = obj.get("kind")
     if kind == "labeled":
@@ -137,17 +148,19 @@ def sequent_from_json(obj):
                 pairs.append(tuple(entry))
             atoms.append(tuple(pairs))
         return LabeledSequent(rel=atoms[0], dom=atoms[1],
-                              left=_labeled_pairs(obj.get("left", []), "left"),
-                              right=_labeled_pairs(obj.get("right", []), "right"))
+                              left=_labeled_pairs(obj.get("left", []), "left",
+                                                  parsed),
+                              right=_labeled_pairs(obj.get("right", []), "right",
+                                                   parsed))
     if kind == "nested":
         label = _expect(obj.get("label", "w0"), str, "label")
-        left = tuple(_formula(t, "left formula")
+        left = tuple(_formula(t, "left formula", parsed)
                      for t in _expect(obj.get("left", []), list, "left"))
-        right = tuple(_formula(t, "right formula")
+        right = tuple(_formula(t, "right formula", parsed)
                       for t in _expect(obj.get("right", []), list, "right"))
         vars_ = tuple(_expect(v, str, "vars entry")
                       for v in _expect(obj.get("vars", []), list, "vars"))
-        children = tuple(sequent_from_json(c)
+        children = tuple(_sequent(c, parsed)
                          for c in _expect(obj.get("children", []), list, "children"))
         for child in children:
             if not isinstance(child, NestedSequent):
@@ -205,6 +218,10 @@ def params_to_json(params: RuleParams) -> dict:
 
 
 def params_from_json(obj) -> RuleParams:
+    return _params(obj, {})
+
+
+def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
     _expect(obj, dict, "params")
     known = {"label", "target", "variable", "formula", "chain_u", "chain_v",
              "witness"}
@@ -219,7 +236,8 @@ def params_from_json(obj) -> RuleParams:
     return RuleParams(
         label=obj.get("label"),
         target=obj.get("target"),
-        formula=_formula(obj["formula"], "params.formula") if "formula" in obj else None,
+        formula=(_formula(obj["formula"], "params.formula", parsed)
+                 if "formula" in obj else None),
         variable=obj.get("variable"),
         chain_u=chains.get("chain_u"),
         chain_v=chains.get("chain_v"),
@@ -234,14 +252,18 @@ def proof_to_json(tree: ProofTree) -> dict:
 
 
 def proof_from_json(obj) -> ProofTree:
+    return _proof(obj, {})
+
+
+def _proof(obj, parsed: dict[str, Formula]) -> ProofTree:
     _expect(obj, dict, "proof node")
     if "conclusion" not in obj or "rule" not in obj:
         raise JsonError("proof node needs 'conclusion' and 'rule'")
-    premises = tuple(proof_from_json(p)
+    premises = tuple(_proof(p, parsed)
                      for p in _expect(obj.get("premises", []), list, "premises"))
-    return ProofTree(sequent_from_json(obj["conclusion"]),
+    return ProofTree(_sequent(obj["conclusion"], parsed),
                      rule_from_json(obj["rule"]),
-                     params_from_json(obj.get("params", {})),
+                     _params(obj.get("params", {}), parsed),
                      premises)
 
 

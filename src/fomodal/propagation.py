@@ -14,8 +14,9 @@ engine that also decides grammar membership: it reads S as a binarized
 context-free grammar and derives every triple (nonterminal, source,
 target) of the graph.  Each triple keeps the one derivation that
 produced it, so a concrete witness path is read back from the table
-without any further search.  Tables are cached per graph and system;
-graphs are immutable once built.
+without any further search.  A table depends only on the system, the
+labels and the edges, so graphs with the same skeleton share one table
+from a bounded cache; graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class PropagationGraph:
             if w not in self.vertices or u not in self.vertices:
                 raise PropagationError(f"edge ({w},{c},{u}) leaves the vertex set")
             grammar.check_string(c)
-        self._closures: dict[ThueSystem, _Closure] = {}
 
     def has_edge(self, source: str, char: str, target: str) -> bool:
         return (source, char, target) in self.edges
@@ -114,11 +114,7 @@ class PropagationGraph:
         return all(step in self.edges for step in path.steps())
 
     def closure(self, system: ThueSystem) -> "_Closure":
-        got = self._closures.get(system)
-        if got is None:
-            got = _Closure(self, system)
-            self._closures[system] = got
-        return got
+        return _closure(system, frozenset(self.vertices), self.edges)
 
     def __str__(self):
         verts = ", ".join(f"({w}, {{{', '.join(sorted(xs))}}})"
@@ -126,6 +122,9 @@ class PropagationGraph:
         edges = ", ".join(f"({w}, {grammar.pretty_string(c)}, {u})"
                           for w, c, u in sorted(self.edges))
         return f"vertices: {verts}; edges: {edges}"
+
+
+_NO_VARIABLES: frozenset[str] = frozenset()
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +138,9 @@ def build_graph(seq) -> PropagationGraph:
         raise TypeError(f"cannot build a propagation graph from {seq!r}")
     vertices = {}
     for label in seq.labels():
-        vertices[label] = frozenset(x for x, w in seq.dom if w == label)
+        # most labels know no variable: they share one empty set
+        vertices[label] = frozenset(x for x, w in seq.dom if w == label) \
+            or _NO_VARIABLES
     edges = set()
     for w, u in seq.rel:
         edges.add((w, DIA, u))
@@ -147,13 +148,20 @@ def build_graph(seq) -> PropagationGraph:
     return PropagationGraph(vertices, edges)
 
 
-class _Closure:
-    """All triples (nonterminal, source, target) for one graph and one
-    rewriting system, with one remembered derivation per triple."""
+@lru_cache(maxsize=1024)
+def _closure(system: ThueSystem, labels: frozenset[str],
+             edges: frozenset) -> "_Closure":
+    return _Closure(system, labels, edges)
 
-    def __init__(self, graph: PropagationGraph, system: ThueSystem):
+
+class _Closure:
+    """All triples (nonterminal, source, target) for one graph skeleton
+    and one rewriting system, with one remembered derivation per
+    triple."""
+
+    def __init__(self, system: ThueSystem, labels: frozenset[str], edges):
         self.cfg = to_cfg(system)
-        self.back = saturate(system, graph.vertices, graph.edges)
+        self.back = saturate(system, labels, edges)
         self.by_source: dict[tuple, set[str]] = {}
         for nt, u, v in self.back:
             self.by_source.setdefault((nt, u), set()).add(v)

@@ -30,7 +30,7 @@ from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
 from .sequents import (NestedSequent, check_unique_labels, fresh_label,
                        shape_key)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
-                     fresh_variable, render_formula, substitute)
+                     fresh_variable, substitute)
 
 
 class ProverError(Exception):
@@ -211,8 +211,7 @@ class _Search:
                     if not isinstance(f, Exists):
                         continue
                     for target in components:
-                        akey = ("s_ex2", comp.label, render_formula(f),
-                                target.label)
+                        akey = ("s_ex2", comp.label, f, target.label)
                         if akey in applied:
                             continue
                         if creations == 0:

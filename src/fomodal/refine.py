@@ -24,10 +24,12 @@ the witness is repaired:
 Relational rules never touch formulas, so an instance sitting under an
 axiom leaf can simply be dropped.  The bubbling order is topmost
 instance first; since everything above the topmost instance is
-non-relational, a swap never needs a second repair pass.  The result
-is checked against the refined calculus.  nestify then maps a refined
-labeled proof whose sequents are trees with a common root onto the
-nested calculus.
+non-relational, a swap never needs a second repair pass.  With
+validation on, the retagged proof is checked once in full, and each
+step checks only the subtree it rewrote, whose conclusion it must
+keep.  The result is checked against the refined calculus.  nestify
+then maps a refined labeled proof whose sequents are trees with a
+common root onto the nested calculus.
 """
 
 from __future__ import annotations
@@ -239,6 +241,21 @@ def _topmost_relational(proof: ProofTree):
 # Driver
 # ===================================================================
 
+def _validate_step(calc: CalculusSpec, node: ProofTree, sub: ProofTree,
+                   detail: str) -> None:
+    """Check the subtree one step put in place of node.  The step keeps
+    the conclusion, so every node outside the subtree replays as before
+    the step, and the first node of the whole proof that fails to
+    replay, with its message, is the first one of the subtree."""
+    if sub.conclusion != node.conclusion:
+        raise RefineError(f"intermediate proof broken after {detail}: "
+                          f"the conclusion changed")
+    report = check(calc, sub)
+    if not report.ok:
+        raise RefineError(f"intermediate proof broken after "
+                          f"{detail}: {report.message}")
+
+
 def refine_proof(frame: FrameSpec, proof: ProofTree,
                  validate: bool = True) -> RefineResult:
     """Turn a ground labeled proof into one in the refined calculus
@@ -252,6 +269,10 @@ def refine_proof(frame: FrameSpec, proof: ProofTree,
     retagged = _count_rules(proof, ("dia_r", "exists_r"))
     proof = _retag_node(frame, proof)
     proof = _ensure_witnesses(mixed, proof)
+    if validate:
+        report = check(mixed, proof)
+        if not report.ok:
+            raise RefineError(f"retagged proof does not check: {report.message}")
     if retagged:
         steps.append(RefineStep("retag",
                                 f"retag {retagged} rule(s) as p_dia/s_ex1", proof))
@@ -266,12 +287,9 @@ def refine_proof(frame: FrameSpec, proof: ProofTree,
         budget -= 1
         path, node = found
         sub, op, detail = _bubble(mixed, node)
-        proof = _replace_at(proof, path, sub)
         if validate:
-            report = check(mixed, proof)
-            if not report.ok:
-                raise RefineError(f"intermediate proof broken after "
-                                  f"{detail}: {report.message}")
+            _validate_step(mixed, node, sub, detail)
+        proof = _replace_at(proof, path, sub)
         steps.append(RefineStep(op, detail, proof))
 
     refined = CalculusSpec("RefinedL", frame)

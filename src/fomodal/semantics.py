@@ -35,14 +35,20 @@ It returns the same (model, world) as a walk over enumerate_models
 would: the first valuation, in the first structure, falsifying the
 goal at some world, and the least such world.  A mask spans at most
 2**12 valuations; with more atoms the valuations are taken in ordered
-blocks, each fixing the atoms past the twelfth.  A search is refused
-before it would pass MAX_VALUATIONS valuations.  The structure table of
-each pair of bounds, and its frame-filtered subsequence for each frame
-class, are cached per process in bounded caches.
+blocks, each fixing the atoms past the twelfth.  Each node of the
+compiled formula gets a table over the assignments of individuals to
+its free variables, pool size to the power of their number, built
+anew for each block.  A search is refused before it would pass
+MAX_VALUATIONS valuations, or MAX_ASSIGNMENTS assignments summed over
+nodes and blocks; both are counted before the atoms and assignments of
+a structure are listed.  The structure table of each pair of bounds,
+and its frame-filtered subsequence for each frame class, are cached
+per process in bounded caches.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -423,6 +429,7 @@ def enumerate_models(signature: dict[str, int], max_worlds: int,
 
 _MASK_BITS = 12  # a mask spans at most 2**12 valuations
 MAX_VALUATIONS = 1 << 24  # a search stops before passing this many
+MAX_ASSIGNMENTS = 1 << 18  # and before evaluating more assignments
 
 _BOTTOM, _PRED, _NEG, _OR, _DIA, _EXISTS = range(6)
 
@@ -531,9 +538,10 @@ def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
     return tables[-1][()]
 
 
-def _search_out_of_reach(max_worlds: int, max_individuals: int):
+def _search_out_of_reach(limit: int, what: str, max_worlds: int,
+                         max_individuals: int):
     return SemanticsError(
-        f"search out of reach: more than {MAX_VALUATIONS} valuations at "
+        f"search out of reach: more than {limit} {what} at "
         f"bounds ({max_worlds}, {max_individuals})")
 
 
@@ -548,23 +556,41 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
     first _MASK_BITS are fixed per block of valuations, and blocks are
     taken in order.  Bounds are refused as enumerate_structures refuses
     them, before any structure is searched, and SemanticsError is raised
-    before a structure would take the search past MAX_VALUATIONS."""
+    before a structure would take the search past MAX_VALUATIONS
+    valuations or MAX_ASSIGNMENTS assignments."""
     structures = enumerate_structures(max_worlds, max_individuals, frame)
     if free_vars(phi):
         raise SemanticsError(
             f"countermodel search needs a closed formula, free: {sorted(free_vars(phi))}")
     signature = predicate_arities([phi])
     program = _compile(phi)
+    # how many nodes have k free variables, for each k
+    scopes = Counter(len(names) for _, names, _ in program)
+    # (valuations, assignments, listing) per (worlds, pool): the two
+    # counts come first, since past the limits the atoms and the
+    # assignments may be too many to list
     layouts = {}
-    searched = 0
+    searched = evaluated = 0
     for n, rel, domains in structures:
         pool = tuple(sorted(set().union(*domains)))
         layout = layouts.get((n, pool))
         if layout is None:
-            # counted first: past the limit they may be too many to list
             width = sum(n * len(pool) ** a for a in signature.values())
-            if width >= MAX_VALUATIONS.bit_length():
-                raise _search_out_of_reach(max_worlds, max_individuals)
+            # a table entry per node and assignment, for each block
+            assignments = sum(nodes * len(pool) ** k
+                              for k, nodes in scopes.items())
+            layout = layouts[n, pool] = [
+                1 << min(width, MAX_VALUATIONS.bit_length()),
+                assignments << max(width - _MASK_BITS, 0), None]
+        searched += layout[0]
+        if searched > MAX_VALUATIONS:
+            raise _search_out_of_reach(MAX_VALUATIONS, "valuations",
+                                       max_worlds, max_individuals)
+        evaluated += layout[1]
+        if evaluated > MAX_ASSIGNMENTS:
+            raise _search_out_of_reach(MAX_ASSIGNMENTS, "assignments",
+                                       max_worlds, max_individuals)
+        if layout[2] is None:
             # numbered as enumerate_valuations numbers them
             atoms = [(name, w, args) for name in sorted(signature)
                      for w in range(n)
@@ -572,13 +598,9 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
             envs = {len(names): list(product(pool, repeat=len(names)))
                     for _, names, _ in program}
             bits = min(len(atoms), _MASK_BITS)
-            layout = layouts[n, pool] = (
-                atoms, {atom: i for i, atom in enumerate(atoms)}, envs, bits,
-                (1 << (1 << bits)) - 1, _low_masks(bits))
-        atoms, atom_index, envs, bits, full, low = layout
-        searched += 1 << len(atoms)
-        if searched > MAX_VALUATIONS:
-            raise _search_out_of_reach(max_worlds, max_individuals)
+            layout[2] = (atoms, {atom: i for i, atom in enumerate(atoms)},
+                         envs, bits, (1 << (1 << bits)) - 1, _low_masks(bits))
+        atoms, atom_index, envs, bits, full, low = layout[2]
         succ = [[] for _ in range(n)]
         for w, u in rel:
             succ[w].append(u)

@@ -17,9 +17,10 @@ and back without loss; the two translations here are inverse to each
 other on such sequents.  A nested sequent keeps its labeled view: the
 first to_labeled of it stores the flattened sequent on it, and
 to_nested stores its input on its result, so each tree is flattened at
-most once.  Comparison up to bound variable names, nested_alpha_eq,
-compares the root labels and then the views, so the order of children
-does not matter there.
+most once.  Comparison up to bound variable names, labeled_alpha_eq,
+compares the sequents structurally first and renders alpha-canonical
+keys only when they differ; nested_alpha_eq compares the root labels
+and then the views, so the order of children does not matter there.
 """
 
 from __future__ import annotations
@@ -204,7 +205,9 @@ def labeled_alpha_key(seq: LabeledSequent):
 
 
 def labeled_alpha_eq(a: LabeledSequent, b: LabeledSequent) -> bool:
-    return labeled_alpha_key(a) == labeled_alpha_key(b)
+    """Equality up to bound variable names.  Equal sequents have equal
+    keys, so the keys are built only when the sequents differ."""
+    return a == b or labeled_alpha_key(a) == labeled_alpha_key(b)
 
 
 def is_labeled_tree(seq: LabeledSequent) -> tuple[bool, str | None]:

@@ -473,6 +473,24 @@ def test_check_accepts_and_pinpoints():
     assert not check(calc, missing).ok
 
 
+def test_check_accepts_a_premise_equal_up_to_bound_names():
+    calc = CalculusSpec("G3", frame_spec())
+    seq = LS("w: false |- w: ~exists x. p(x)")
+    principal = RuleParams(label="w", formula=parse_formula("~exists x. p(x)"))
+    (wanted,) = apply_rule(calc, seq, NEG_R, principal)
+
+    def proof(premise):
+        return ProofTree(seq, NEG_R, principal,
+                         (ProofTree(LS(premise), BOT_L, RuleParams(label="w")),))
+
+    # a renamed binder: not equal, so the alpha keys decide
+    variant = "w: false, w: exists y. p(y) |- "
+    assert LS(variant) != wanted
+    assert check(calc, proof(variant)).ok
+    report = check(calc, proof("w: false, w: exists y. q(y) |- "))
+    assert not report.ok and report.node == (0,)
+
+
 def test_check_rejects_wrong_rule_for_calculus():
     seq = LS("wRv, y in D(w) |- ")
     proof = ProofTree(seq, ID, RuleParams(label="w", target="v", variable="y"),

@@ -217,6 +217,25 @@ def test_countermodel_stops_at_the_valuation_limit(capsys):
     assert _json(out)["status"] == "countermodel"
 
 
+def test_countermodel_stops_at_the_assignment_limit(capsys):
+    # six variables in scope at one world: 8**6 assignments per node
+    # with eight individuals, over only 2**8 valuations
+    text = ("forall a. forall b. forall c. forall d. forall e. forall g. "
+            "((p(a) & p(b) & p(c) & p(d) & p(e) & p(g)) -> p(a))")
+    start = time.perf_counter()
+    code = main(["countermodel", "--max-worlds", "1",
+                 "--max-individuals", "8", text])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert captured.out == ""
+    assert "out of reach" in captured.err and "assignments" in captured.err
+    code, out = _run(capsys, "countermodel", "--max-worlds", "1",
+                     "--max-individuals", "4", text)
+    assert code == 0
+    assert _json(out)["status"] == "none"
+
+
 def test_countermodel_reaches_four_worlds(capsys):
     # a path of three steps and none of four needs four worlds
     text = "~(<><><> ~false & [][][][] false)"

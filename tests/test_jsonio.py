@@ -16,7 +16,8 @@ from fomodal.grammar import of_paths, s4, s5, union
 from fomodal.propagation import PropPath
 from fomodal.semantics import KripkeModel
 from fomodal.sequents import parse_labeled, parse_nested
-from fomodal.syntax import frame_spec, parse_formula
+from fomodal.syntax import (FormulaError, frame_spec, parse_formula,
+                            render_formula)
 
 from fixtures import elimination_initial
 
@@ -97,6 +98,27 @@ def test_proof_round_trip():
     proof = elimination_initial()
     back = proof_from_json(_via_json(proof_to_json(proof)))
     assert back == proof
+
+
+def test_proof_decode_parses_each_formula_text_once():
+    back = proof_from_json(_via_json(proof_to_json(elimination_initial())))
+    by_text = {}
+    for _, node in back.walk():
+        seq = node.conclusion
+        for _, phi in seq.left + seq.right:
+            by_text.setdefault(render_formula(phi), []).append(phi)
+    assert max(len(found) for found in by_text.values()) > 1
+    for found in by_text.values():
+        assert all(phi is found[0] for phi in found)
+    # a bad formula reads as it did before: the first text that fails
+    with pytest.raises(FormulaError) as parse_err:
+        parse_formula("( p")
+    node = {"conclusion": {"kind": "labeled", "left": [["w", "p"]],
+                           "right": [["w", "p"], ["w", "( p"]]},
+            "rule": "ax", "params": {"label": "w", "formula": "p"}}
+    with pytest.raises(JsonError) as err:
+        proof_from_json(node)
+    assert str(err.value) == f"right formula: {parse_err.value}"
 
 
 def test_proof_needs_core_keys():

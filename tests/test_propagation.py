@@ -78,6 +78,21 @@ def test_witness_path_is_valid_and_in_language():
     assert witness_path(graph, sys_, "b", "w", "v") is None
 
 
+def test_graphs_with_one_skeleton_share_one_closure():
+    # formulas and variables differ, labels and relational atoms agree
+    a = build_graph(parse_labeled("wRu, uRv, y in D(u), w: p |- v: q"))
+    b = build_graph(parse_labeled("uRv, wRu, v: r |- w: p, u: q"))
+    other = build_graph(parse_labeled("wRu, uRv, wRt |- "))
+    sys_ = of_paths([(0, 2)])
+    assert a is not b
+    assert a.closure(sys_) is b.closure(sys_)
+    assert a.closure(sys_) is not other.closure(sys_)
+    assert witness_path(a, sys_, "d", "w", "v") == witness_path(b, sys_, "d", "w", "v")
+    assert reachable(b, sys_, "d", "w") == {"u", "v"}
+    # the variable sets stay per graph
+    assert a.vertices["u"] == {"y"} and b.vertices["u"] == frozenset()
+
+
 def test_available_follows_domain_atoms():
     seq = parse_labeled("wRv, y in D(w) |- ")
     assert available(seq, s4(), "b", "v") == {"y"}

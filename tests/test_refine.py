@@ -2,6 +2,7 @@
 
 import pytest
 
+from fomodal import refine
 from fomodal.calculi import (AX, DIA_R, RELATIONAL, CalculusSpec, ProofTree,
                              RuleParams, apply_rule, check, g_rule)
 from fomodal.refine import (RefineError, labelize, nestify, refine_proof)
@@ -70,6 +71,62 @@ def test_refine_rejects_broken_input():
     bad = ProofTree(initial.conclusion, initial.rule, initial.params, ())
     with pytest.raises(RefineError):
         refine_proof(EX_FRAME, bad)
+
+
+def _break_first_swap(monkeypatch, corrupt):
+    """Make _bubble hand back corrupt(subtree) at the first swap; the
+    returned dict then holds the node that swap rewrote."""
+    bubble = refine._bubble
+    seen = {}
+
+    def broken(calc, node):
+        sub, op, detail = bubble(calc, node)
+        if op == "swap" and not seen:
+            seen["node"] = node
+            sub = corrupt(sub)
+        return sub, op, detail
+
+    monkeypatch.setattr(refine, "_bubble", broken)
+    return seen
+
+
+def test_refine_refuses_a_corrupted_premise_at_that_step(monkeypatch):
+    mixed = CalculusSpec("Mixed", EX_FRAME)
+    steps = refine_proof(EX_FRAME, elimination_initial()).steps
+    assert steps[1].detail == "swap id above s_ex1"
+    before = steps[0].proof  # the retagged proof the swap rewrites
+    path, node = refine._topmost_relational(before)
+
+    def corrupt(sub):
+        # the swapped-in premise loses its formulas, keeping its rule
+        (mid,) = sub.premises
+        empty = mid.conclusion.replace(left=(), right=())
+        return ProofTree(sub.conclusion, sub.rule, sub.params,
+                         (ProofTree(empty, mid.rule, mid.params,
+                                    mid.premises),))
+
+    # the report of a check of the whole rewritten proof
+    sub, _, _ = refine._bubble(mixed, node)
+    whole = check(mixed, refine._replace_at(before, path, corrupt(sub)))
+    assert not whole.ok and whole.node[:len(path)] == path
+
+    seen = _break_first_swap(monkeypatch, corrupt)
+    with pytest.raises(RefineError) as err:
+        refine_proof(EX_FRAME, elimination_initial())
+    assert seen["node"] == node
+    assert str(err.value) == (f"intermediate proof broken after "
+                              f"swap id above s_ex1: {whole.message}")
+
+
+def test_refine_refuses_a_changed_conclusion_at_that_step(monkeypatch):
+    def corrupt(sub):
+        (mid,) = sub.premises
+        return ProofTree(mid.conclusion, sub.rule, sub.params, sub.premises)
+
+    _break_first_swap(monkeypatch, corrupt)
+    with pytest.raises(RefineError, match="after swap id above s_ex1: "
+                                          "the conclusion changed"):
+        refine_proof(EX_FRAME, elimination_initial())
 
 
 def test_refine_handles_duplication_through_or_l():

@@ -181,6 +181,22 @@ def test_find_countermodel_stops_at_the_valuation_limit():
     assert (model.worlds, world) == (1, 0)
 
 
+SIX_VARIABLES = ("forall a. forall b. forall c. forall d. forall e. forall g. "
+                 "((p(a) & p(b) & p(c) & p(d) & p(e) & p(g)) -> p(a))")
+
+
+def test_find_countermodel_stops_at_the_assignment_limit():
+    # six variables in scope: pool**6 assignments for some nodes, at a
+    # single world, where the valuations stay few
+    six = parse_formula(SIX_VARIABLES)
+    for bounds in [(1, 8), (1, 6)]:
+        with pytest.raises(SemanticsError,
+                           match="out of reach: .* assignments"):
+            find_countermodel(six, frame_spec(), *bounds)
+    assert find_countermodel(six, frame_spec(), 1, 4) is None
+    assert find_countermodel(six, frame_spec(), 2, 2) is None
+
+
 def test_enumerate_models_covers_valuations():
     seen = set()
     for model in enumerate_models({"p": 0}, 1, 0):
