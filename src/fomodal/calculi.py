@@ -13,12 +13,12 @@ Three calculi share one rule vocabulary:
   (present for nonempty domains) instantiates with a fresh variable
   placed at a path-connected component.  The plain dia_r and exists_r
   are special cases of p_dia and s_ex1 and are left out.
-* NestedN: the RefinedL rules read through the labeled view of a
-  nested sequent.  A nested sequent is a labeled tree sequent with a
-  fixed root, so a NestedN rule flattens its conclusion (a view cached
-  on the sequent), applies the RefinedL rule there and reads each
-  premise back as a tree under the same root.  The principal component
-  must exist; children of the premises come out sorted by label.
+* NestedN: the RefinedL rules on nested notation.  A nested sequent
+  is a labeled tree sequent with a fixed root, so a NestedN rule is
+  the RefinedL rule on the conclusion's cached labeled view; apply_rule
+  writes each premise as a tree under the same root, children sorted
+  by label.  check compares the stored premises' root labels and views
+  instead, so it never rebuilds a nested premise.
 
 A Mixed kind, union of G3 and RefinedL, exists so that the
 intermediate stages of rule elimination can be checked.
@@ -55,8 +55,7 @@ from . import propagation
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
 from .propagation import PropPath, build_graph, witness_path
 from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
-                       labeled_alpha_eq, nested_alpha_eq, to_labeled,
-                       to_nested, without_once)
+                       labeled_alpha_eq, to_labeled, to_nested, without_once)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      substitute)
 
@@ -245,8 +244,7 @@ def side_condition(calc: CalculusSpec, rule: RuleId, seq, params: RuleParams) ->
     given conclusion.  A stored witness is revalidated; otherwise a
     witness is searched for and returned."""
     frame = calc.frame
-    lab = to_labeled(seq) if isinstance(seq, NestedSequent) else seq
-    graph = build_graph(lab)
+    graph = build_graph(seq)
 
     if rule == P_DIA:
         if params.label is None or params.target is None:
@@ -259,7 +257,7 @@ def side_condition(calc: CalculusSpec, rule: RuleId, seq, params: RuleParams) ->
             raise MalformedParams("s_ex1 needs label and variable")
         avail = availability_system(frame)
         if avail is None:
-            ok = (params.variable, params.label) in lab.dom
+            ok = (params.variable, params.label) in seq.dom
             return Condition(ok, None, params.label,
                              "" if ok else
                              f"no atom {params.variable} in D({params.label})")
@@ -323,6 +321,14 @@ def apply_rule(calc: CalculusSpec, seq, rule: RuleId,
 
     A NestedN rule is applied to the labeled view of its conclusion,
     and each premise is read back as a tree under the same root."""
+    premises = _premises(calc, seq, rule, params)
+    return premises if calc.kind != "NestedN" else tuple(
+        to_nested(premise, root=seq.label) for premise in premises)
+
+
+def _premises(calc: CalculusSpec, seq, rule: RuleId,
+              params: RuleParams) -> tuple[LabeledSequent, ...]:
+    """apply_rule with the premises left as labeled sequents."""
     if rule not in rule_set(calc):
         raise RuleNotInCalculus(f"{rule} is not a rule of {calc.kind} "
                                 f"over this frame")
@@ -333,10 +339,10 @@ def apply_rule(calc: CalculusSpec, seq, rule: RuleId,
     if not isinstance(seq, NestedSequent):
         raise MalformedParams("NestedN proofs use nested sequents")
     _need(params.label is not None, MalformedParams, "missing component label")
-    _need(seq.find(params.label) is not None, SideConditionViolation,
-          f"no component labeled {params.label}")
-    premises = _apply_labeled(calc, to_labeled(seq), rule, params)
-    return tuple(to_nested(premise, root=seq.label) for premise in premises)
+    # only a lone empty root is missing from its view
+    _need(params.label in (seq.label, *to_labeled(seq).labels()),
+          SideConditionViolation, f"no component labeled {params.label}")
+    return _apply_labeled(calc, to_labeled(seq), rule, params)
 
 
 def _need(condition: bool, error, message: str):
@@ -549,15 +555,15 @@ class CheckReport:
         return self.ok
 
 
-def _sequents_match(a, b) -> bool:
-    if isinstance(a, NestedSequent) != isinstance(b, NestedSequent):
-        return False
-    if isinstance(a, NestedSequent):
+def _sequents_match(wanted: LabeledSequent, given, root: str | None) -> bool:
+    if root is not None:  # NestedN: a tree under the root, and its view
+        if not isinstance(given, NestedSequent) or given.label != root:
+            return False
         try:
-            return nested_alpha_eq(a, b)
+            given = to_labeled(given)
         except DuplicateLabelError:
             return False
-    return labeled_alpha_eq(a, b)
+    return isinstance(given, LabeledSequent) and labeled_alpha_eq(wanted, given)
 
 
 def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
@@ -565,7 +571,7 @@ def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
     with the recomputed ones and every leaf is an axiom."""
     for path, node in proof.walk():
         try:
-            premises = apply_rule(calc, node.conclusion, node.rule, node.params)
+            premises = _premises(calc, node.conclusion, node.rule, node.params)
         except (RuleApplicationError, DuplicateLabelError) as err:
             return CheckReport(False, path, f"{node.rule}: {err}")
         if len(premises) != len(node.premises):
@@ -573,8 +579,11 @@ def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
                 False, path,
                 f"{node.rule}: expected {len(premises)} premises, "
                 f"proof has {len(node.premises)}")
+        root = node.conclusion.label if calc.kind == "NestedN" else None
         for i, (wanted, given) in enumerate(zip(premises, node.premises)):
-            if not _sequents_match(wanted, given.conclusion):
+            if not _sequents_match(wanted, given.conclusion, root):
+                if root is not None:
+                    wanted = to_nested(wanted, root=root)
                 return CheckReport(
                     False, path + (i,),
                     f"premise {i} of {node.rule} does not match the rule: "

@@ -270,8 +270,9 @@ def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
     Each triple maps to the one derivation recorded for it: ("edge", e)
     for a single edge e, ("empty",) for a nullable nonterminal at u = v,
     ("unit", t) or ("bin", t1, t2) for the triples a rule combined.
-    Triples are recorded in a fixed order for given inputs, so the
-    derivations, and paths read back from them, are reproducible."""
+    Triples are recorded in a fixed order for given inputs, whatever
+    the hash seed, so the derivations, and paths read back from them,
+    are reproducible from one process to the next."""
     cfg = to_cfg(sys)
     units_by_rhs, bin_by_first, bin_by_second = _raw_rules(sys)
     back: dict[tuple, tuple] = {}
@@ -291,19 +292,21 @@ def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
         for v in sorted(vertices):
             record((nt, v, v), ("empty",))
 
-    # index facts by (nonterminal, source) and (nonterminal, target)
-    outgoing: dict[tuple, set[tuple]] = {}
-    incoming: dict[tuple, set[tuple]] = {}
+    # index facts by (nonterminal, source) and (nonterminal, target);
+    # dicts keep insertion order, so the walks below do not depend on
+    # the string hash seed
+    outgoing: dict[tuple, dict[tuple, None]] = {}
+    incoming: dict[tuple, dict[tuple, None]] = {}
     for triple in list(back):
         nt, u, v = triple
-        outgoing.setdefault((nt, u), set()).add(triple)
-        incoming.setdefault((nt, v), set()).add(triple)
+        outgoing.setdefault((nt, u), {})[triple] = None
+        incoming.setdefault((nt, v), {})[triple] = None
 
     while worklist:
         triple = worklist.pop()
         nt, u, v = triple
-        outgoing.setdefault((nt, u), set()).add(triple)
-        incoming.setdefault((nt, v), set()).add(triple)
+        outgoing.setdefault((nt, u), {})[triple] = None
+        incoming.setdefault((nt, v), {})[triple] = None
         for a in units_by_rhs.get(nt, ()):
             record((a, u, v), ("unit", triple))
         for a, second in bin_by_first.get(nt, ()):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import grammar
 from .grammar import DIA, BDIA, ThueSystem, saturate, to_cfg
-from .sequents import LabeledSequent, NestedSequent, to_labeled
+from .sequents import LabeledSequent
 
 
 class PropagationError(Exception):
@@ -128,12 +128,10 @@ _NO_VARIABLES: frozenset[str] = frozenset()
 
 
 @lru_cache(maxsize=None)
-def build_graph(seq) -> PropagationGraph:
-    """Graph of a sequent: one vertex per label occurring anywhere in
-    it, so reachability questions make sense even at labels that carry
-    only formulas."""
-    if isinstance(seq, NestedSequent):
-        seq = to_labeled(seq)
+def build_graph(seq: LabeledSequent) -> PropagationGraph:
+    """Graph of a labeled sequent: one vertex per label occurring
+    anywhere in it, so reachability questions make sense even at labels
+    that carry only formulas."""
     if not isinstance(seq, LabeledSequent):
         raise TypeError(f"cannot build a propagation graph from {seq!r}")
     vertices = {}

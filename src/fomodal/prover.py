@@ -1,7 +1,9 @@
 """Backward proof search in the nested calculus.
 
-The search works on nested sequents and commits to every invertible
-step: closure is tried first, then propositional decomposition, then
+A nested sequent is notation for a labeled tree sequent with a fixed
+root, so the search runs the refined labeled rules on the goal's view,
+reading components in preorder.  It commits to every invertible step:
+closure is tried first, then propositional decomposition, then
 the reachability rules p_dia and s_ex1 (which keep their principal
 formula, so applying them loses nothing; an instance is skipped when
 its conclusion formula is already present), then the creating but
@@ -16,8 +18,8 @@ sequent.  When a round finishes without ever hitting a cap, the space
 has been explored exhaustively and the goal has no proof at any cap,
 which Exhausted reports as complete=True.
 
-Every proof found is replayed through the proof checker before being
-returned.
+The proof found is written in nested notation once, by to_nested per
+node, and replayed through the proof checker under NestedN.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, replace
 from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
                       P_DIA, S_EX1, S_EX2, CalculusSpec, ProofTree, RuleParams,
                       apply_rule, check, rule_set, side_condition)
-from .sequents import (NestedSequent, check_unique_labels, fresh_label,
-                       shape_key)
+from .sequents import (LabeledSequent, NestedSequent, components, fresh_label,
+                       shape_key, to_labeled, to_nested)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      fresh_variable, substitute)
 
@@ -77,13 +79,11 @@ class _Search:
         self.cut = False
 
     def run(self, goal: NestedSequent) -> ProofTree | None:
-        return self._attack(goal, self.cap, 0, frozenset(), frozenset())
+        self.root = goal.label
+        return self._attack(to_labeled(goal), self.cap, 0)
 
-    def _apply(self, seq, rule, params):
-        return apply_rule(self.calc, seq, rule, params)
-
-    def _attack(self, seq: NestedSequent, creations: int, depth: int,
-                history: frozenset, applied: frozenset) -> ProofTree | None:
+    def _attack(self, seq: LabeledSequent, creations: int, depth: int,
+                history=frozenset(), applied=frozenset()) -> ProofTree | None:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             self.cut = True
@@ -92,8 +92,9 @@ class _Search:
             self.cut = True
             return None
 
-        # closure
-        for comp in seq.walk():
+        # closure, on the components in preorder
+        comps = components(seq, self.root)
+        for comp in comps:
             for f in comp.left:
                 if isinstance(f, Bottom):
                     return ProofTree(seq, BOT_L, RuleParams(label=comp.label))
@@ -103,7 +104,7 @@ class _Search:
 
         def down(rule, params, spent=0, mark=None):
             marked = applied if mark is None else applied | {mark}
-            premises = self._apply(seq, rule, params)
+            premises = apply_rule(self.calc, seq, rule, params)
             subs = []
             for premise in premises:
                 sub = self._attack(premise, creations - spent, depth + 1,
@@ -114,7 +115,7 @@ class _Search:
             return ProofTree(seq, rule, params, tuple(subs))
 
         # propositional decomposition, fully invertible
-        for comp in seq.walk():
+        for comp in comps:
             for f in comp.left:
                 if isinstance(f, Neg):
                     return down(NEG_L, RuleParams(label=comp.label, formula=f))
@@ -129,12 +130,11 @@ class _Search:
         # reachability rules keep their principal: saturate, at most once
         # per instance on a branch since a second application is redundant
         # by admissibility of contraction
-        components = list(seq.walk())
-        for comp in components:
+        for comp in comps:
             for f in comp.right:
                 if not isinstance(f, Dia):
                     continue
-                for target in components:
+                for target in comps:
                     akey = ("p_dia", comp.label, f, target.label)
                     if akey in applied or f.body in target.right:
                         continue
@@ -146,8 +146,8 @@ class _Search:
                                     replace(params, witness=cond.witness),
                                     mark=akey)
 
-        theta = sorted({x for comp in components for x in comp.vars})
-        for comp in components:
+        theta = sorted({x for comp in comps for x in comp.vars})
+        for comp in comps:
             for f in comp.right:
                 if not isinstance(f, Exists):
                     continue
@@ -165,8 +165,8 @@ class _Search:
                                     mark=akey)
 
         # creating but invertible: commit when the cap allows
-        taken_labels = set(seq.labels())
-        for comp in components:
+        taken_labels = {comp.label for comp in comps}
+        for comp in comps:
             for f in comp.left:
                 if isinstance(f, Dia):
                     if creations == 0:
@@ -183,14 +183,14 @@ class _Search:
                     params = RuleParams(label=comp.label, formula=f, variable=y)
                     return down(EXISTS_L, params, spent=1)
 
-        key = shape_key(seq)
+        key = shape_key(comps)
         if key in history:
             return None
         history = history | {key}
 
         # genuine choice points, backtracking
         if D in self.rules:
-            for comp in components:
+            for comp in comps:
                 akey = ("d", comp.label)
                 if akey in applied:
                     continue
@@ -199,18 +199,18 @@ class _Search:
                     break
                 params = RuleParams(label=comp.label,
                                     target=fresh_label(taken_labels))
-                (premise,) = self._apply(seq, D, params)
+                (premise,) = apply_rule(self.calc, seq, D, params)
                 sub = self._attack(premise, creations - 1, depth + 1,
                                    history, applied | {akey})
                 if sub is not None:
                     return ProofTree(seq, D, params, (sub,))
 
         if S_EX2 in self.rules:
-            for comp in components:
+            for comp in comps:
                 for f in comp.right:
                     if not isinstance(f, Exists):
                         continue
-                    for target in components:
+                    for target in comps:
                         akey = ("s_ex2", comp.label, f, target.label)
                         if akey in applied:
                             continue
@@ -224,7 +224,7 @@ class _Search:
                         if not cond.holds:
                             continue
                         params = replace(params, witness=cond.witness)
-                        (premise,) = self._apply(seq, S_EX2, params)
+                        (premise,) = apply_rule(self.calc, seq, S_EX2, params)
                         sub = self._attack(premise, creations - 1, depth + 1,
                                            history, applied | {akey})
                         if sub is not None:
@@ -237,8 +237,7 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
                   budget: SearchBudget | None = None) -> Proved | Exhausted:
     """Search for a nested proof of the goal over the given frame."""
     budget = budget or SearchBudget()
-    check_unique_labels(goal)
-    calc = CalculusSpec("NestedN", frame)
+    calc = CalculusSpec("RefinedL", frame)
     total = 0
     for cap in range(budget.max_creations + 1):
         search = _Search(calc, budget, cap)
@@ -250,17 +249,25 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
             aborted = True
         total += search.nodes
         if found is not None:
-            report = check(calc, found)
+            proof = _nested(found, goal)
+            report = check(CalculusSpec("NestedN", frame), proof)
             if not report.ok:
                 raise ProverError(f"search produced a broken proof: "
                                   f"{report.message}")
-            return Proved(found, total)
+            return Proved(proof, total)
         if not search.cut:
             return Exhausted("no proof exists for this goal", True, total)
         if aborted:
             return Exhausted("node limit reached", False, total)
     return Exhausted(f"no proof within {budget.max_creations} creating steps",
                      False, total)
+
+
+def _nested(proof: ProofTree, conclusion: NestedSequent) -> ProofTree:
+    """The labeled proof of the goal's view written over the goal."""
+    return ProofTree(conclusion, proof.rule, proof.params, tuple(
+        _nested(p, to_nested(p.conclusion, root=conclusion.label))
+        for p in proof.premises))
 
 
 def prove_formula(frame: FrameSpec, phi: Formula,

@@ -2,33 +2,31 @@
 
 A labeled sequent is a pair of formula multisets indexed by labels,
 together with a multiset of relational atoms wRu and domain atoms
-x in D(w).  A nested sequent is a tree of components, each holding a
-multiset of left formulas, a multiset of variables taken to exist at
-that component, and a multiset of right formulas.
-
-Both kinds are immutable values.  The flat multisets are stored in a
-canonical sorted order so that multiset equality coincides with
-structural equality; the children of a nested component keep the order
-they were built in.
+x in D(w).  Its multisets are stored in a canonical sorted order, so
+that multiset equality coincides with structural equality.
 
 A labeled sequent whose relational atoms form a tree (and whose other
-atoms only mention labels of that tree) translates to a nested sequent
-and back without loss; the two translations here are inverse to each
-other on such sequents.  A nested sequent keeps its labeled view: the
-first to_labeled of it stores the flattened sequent on it, and
-to_nested stores its input on its result, so each tree is flattened at
-most once.  Comparison up to bound variable names, labeled_alpha_eq,
-compares the sequents structurally first and renders alpha-canonical
-keys only when they differ; nested_alpha_eq compares the root labels
-and then the views, so the order of children does not matter there.
+atoms only mention labels of that tree) is read by components: its
+components in preorder, each with its formulas, its variables and its
+children in label order.  A nested sequent writes that tree as nested
+components, whose children keep the order they were built in; it is
+notation, for input, output and NestedN proofs.  to_nested is built on
+components and to_labeled flattens a tree; the two are inverse on
+tree sequents.  A nested sequent keeps its labeled view: to_labeled
+stores the flattened sequent on it, and to_nested its input on its
+result.  labeled_alpha_eq, equality up to bound variable names,
+compares structurally first and renders alpha-canonical keys only on
+a mismatch; nested_alpha_eq compares the root labels and the views.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import count
 from operator import itemgetter
 
 from .syntax import (MAX_DEPTH, Formula, alpha_canonical, all_vars,
@@ -64,17 +62,11 @@ def without_once(items: tuple, item) -> tuple:
 
 
 def fresh_label(taken, base: str = "w") -> str:
-    """Next unused label of the form base<number>."""
-    taken = set(taken)
-    best = -1
-    for name in taken:
-        if name.startswith(base) and name[len(base):].isdigit():
-            best = max(best, int(name[len(base):]))
-    candidate = f"{base}{best + 1}"
-    while candidate in taken:
-        best += 1
-        candidate = f"{base}{best + 1}"
-    return candidate
+    """Next unused label of the form base<number>: one past the largest
+    number in use."""
+    numbers = [int(name[len(base):]) for name in taken
+               if name.startswith(base) and name[len(base):].isdecimal()]
+    return f"{base}{max(numbers, default=-1) + 1}"
 
 
 # ===================================================================
@@ -218,10 +210,10 @@ def is_labeled_tree(seq: LabeledSequent) -> tuple[bool, str | None]:
     none at all the root comes back as None.
     """
     try:
-        phi = to_nested(seq)
+        root = components(seq)[0].label
     except NotATreeError:
         return (False, None)
-    return (True, None if seq == LabeledSequent() else phi.label)
+    return (True, None if seq == LabeledSequent() else root)
 
 
 # ===================================================================
@@ -252,20 +244,6 @@ class NestedSequent:
     def labels(self) -> list[str]:
         return [node.label for node in self.walk()]
 
-    def variables(self) -> frozenset[str]:
-        out = set()
-        for node in self.walk():
-            out |= set(node.vars)
-            for phi in node.left + node.right:
-                out |= all_vars(phi)
-        return frozenset(out)
-
-    def find(self, label: str) -> NestedSequent | None:
-        for node in self.walk():
-            if node.label == label:
-                return node
-        return None
-
     def __str__(self):
         return render_nested(self)
 
@@ -284,20 +262,58 @@ def nested_alpha_eq(a: NestedSequent, b: NestedSequent) -> bool:
     return a.label == b.label and labeled_alpha_eq(to_labeled(a), to_labeled(b))
 
 
-def shape_key(phi: NestedSequent):
-    """Canonical value invariant under relabeling of components; used
-    for loop checking during proof search."""
-    def key(n: NestedSequent):
-        return (tuple(sorted(render_formula(f) for f in n.left)),
-                n.vars,
-                tuple(sorted(render_formula(f) for f in n.right)),
-                tuple(sorted(key(c) for c in n.children)))
-    return key(phi)
+def shape_key(parts: tuple[Component, ...]):
+    """Canonical value of a tree read by components, invariant under
+    relabeling of its components; used for loop checking during proof
+    search.  Formulas are already in formula_key order."""
+    keys = {}
+    for comp in reversed(parts):
+        keys[comp.label] = (tuple(map(formula_key, comp.left)), comp.vars,
+                            tuple(map(formula_key, comp.right)),
+                            tuple(sorted(map(keys.pop, comp.children))))
+    return keys[parts[0].label]
 
 
 # ===================================================================
 # Translations
 # ===================================================================
+
+# one component of a labeled tree sequent: its formulas and variables,
+# in slot order, and the labels of its children in label order
+Component = namedtuple("Component", "label left vars right children")
+
+
+def components(seq: LabeledSequent,
+               root: str | None = None) -> tuple[Component, ...]:
+    """The components of a labeled tree sequent in preorder.  The root
+    argument only names the root of a sequent that mentions no label
+    at all.  Raises NotATreeError unless the relational atoms form a
+    tree, one parent per child, that covers every label used."""
+    kids, left, vars_, right = {}, {}, {}, {}
+    for table, pairs in ((kids, seq.rel), (left, seq.left), (right, seq.right),
+                         (vars_, [(w, x) for x, w in seq.dom])):
+        for w, item in pairs:
+            table.setdefault(w, []).append(item)
+    parents = set(map(_second, seq.rel))
+    labels = kids.keys() | parents | left.keys() | vars_.keys() | right.keys()
+    tops = labels - parents
+    if len(parents) < len(seq.rel) or len(tops) != (1 if labels else 0):
+        raise NotATreeError(f"not a labeled tree sequent: {seq}")
+    # the slots of seq are sorted, so each part already is in the order
+    # a NestedSequent keeps, and the children in label order
+    out = []
+    stack = [next(iter(tops), "w0" if root is None else root)]
+    while stack:
+        label = stack.pop()
+        out.append(Component(label, tuple(left.get(label, ())),
+                             tuple(vars_.get(label, ())),
+                             tuple(right.get(label, ())),
+                             tuple(kids.get(label, ()))))
+        stack.extend(reversed(out[-1].children))
+    if len(out) < len(labels):  # a cycle away from the root
+        raise NotATreeError(f"not a labeled tree sequent: {seq}")
+    return tuple(out)
+
 
 def to_labeled(phi: NestedSequent) -> LabeledSequent:
     """Flatten a nested sequent into a labeled sequent; each component
@@ -320,47 +336,20 @@ def to_labeled(phi: NestedSequent) -> LabeledSequent:
 
 
 def to_nested(seq: LabeledSequent, root: str | None = None) -> NestedSequent:
-    """Rebuild the component tree of a labeled tree sequent, with seq
-    kept as its view.  Children come out sorted by label.  The root
-    argument only names the root of a sequent that mentions no label
-    at all.  Raises NotATreeError unless the relational atoms form a
-    tree, one parent per child, that covers every label used."""
-    kids: dict[str, list] = {}
-    left: dict[str, list] = {}
-    vars_: dict[str, list] = {}
-    right: dict[str, list] = {}
-    for w, u in seq.rel:
-        kids.setdefault(w, []).append(u)
-    for w, f in seq.left:
-        left.setdefault(w, []).append(f)
-    for x, w in seq.dom:
-        vars_.setdefault(w, []).append(x)
-    for w, f in seq.right:
-        right.setdefault(w, []).append(f)
-    parents = set(map(_second, seq.rel))
-    labels = kids.keys() | parents | left.keys() | vars_.keys() | right.keys()
-    tops = labels - parents
-    if len(parents) < len(seq.rel) or len(tops) != (1 if labels else 0):
-        raise NotATreeError(f"not a labeled tree sequent: {seq}")
-    built = []
-    put = object.__setattr__
-
-    def build(label: str) -> NestedSequent:
-        # the slots of seq are sorted, so each part already is in the
-        # order NestedSequent keeps and need not be sorted again
-        built.append(label)
-        node = object.__new__(NestedSequent)
-        put(node, "label", label)
-        put(node, "left", tuple(left.get(label, ())))
-        put(node, "vars", tuple(vars_.get(label, ())))
-        put(node, "right", tuple(right.get(label, ())))
-        put(node, "children", tuple([build(c) for c in kids.get(label, ())]))
-        return node
-
-    phi = build(next(iter(tops), "w0" if root is None else root))
-    if len(built) < len(labels):  # a cycle away from the root
-        raise NotATreeError(f"not a labeled tree sequent: {seq}")
-    put(phi, "_view", seq)
+    """The nested sequent that components reads off a labeled tree
+    sequent, with seq kept as its view; children come out sorted by
+    label.  Raises NotATreeError as components does."""
+    parts = components(seq, root)
+    built = {}
+    # reversed preorder builds every child before its parent; the parts
+    # already are in the order NestedSequent keeps, so its fields are
+    # set directly
+    for comp in reversed(parts):
+        node = built[comp.label] = object.__new__(NestedSequent)
+        node.__dict__.update(comp._asdict(),
+                             children=tuple(map(built.pop, comp.children)))
+    phi = built[parts[0].label]
+    object.__setattr__(phi, "_view", seq)
     return phi
 
 
@@ -381,34 +370,19 @@ def render_nested(phi: NestedSequent, top: bool = True) -> str:
 
 def _split_top(text: str, separator: str) -> list[str]:
     """Split on a separator at bracket depth zero."""
-    parts = []
-    depth = 0
-    current = []
-    i = 0
+    parts, depth, start, i = [], 0, 0, 0
     while i < len(text):
-        c = text[i]
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-            if depth < 0:
-                raise SequentError(f"unbalanced brackets in {text!r}")
+        depth += (text[i] in "([") - (text[i] in ")]")
+        if depth < 0:
+            raise SequentError(f"unbalanced brackets in {text!r}")
         if depth == 0 and text.startswith(separator, i):
-            parts.append("".join(current))
-            current = []
-            i += len(separator)
-            continue
-        current.append(c)
-        i += 1
+            parts.append(text[start:i])
+            start = i = i + len(separator)
+        else:
+            i += 1
     if depth != 0:
         raise SequentError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(current))
-    return parts
-
-
-# child brackets of the nested notation; "[]" is a box, not a child
-_CHILD_BRACKET = re.compile(r"\[\]|[][]")
-_BRACKET_STEP = {"[": 1, "]": -1, "[]": 0}
+    return parts + [text[start:]]
 
 
 def parse_nested(text: str, root_label: str = "w0") -> NestedSequent:
@@ -416,115 +390,119 @@ def parse_nested(text: str, root_label: str = "w0") -> NestedSequent:
 
     The three slots may each be empty.  Children are bracketed sequents
     in the right slot, each optionally tagged with @label; missing
-    labels are filled in afterwards, counting up from w1, and the root
-    may likewise be tagged with a trailing @label.  Children nest at
-    most syntax.MAX_DEPTH brackets deep, like the connectives of a
-    formula; deeper input is a SequentError.
+    labels are filled in afterwards, counting up from w1 in preorder,
+    and the root may likewise be tagged with a trailing @label.
+    Children nest at most syntax.MAX_DEPTH brackets deep; deeper input
+    is a SequentError.  One pass indexes the separators by bracket
+    depth, so no body rescans its text; a stack holds open bodies.
     """
     from .syntax import parse_formula
 
-    def parse_body(chunk: str) -> dict:
-        halves = _split_top(chunk, "|-")
-        if len(halves) != 2:
-            raise SequentError(f"expected exactly one |- in {chunk!r}")
-        front, back = halves
-        front_parts = _split_top(front, ";")
-        if len(front_parts) != 2:
-            raise SequentError(f"expected exactly one ; before |- in {chunk!r}")
-        left_texts, var_text = front_parts
-        left = [parse_formula(t) for t in _split_top(left_texts, ",")
-                if t.strip()]
-        vars_ = []
-        for t in _split_top(var_text, ","):
-            t = t.strip()
-            if not t:
-                continue
-            if not all(ch.isalnum() or ch in "_'" for ch in t):
-                raise SequentError(f"bad variable name {t!r}")
-            vars_.append(t)
-        right = []
-        kids = []
-        for t in _split_top(back, ","):
-            t = t.strip()
-            if not t:
-                continue
-            if t.startswith("[") and not t.startswith("[]"):
-                inner, _, tag = t.rpartition("]")
-                inner = inner[1:]
-                tag = tag.strip()
-                if tag.startswith("@"):
-                    label = tag[1:].strip()
-                elif tag == "":
-                    label = None
-                else:
-                    raise SequentError(f"bad child suffix {tag!r} in {t!r}")
-                kids.append((label, parse_body(inner)))
-            else:
-                right.append(parse_formula(t))
-        return {"left": left, "vars": vars_, "right": right, "kids": kids}
-
-    # parse_body recurses once per child, and each level rescans its
-    # text, so the depth is bounded before parsing starts
-    steps = _CHILD_BRACKET.findall(text)
-    if max(accumulate(map(_BRACKET_STEP.__getitem__, steps)),
-           default=0) > MAX_DEPTH:
-        raise SequentError(
-            f"sequent nested more than {MAX_DEPTH} brackets deep")
-
     text = text.strip()
-    root_tag = None
-    # a trailing @label at depth zero names the root, unless it is glued
-    # to a closing bracket and therefore tags a child
-    tag_at = None
-    depth = 0
+    seps, match, closes, opened = {}, {}, [], []  # seps: (kind, depth)
+    depth = nesting = 0   # nesting counts child brackets: "[]" is a box
+    box = negative = False
+    tag_at, solid = None, ""  # solid: the last non-space character
     for i, c in enumerate(text):
         if c in "([":
+            opened.append(i)
             depth += 1
+            box = c == "[" and text.startswith("]", i + 1)
+            nesting += c == "[" and not box
+            if nesting > MAX_DEPTH:
+                raise SequentError(
+                    f"sequent nested more than {MAX_DEPTH} brackets deep")
         elif c in ")]":
             depth -= 1
-        elif c == "@" and depth == 0:
-            before = text[:i].rstrip()
-            if not before.endswith("]"):
-                tag_at = i
+            if opened:
+                match[opened.pop()] = i
+            negative |= depth < 0
+            if c == "]":
+                closes.append(i)
+                nesting -= not box
+                box = False
+        elif c in ",;" or c == "|" and text.startswith("-", i + 1):
+            seps.setdefault(("|-" if c == "|" else c, depth), []).append(i)
+        elif c == "@" and depth == 0 and solid != "]":
+            # a trailing @label at depth zero names the root, unless it
+            # is glued to a closing bracket and therefore tags a child
+            tag_at = i
+        solid = solid if c.isspace() else c
+
+    end, label = len(text), root_label
     if tag_at is not None:
         tag = text[tag_at + 1:].strip()
         if tag and all(ch.isalnum() or ch in "_'" for ch in tag):
-            root_tag = tag
-            text = text[:tag_at]
+            end, label = tag_at, tag
 
-    tree = parse_body(text)
+    def between(kind: str, level: int, lo: int, hi: int) -> list[int]:
+        found = seps.get((kind, level), [])
+        return found[bisect_left(found, lo):bisect_left(found, hi)]
 
-    taken = set()
+    def items(level: int, lo: int, hi: int):
+        cuts = between(",", level, lo, hi)
+        return zip([lo] + [cut + 1 for cut in cuts], cuts + [hi])
 
-    def collect(node):
-        label = node.get("label")
-        if label:
-            taken.add(label)
-        for l, kid in node["kids"]:
-            if l:
-                kid["label"] = l
-            collect(kid)
+    def body(lo: int, hi: int, level: int, label: str | None) -> dict:
+        bars = between("|-", level, lo, hi - 1)
+        if len(bars) != 1:
+            raise SequentError(f"expected exactly one |- in {text[lo:hi]!r}")
+        semis = between(";", level, lo, bars[0])
+        if len(semis) != 1:
+            raise SequentError(
+                f"expected exactly one ; before |- in {text[lo:hi]!r}")
+        left = [parse_formula(t) for t in
+                (text[u:v] for u, v in items(level, lo, semis[0])) if t.strip()]
+        vars_ = [t for t in (text[u:v].strip() for u, v in
+                             items(level, semis[0] + 1, bars[0])) if t]
+        for t in vars_:
+            if not all(ch.isalnum() or ch in "_'" for ch in t):
+                raise SequentError(f"bad variable name {t!r}")
+        return {"label": label, "left": left, "vars": vars_, "right": [],
+                "kids": [], "level": level,
+                "items": iter(items(level, bars[0] + 2, hi))}
 
-    tree["label"] = root_tag or root_label
-    collect(tree)
-    taken.add(tree["label"])
+    if negative or depth != 0:
+        raise SequentError(f"unbalanced brackets in {text[:end]!r}")
+    order = [body(0, end, 0, label)]
+    stack = order[:]
+    while stack:
+        node = stack[-1]
+        for lo, hi in node["items"]:
+            while lo < hi and text[lo].isspace():
+                lo += 1
+            while hi > lo and text[hi - 1].isspace():
+                hi -= 1
+            if lo == hi:
+                continue
+            if not text.startswith("[", lo) or text.startswith("[]", lo, hi):
+                node["right"].append(parse_formula(text[lo:hi]))
+                continue
+            # the child runs to the last ] of the item, a tag may follow
+            k = bisect_left(closes, hi)
+            close = closes[k - 1] if k and closes[k - 1] > lo else lo - 1
+            tag = text[close + 1:hi].strip()
+            if tag and not tag.startswith("@"):
+                raise SequentError(
+                    f"bad child suffix {tag!r} in {text[lo:hi]!r}")
+            if match.get(lo) != close:
+                raise SequentError(
+                    f"unbalanced brackets in {text[lo + 1:close]!r}")
+            kid = body(lo + 1, close, node["level"] + 1, tag[1:].strip())
+            node["kids"].append(kid)
+            order.append(kid)
+            stack.append(kid)
+            break
+        else:
+            stack.pop()
 
-    counter = [0]
-
-    def build(node) -> NestedSequent:
-        label = node.get("label")
-        if not label:
-            while True:
-                counter[0] += 1
-                label = f"w{counter[0]}"
-                if label not in taken:
-                    break
-            taken.add(label)
-        kids = tuple(build(kid) for _, kid in node["kids"])
-        return NestedSequent(label=label, left=tuple(node["left"]),
-                             vars=tuple(node["vars"]),
-                             right=tuple(node["right"]), children=kids)
-
-    phi = build(tree)
-    check_unique_labels(phi)
-    return phi
+    taken = {node["label"] for node in order}
+    fresh = (f"w{n}" for n in count(1) if f"w{n}" not in taken)
+    for node in order:
+        node["label"] = node["label"] or next(fresh)
+    for node in reversed(order):
+        node["seq"] = NestedSequent(
+            node["label"], node["left"], node["vars"],
+            node["right"], [kid["seq"] for kid in node["kids"]])
+    check_unique_labels(order[0]["seq"])
+    return order[0]["seq"]

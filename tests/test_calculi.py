@@ -8,12 +8,13 @@ from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
                              MalformedParams, PrincipalMissing, ProofTree,
                              RuleId, RuleNotInCalculus, RuleParams,
                              SideConditionViolation, apply_rule,
-                             availability_system, check, g_rule,
-                             propagation_system, rule_set, side_condition)
+                             _sequents_match, availability_system, check,
+                             g_rule, propagation_system, rule_set,
+                             side_condition)
 from fomodal.grammar import s4, s5, of_paths, union
 from fomodal.propagation import PropPath
-from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
-                              render_nested)
+from fomodal.sequents import (LabeledSequent, NestedSequent, parse_labeled,
+                              parse_nested, render_nested)
 from fomodal.syntax import frame_spec, parse_formula
 
 
@@ -444,7 +445,47 @@ def test_check_reports_repeated_label_in_nested_premise():
     assert report.node == (0,)
     # a conclusion repeating a label is refused too, not raised
     root = ProofTree(twice, BOT_L, RuleParams(label="w0"))
-    assert not check(calc, root).ok
+    report = check(calc, root)
+    assert not report.ok and report.node == ()
+    assert report.message == "bot_l: label w1 occurs twice"
+
+
+def _neg_l_proof(premise):
+    """neg_l on the root of a three-component sequent, then ax."""
+    seq = parse_nested("p, ~p ;  |- [ ;  |- q]@w2, [ ;  |- r]@w10")
+    leaf = ProofTree(premise, AX, RuleParams(label="w0",
+                                             formula=parse_formula("p")))
+    return ProofTree(seq, NEG_L, RuleParams(label="w0",
+                                            formula=parse_formula("~p")),
+                     (leaf,))
+
+
+def test_nested_check_reads_stored_premises_by_root_and_view():
+    calc = CalculusSpec("NestedN", frame_spec())
+    # children out of label order: the same tree, so the same view
+    same = parse_nested("p ;  |- p, [ ;  |- r]@w10, [ ;  |- q]@w2")
+    assert check(calc, _neg_l_proof(same)).ok
+    moved = parse_nested("p ;  |- p, [ ;  |- r]@w10, [ ;  |- q]@w2 @v")
+    assert check(calc, _neg_l_proof(moved)).node == (0,)
+    # a lone empty root has an empty view, so only its label tells two
+    # such premises apart; no rule yields one, so the match is asked
+    # directly
+    empty = LabeledSequent()
+    assert _sequents_match(empty, NestedSequent("w0"), "w0")
+    assert not _sequents_match(empty, NestedSequent("v"), "w0")
+    assert not _sequents_match(empty, empty, "w0")
+    assert not _sequents_match(empty, NestedSequent("w0"), None)
+
+
+def test_failing_nested_check_renders_both_sequents_nested():
+    calc = CalculusSpec("NestedN", frame_spec())
+    wrong = parse_nested("p ;  |- p, [ ;  |- q]@w2, [ ;  |- p]@w10")
+    report = check(calc, _neg_l_proof(wrong))
+    assert not report.ok and report.node == (0,)
+    assert report.message == (
+        "premise 0 of neg_l does not match the rule: "
+        "wanted p ;  |- p, [ ;  |- q]@w2, [ ;  |- r]@w10, "
+        "found p ;  |- p, [ ;  |- q]@w2, [ ;  |- p]@w10")
 
 
 def test_check_accepts_and_pinpoints():

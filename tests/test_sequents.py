@@ -1,12 +1,14 @@
 """Labeled and nested sequents, their text forms and translations."""
 
 import random
+import sys
 
 import pytest
 
+from fomodal import sequents
 from fomodal.sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
                               NotATreeError, SequentError, check_unique_labels,
-                              compose, fresh_label, is_labeled_tree,
+                              components, compose, fresh_label, is_labeled_tree,
                               labeled_alpha_eq, nested_alpha_eq, parse_labeled,
                               parse_nested, render_labeled, render_nested,
                               shape_key, to_labeled, to_nested)
@@ -18,6 +20,8 @@ def test_fresh_label():
     assert fresh_label(set()) == "w0"
     assert fresh_label({"w0", "w1"}) == "w2"
     assert fresh_label({"w0"}, base="v") == "v0"
+    # a suffix of digit characters that int() cannot read is no number
+    assert fresh_label({"w\u00b2", "w1"}) == "w2"
 
 
 def test_labeled_sequent_is_canonical():
@@ -82,7 +86,7 @@ def test_is_labeled_tree():
 def test_nested_walk_and_labels():
     seq = parse_nested("p ; x |- [q ;  |- [ ; y |- r]@t]@v, [ ;  |- s]@u")
     assert set(seq.labels()) == {"w0", "v", "t", "u"}
-    assert seq.find("t").vars == ("y",)
+    assert ("y", "t") in to_labeled(seq).dom
     check_unique_labels(seq)
     clash = NestedSequent("a", (), (), (), (NestedSequent("a", (), (), (), ()),))
     with pytest.raises(DuplicateLabelError):
@@ -97,12 +101,29 @@ def test_nested_alpha_eq_is_alpha_on_bound_variables_only():
     assert not nested_alpha_eq(a, c)
 
 
+def test_components_read_the_tree_in_preorder():
+    seq = parse_labeled("w0Rw1, w0Rw2, w1Rw3, x in D(w2), w3: p |- w0: q")
+    parts = components(seq)
+    # preorder; label order would give w0, w1, w2, w3
+    assert [part.label for part in parts] == ["w0", "w1", "w3", "w2"]
+    assert [part.children for part in parts] == [("w1", "w2"), ("w3",), (), ()]
+    assert parts[0].right == (parse_formula("q"),)
+    assert parts[2].left == (parse_formula("p"),)
+    assert parts[3].vars == ("x",)
+    assert components(LabeledSequent(), root="v")[0].label == "v"
+    with pytest.raises(NotATreeError):
+        components(parse_labeled("wRv, uRv |- "))
+
+
 def test_shape_key_forgets_label_names():
-    a = parse_nested("p ;  |- [ ;  |- q]@v")
-    b = parse_nested("p ;  |- [ ;  |- q]@z")
-    c = parse_nested("p ;  |- [ ;  |- r]@v")
-    assert shape_key(a) == shape_key(b)
-    assert shape_key(a) != shape_key(c)
+    def key(text):
+        return shape_key(components(parse_labeled(text)))
+    a = key("w0Rv, w0: p |- v: q")
+    assert a == key("w0Rz, w0: p |- z: q")
+    assert a == key("uRw0, u: p |- w0: q")
+    assert a != key("w0Rv, w0: p |- v: r")
+    # children are compared as a multiset, whatever their labels
+    assert key("w0Rv, w0Rz, v: p |- z: q") == key("w0Rv, w0Rz, z: p |- v: q")
 
 
 def test_to_labeled_shape():
@@ -164,3 +185,34 @@ def test_parse_nested_depth_limit():
     assert len(parse_nested(brackets(200)).labels()) == 201
     with pytest.raises(SequentError, match="nested more than 200 brackets"):
         parse_nested(brackets(201))
+
+
+def _parser_lines(text: str) -> int:
+    """Lines of the sequents module executed while parsing text."""
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == sequents.__file__ else None
+
+    before = sys.gettrace()
+    sys.settrace(call)
+    try:
+        parse_nested(text)
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_parse_nested_work_is_linear_in_the_text():
+    # a body's separators are looked up, not rescanned at every level;
+    # rescanning made the count grow with depth times length
+    item = ", ".join(f"p{i}" for i in range(10))
+    for depth in (5, 40):
+        text = (f"{item} ; |- " + f"[{item} ; x |- {item}, " * depth + "q"
+                + "]" * depth)
+        assert _parser_lines(text) <= 20 * len(text), depth
