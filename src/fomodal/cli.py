@@ -35,7 +35,7 @@ from .semantics import SemanticsError, find_countermodel
 from .sequents import (LabeledSequent, NestedSequent, SequentError,
                        parse_labeled, parse_nested, render_labeled,
                        render_nested, to_labeled, to_nested)
-from .syntax import FormulaError, frame_spec, parse_formula
+from .syntax import MAX_DEPTH, FormulaError, frame_spec, parse_formula
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -240,6 +240,12 @@ def _cmd_translate(args) -> int:
         if isinstance(seq, NestedSequent):
             raise CliError("--to-nested expects a labeled sequent")
         out = to_nested(seq)
+        # rendering recurses once per level; parse_nested reads this deep
+        depth, level = 0, out.children
+        while level:
+            depth, level = depth + 1, [c for n in level for c in n.children]
+        if depth > MAX_DEPTH:
+            raise CliError(f"sequent nested more than {MAX_DEPTH} brackets deep")
     _print(args, sequent_to_json(out), [_render_sequent(out)])
     return EXIT_OK
 

@@ -26,32 +26,38 @@ Bounds with more than MAX_CANDIDATES candidates, 2**(n*n) relations
 times (2**n - 1)**p domain choices summed over n worlds and p
 individuals (at one world, each counting max(p, 1)), are refused
 before anything is enumerated: five worlds, four worlds with two
-individuals, or one world with 2000 individuals.  The search
-evaluates the goal once per structure for all its valuations together:
-truth values are int bitmasks with one bit per valuation, numbered as
-enumerate_valuations numbers them, so negation is XOR with the
-all-ones mask and disjunction, the diamond and the existential are OR.
-It returns the same (model, world) as a walk over enumerate_models
-would: the first valuation, in the first structure, falsifying the
-goal at some world, and the least such world.  A mask spans at most
-2**12 valuations; with more atoms the valuations are taken in ordered
-blocks, each fixing the atoms past the twelfth.  Each node of the
-compiled formula gets a table over the assignments of individuals to
-its free variables, pool size to the power of their number, built
-anew for each block.  A search is refused before it would pass
-MAX_VALUATIONS valuations, or MAX_ASSIGNMENTS assignments summed over
-nodes and blocks; both are counted before the atoms and assignments of
-a structure are listed.  The structure table of each pair of bounds,
-and its frame-filtered subsequence for each frame class, are cached
-per process in bounded caches.
+individuals, or one world with 2000 individuals.
+
+The search takes the structures in runs of equal worlds and pool, and
+evaluates the goal once per chunk of a run for all its valuations
+together: truth values are int bitmasks whose lane v*S + s holds
+valuation v, numbered as enumerate_valuations numbers them, of the
+structure s of a chunk of S.  Negation is XOR with the all-ones mask
+and disjunction is OR; the diamond and the existential AND their body
+with the run's columns, whose bit s is set when structure s has wRu or
+d in D(w), repeated at every valuation's lanes.  A chunk spans at most
+2**14 lanes, or one structure, and a block at most 2**12 valuations:
+with more atoms, the valuations come in ordered blocks, each fixing
+the atoms past the twelfth.  Folding the valuations onto the lanes of
+valuation 0 finds the first falsified structure, so the search returns
+the same (model, world) as a walk over enumerate_models: the first
+valuation, in the first structure, falsifying the goal at some world,
+and the least such world.  It is refused at the structure where that
+walk would pass MAX_VALUATIONS valuations or MAX_ASSIGNMENTS table
+entries, one per node, assignment of its free variables and block;
+both are counted per run, before its atoms and assignments are listed.
+The structure table of each pair of bounds, and its runs and columns
+for each frame class, are cached per process in bounded caches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from functools import lru_cache, reduce
+from operator import and_, or_
+from itertools import (chain, combinations_with_replacement, groupby,
+                       permutations, product)
 
 from .sequents import LabeledSequent
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
@@ -381,10 +387,27 @@ def _all_structures(max_worlds: int, max_individuals: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _frame_structures(max_worlds: int, max_individuals: int,
-                      frame: FrameSpec) -> tuple:
-    return tuple(s for s in _all_structures(max_worlds, max_individuals)
-                 if check_frame(KripkeModel(*s, frozenset()), frame))
+def _runs(max_worlds: int, max_individuals: int, frame: FrameSpec) -> tuple:
+    """The structures of the table satisfying the frame, in runs of
+    equal worlds n and pool size p, as (n, p, structures, rel, dom):
+    column rel[w][u] has bit s set when structure s of the run has wRu,
+    and column dom[w][d] when d is in its domain at w."""
+    runs = []
+    for (n, p), group in groupby(
+            _all_structures(max_worlds, max_individuals),
+            key=lambda s: (s[0], len(frozenset().union(*s[2])))):
+        structures = [s for s in group
+                      if check_frame(KripkeModel(*s, frozenset()), frame)]
+        rel = [[0] * n for _ in range(n)]
+        dom = [[0] * p for _ in range(n)]
+        for s, (_, pairs, domains) in enumerate(structures):
+            for w, u in pairs:
+                rel[w][u] |= 1 << s
+            for w, d in enumerate(domains):
+                for i in d:
+                    dom[w][i] |= 1 << s
+        runs.append((n, p, structures, rel, dom))
+    return tuple(runs)
 
 
 def enumerate_structures(max_worlds: int, max_individuals: int,
@@ -396,7 +419,8 @@ def enumerate_structures(max_worlds: int, max_individuals: int,
     _check_bounds(max_worlds, max_individuals)
     if frame is None:
         return iter(_all_structures(max_worlds, max_individuals))
-    return iter(_frame_structures(max_worlds, max_individuals, frame))
+    return chain.from_iterable(structures for _, _, structures, _, _
+                               in _runs(max_worlds, max_individuals, frame))
 
 
 def enumerate_valuations(signature: dict[str, int], worlds: int, pool):
@@ -422,12 +446,12 @@ def enumerate_models(signature: dict[str, int], max_worlds: int,
             yield KripkeModel(n, rel, domains, valuation)
 
 
-# Bit-parallel evaluation.  The valuations of one structure are numbered
-# as enumerate_valuations numbers them: valuation v makes atom i true
-# when bit i of v is set.  A mask is an int whose bit v is a truth value
-# under valuation v, so each connective acts on every valuation at once.
+# Bit-parallel evaluation.  Valuation v makes atom i true when bit i of
+# v is set, and lane v*S + s of a mask holds its truth value under
+# valuation v of structure s of a chunk of S structures.
 
-_MASK_BITS = 12  # a mask spans at most 2**12 valuations
+_MASK_BITS = 12  # a block spans at most 2**12 valuations
+_CHUNK_BITS = 14  # a chunk spans at most 2**14 lanes, or one structure
 MAX_VALUATIONS = 1 << 24  # a search stops before passing this many
 MAX_ASSIGNMENTS = 1 << 18  # and before evaluating more assignments
 
@@ -480,27 +504,15 @@ def _compile(phi: Formula) -> list[tuple]:
     return nodes
 
 
-@lru_cache(maxsize=_MASK_BITS + 1)
-def _low_masks(bits: int) -> tuple[int, ...]:
-    """Mask i over 2**bits valuations: the valuations with bit i set."""
-    full = (1 << (1 << bits)) - 1
-    masks = []
-    for i in range(bits):
-        half = 1 << i
-        # ones at half..2*half-1, repeated with period 2*half
-        masks.append(((1 << half) - 1 << half) * (full // ((1 << 2 * half) - 1)))
-    return tuple(masks)
-
-
 def _pick(env: tuple, projection) -> tuple:
     return env if projection is None else tuple(env[j] for j in projection)
 
 
-def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
+def _root_masks(program, worlds, rel, dom, envs, atom_index, masks,
                 full) -> list[int]:
     """The root's mask at each world.  Every node gets a table from the
     assignments of its free variables to its mask at each world, built
-    after its children's."""
+    after its children's; rel and dom hold the chunk's columns."""
     tables: list[dict] = []
     for op, names, arg in program:
         table = {}
@@ -517,20 +529,13 @@ def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
                 row = [a | b for a, b in zip(left, right)]
             elif op == _DIA:
                 body = tables[arg[0]][_pick(env, arg[1])]
-                row = []
-                for w in range(worlds):
-                    m = 0
-                    for u in succ[w]:
-                        m |= body[u]
-                    row.append(m)
+                row = [reduce(or_, map(and_, body, columns), 0)
+                       for columns in rel]
             elif op == _EXISTS:
-                body = tables[arg[0]]
-                row = []
-                for w in range(worlds):
-                    m = 0
-                    for d in domains[w]:
-                        m |= body[_pick(env + (d,), arg[1])][w]
-                    row.append(m)
+                body = [tables[arg[0]][_pick(env + (d,), arg[1])]
+                        for d in range(len(dom[0]))]
+                row = [reduce(or_, map(and_, [b[w] for b in body], columns), 0)
+                       for w, columns in enumerate(dom)]
             else:  # _BOTTOM
                 row = [0] * worlds
             table[env] = row
@@ -538,87 +543,96 @@ def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
     return tables[-1][()]
 
 
-def _search_out_of_reach(limit: int, what: str, max_worlds: int,
-                         max_individuals: int):
-    return SemanticsError(
-        f"search out of reach: more than {limit} {what} at "
-        f"bounds ({max_worlds}, {max_individuals})")
-
-
 def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
                       max_individuals: int = 2):
     """First (model, world) falsifying the closed formula phi on a
-    frame satisfying the conditions, or None within the bounds.
-
-    The result is the first model of enumerate_models, and the least
-    world of it, that falsifies phi.  Each structure is evaluated once,
-    over masks of up to 2**_MASK_BITS valuations; the atoms past the
-    first _MASK_BITS are fixed per block of valuations, and blocks are
-    taken in order.  Bounds are refused as enumerate_structures refuses
-    them, before any structure is searched, and SemanticsError is raised
-    before a structure would take the search past MAX_VALUATIONS
-    valuations or MAX_ASSIGNMENTS assignments."""
-    structures = enumerate_structures(max_worlds, max_individuals, frame)
+    frame satisfying the conditions, or None within the bounds: the
+    first model of enumerate_models, and the least world of it, that
+    falsifies phi.  Bounds are refused as enumerate_structures refuses
+    them; SemanticsError is raised at the structure that would take the
+    search past MAX_VALUATIONS valuations or MAX_ASSIGNMENTS
+    assignments, once the structures before it are searched."""
+    _check_bounds(max_worlds, max_individuals)
     if free_vars(phi):
         raise SemanticsError(
             f"countermodel search needs a closed formula, free: {sorted(free_vars(phi))}")
     signature = predicate_arities([phi])
     program = _compile(phi)
+    ops = {op for op, _, _ in program}
     # how many nodes have k free variables, for each k
     scopes = Counter(len(names) for _, names, _ in program)
-    # (valuations, assignments, listing) per (worlds, pool): the two
-    # counts come first, since past the limits the atoms and the
-    # assignments may be too many to list
-    layouts = {}
     searched = evaluated = 0
-    for n, rel, domains in structures:
-        pool = tuple(sorted(set().union(*domains)))
-        layout = layouts.get((n, pool))
-        if layout is None:
-            width = sum(n * len(pool) ** a for a in signature.values())
-            # a table entry per node and assignment, for each block
-            assignments = sum(nodes * len(pool) ** k
-                              for k, nodes in scopes.items())
-            layout = layouts[n, pool] = [
-                1 << min(width, MAX_VALUATIONS.bit_length()),
-                assignments << max(width - _MASK_BITS, 0), None]
-        searched += layout[0]
-        if searched > MAX_VALUATIONS:
-            raise _search_out_of_reach(MAX_VALUATIONS, "valuations",
-                                       max_worlds, max_individuals)
-        evaluated += layout[1]
-        if evaluated > MAX_ASSIGNMENTS:
-            raise _search_out_of_reach(MAX_ASSIGNMENTS, "assignments",
-                                       max_worlds, max_individuals)
-        if layout[2] is None:
+    for n, p, structures, rel, dom in _runs(max_worlds, max_individuals,
+                                            frame):
+        width = sum(n * p ** a for a in signature.values())
+        valuations = 1 << min(width, MAX_VALUATIONS.bit_length())
+        # a table entry per node and assignment, for each block
+        assignments = (sum(nodes * p ** k for k, nodes in scopes.items())
+                       << max(width - _MASK_BITS, 0))
+        # the run's structures within the limits, counted first: past the
+        # limits the atoms and assignments may be too many to list
+        by_valuations = (MAX_VALUATIONS - searched) // valuations
+        by_assignments = (MAX_ASSIGNMENTS - evaluated) // assignments
+        count = min(len(structures), by_valuations, by_assignments)
+        searched += count * valuations
+        evaluated += count * assignments
+        bits = min(width, _MASK_BITS)
+        step = max(1, (1 << _CHUNK_BITS) >> bits)
+        if count:
             # numbered as enumerate_valuations numbers them
             atoms = [(name, w, args) for name in sorted(signature)
                      for w in range(n)
-                     for args in product(pool, repeat=signature[name])]
-            envs = {len(names): list(product(pool, repeat=len(names)))
+                     for args in product(range(p), repeat=signature[name])]
+            atom_index = {atom: i for i, atom in enumerate(atoms)}
+            envs = {len(names): list(product(range(p), repeat=len(names)))
                     for _, names, _ in program}
-            bits = min(len(atoms), _MASK_BITS)
-            layout[2] = (atoms, {atom: i for i, atom in enumerate(atoms)},
-                         envs, bits, (1 << (1 << bits)) - 1, _low_masks(bits))
-        atoms, atom_index, envs, bits, full, low = layout[2]
-        succ = [[] for _ in range(n)]
-        for w, u in rel:
-            succ[w].append(u)
-        high = len(atoms) - bits
-        for block in range(1 << high):
-            masks = low + tuple(full if block >> j & 1 else 0
-                                for j in range(high)) if high else low
-            falsified = [full ^ m for m in _root_masks(
-                program, n, succ, domains, envs, atom_index, masks, full)]
-            first = 0
-            for m in falsified:
-                first |= m
-            if not first:
-                continue
-            bit = (first & -first).bit_length() - 1
-            world = next(w for w in range(n) if falsified[w] >> bit & 1)
-            v = block << bits | bit
-            valuation = frozenset(atoms[i] for i in range(len(atoms))
-                                  if v >> i & 1)
-            return KripkeModel(n, rel, domains, valuation), world
+        for start in range(0, count, step):
+            size = min(step, count - start)
+            ones, full = (1 << size) - 1, (1 << (size << bits)) - 1
+            # rep: ones at the lanes of structure 0; the chunk's part of
+            # each column is repeated at the lanes of every valuation
+            rep = full // ones
+            rel_lanes, dom_lanes = (
+                [[(c >> start & ones) * rep for c in row] for row in columns]
+                if op in ops else ()
+                for op, columns in ((_DIA, rel), (_EXISTS, dom)))
+            # atom i < bits: the lanes of the valuations with bit i set
+            low = [((1 << (size << i)) - 1 << (size << i))
+                   * (full // ((1 << (size << i + 1)) - 1)) for i in range(bits)]
+            best = None
+            for block in range(1 << width - bits):
+                masks = low + [full if block >> j & 1 else 0
+                               for j in range(width - bits)]
+                falsified = [full ^ m for m in _root_masks(
+                    program, n, rel_lanes, dom_lanes, envs, atom_index,
+                    masks, full)]
+                first = reduce(or_, falsified)
+                # fold the valuations: bit s is set when structure s is
+                # falsified here, and kept below a structure found before
+                hits, half = first, size << bits
+                while half > size:
+                    half >>= 1
+                    hits = (hits | hits >> half) & (1 << half) - 1
+                hits &= (1 << best[0]) - 1 if best else -1
+                if hits:
+                    s = (hits & -hits).bit_length() - 1
+                    mine = first >> s & rep
+                    bit = (mine & -mine).bit_length() - 1 + s
+                    best = (s, block << bits | bit // size, next(
+                        w for w in range(n) if falsified[w] >> bit & 1))
+                    if s == 0:
+                        break
+            if best is not None:
+                s, v, world = best
+                _, pairs, domains = structures[start + s]
+                valuation = frozenset(atoms[i] for i in range(width)
+                                      if v >> i & 1)
+                return KripkeModel(n, pairs, domains, valuation), world
+        if count < len(structures):
+            limit, what = ((MAX_VALUATIONS, "valuations")
+                           if by_valuations <= by_assignments
+                           else (MAX_ASSIGNMENTS, "assignments"))
+            raise SemanticsError(
+                f"search out of reach: more than {limit} {what} at "
+                f"bounds ({max_worlds}, {max_individuals})")
     return None

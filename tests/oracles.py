@@ -8,10 +8,18 @@ definitions rather than the algorithms under test.
 import functools
 import itertools
 import random
+from collections import Counter
+from functools import lru_cache
+from itertools import product
 
 from fomodal.grammar import ALPHABET, BDIA, DIA, one_step
+from fomodal.semantics import (_DIA, _EXISTS, _MASK_BITS, _NEG, _OR, _PRED,
+                               MAX_ASSIGNMENTS, MAX_VALUATIONS, KripkeModel,
+                               SemanticsError, _compile, _pick,
+                               enumerate_structures)
 from fomodal.sequents import LabeledSequent, NestedSequent
-from fomodal.syntax import Bottom, Dia, Exists, Neg, Or, Pred
+from fomodal.syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or,
+                            Pred, free_vars, predicate_arities)
 
 
 # ===================================================================
@@ -267,3 +275,152 @@ def random_edges(rng: random.Random, max_vertices: int = 5):
         edges.add((a, "d", b))
         edges.add((b, "b", a))
     return vertices, edges
+
+
+# ===================================================================
+# Countermodel search, one structure at a time
+# ===================================================================
+
+# The search as it was before structures shared a mask: each structure
+# of enumerate_structures is evaluated on its own, block by block.  A
+# reference for semantics.find_countermodel, which must return the same
+# (model, world) or raise the same SemanticsError.
+
+@lru_cache(maxsize=_MASK_BITS + 1)
+def _low_masks(bits: int) -> tuple[int, ...]:
+    """Mask i over 2**bits valuations: the valuations with bit i set."""
+    full = (1 << (1 << bits)) - 1
+    masks = []
+    for i in range(bits):
+        half = 1 << i
+        # ones at half..2*half-1, repeated with period 2*half
+        masks.append(((1 << half) - 1 << half) * (full // ((1 << 2 * half) - 1)))
+    return tuple(masks)
+
+
+def _root_masks(program, worlds, succ, domains, envs, atom_index, masks,
+                full) -> list[int]:
+    """The root's mask at each world.  Every node gets a table from the
+    assignments of its free variables to its mask at each world, built
+    after its children's."""
+    tables: list[dict] = []
+    for op, names, arg in program:
+        table = {}
+        for env in envs[len(names)]:
+            if op == _PRED:
+                name, positions = arg
+                args = tuple(env[j] for j in positions)
+                row = [masks[atom_index[name, w, args]] for w in range(worlds)]
+            elif op == _NEG:
+                row = [full ^ m for m in tables[arg[0]][_pick(env, arg[1])]]
+            elif op == _OR:
+                left = tables[arg[0]][_pick(env, arg[1])]
+                right = tables[arg[2]][_pick(env, arg[3])]
+                row = [a | b for a, b in zip(left, right)]
+            elif op == _DIA:
+                body = tables[arg[0]][_pick(env, arg[1])]
+                row = []
+                for w in range(worlds):
+                    m = 0
+                    for u in succ[w]:
+                        m |= body[u]
+                    row.append(m)
+            elif op == _EXISTS:
+                body = tables[arg[0]]
+                row = []
+                for w in range(worlds):
+                    m = 0
+                    for d in domains[w]:
+                        m |= body[_pick(env + (d,), arg[1])][w]
+                    row.append(m)
+            else:  # _BOTTOM
+                row = [0] * worlds
+            table[env] = row
+        tables.append(table)
+    return tables[-1][()]
+
+
+def _search_out_of_reach(limit: int, what: str, max_worlds: int,
+                         max_individuals: int):
+    return SemanticsError(
+        f"search out of reach: more than {limit} {what} at "
+        f"bounds ({max_worlds}, {max_individuals})")
+
+
+def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
+                      max_individuals: int = 2):
+    """First (model, world) falsifying the closed formula phi on a
+    frame satisfying the conditions, or None within the bounds.
+
+    The result is the first model of enumerate_models, and the least
+    world of it, that falsifies phi.  Each structure is evaluated once,
+    over masks of up to 2**_MASK_BITS valuations; the atoms past the
+    first _MASK_BITS are fixed per block of valuations, and blocks are
+    taken in order.  Bounds are refused as enumerate_structures refuses
+    them, before any structure is searched, and SemanticsError is raised
+    before a structure would take the search past MAX_VALUATIONS
+    valuations or MAX_ASSIGNMENTS assignments."""
+    structures = enumerate_structures(max_worlds, max_individuals, frame)
+    if free_vars(phi):
+        raise SemanticsError(
+            f"countermodel search needs a closed formula, free: {sorted(free_vars(phi))}")
+    signature = predicate_arities([phi])
+    program = _compile(phi)
+    # how many nodes have k free variables, for each k
+    scopes = Counter(len(names) for _, names, _ in program)
+    # (valuations, assignments, listing) per (worlds, pool): the two
+    # counts come first, since past the limits the atoms and the
+    # assignments may be too many to list
+    layouts = {}
+    searched = evaluated = 0
+    for n, rel, domains in structures:
+        pool = tuple(sorted(set().union(*domains)))
+        layout = layouts.get((n, pool))
+        if layout is None:
+            width = sum(n * len(pool) ** a for a in signature.values())
+            # a table entry per node and assignment, for each block
+            assignments = sum(nodes * len(pool) ** k
+                              for k, nodes in scopes.items())
+            layout = layouts[n, pool] = [
+                1 << min(width, MAX_VALUATIONS.bit_length()),
+                assignments << max(width - _MASK_BITS, 0), None]
+        searched += layout[0]
+        if searched > MAX_VALUATIONS:
+            raise _search_out_of_reach(MAX_VALUATIONS, "valuations",
+                                       max_worlds, max_individuals)
+        evaluated += layout[1]
+        if evaluated > MAX_ASSIGNMENTS:
+            raise _search_out_of_reach(MAX_ASSIGNMENTS, "assignments",
+                                       max_worlds, max_individuals)
+        if layout[2] is None:
+            # numbered as enumerate_valuations numbers them
+            atoms = [(name, w, args) for name in sorted(signature)
+                     for w in range(n)
+                     for args in product(pool, repeat=signature[name])]
+            envs = {len(names): list(product(pool, repeat=len(names)))
+                    for _, names, _ in program}
+            bits = min(len(atoms), _MASK_BITS)
+            layout[2] = (atoms, {atom: i for i, atom in enumerate(atoms)},
+                         envs, bits, (1 << (1 << bits)) - 1, _low_masks(bits))
+        atoms, atom_index, envs, bits, full, low = layout[2]
+        succ = [[] for _ in range(n)]
+        for w, u in rel:
+            succ[w].append(u)
+        high = len(atoms) - bits
+        for block in range(1 << high):
+            masks = low + tuple(full if block >> j & 1 else 0
+                                for j in range(high)) if high else low
+            falsified = [full ^ m for m in _root_masks(
+                program, n, succ, domains, envs, atom_index, masks, full)]
+            first = 0
+            for m in falsified:
+                first |= m
+            if not first:
+                continue
+            bit = (first & -first).bit_length() - 1
+            world = next(w for w in range(n) if falsified[w] >> bit & 1)
+            v = block << bits | bit
+            valuation = frozenset(atoms[i] for i in range(len(atoms))
+                                  if v >> i & 1)
+            return KripkeModel(n, rel, domains, valuation), world
+    return None

@@ -8,7 +8,8 @@ import pytest
 from fomodal.cli import main
 from fomodal.jsonio import proof_from_json, proof_to_json, sequent_from_json
 from fomodal.refine import refine_proof
-from fomodal.sequents import NestedSequent, parse_nested, to_labeled
+from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
+                              render_nested, to_labeled)
 
 from fixtures import EX_FRAME, elimination_initial
 
@@ -288,6 +289,26 @@ def test_over_deep_nested_sequent_is_an_input_error(capsys):
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("error: sequent nested more than 200")
+
+
+def test_translate_refuses_a_tree_deeper_than_nested_text_allows(capsys):
+    def chain(levels):
+        rel = ", ".join(f"w{i}Rw{i + 1}" for i in range(levels))
+        return f"{rel} |- w{levels}: p"
+
+    for levels in (3000, 201):
+        code = main(["translate", "--to-nested", chain(levels)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: sequent nested more than 200")
+    # 200 levels render, and the output reads back as JSON and as text
+    code, out = _run(capsys, "translate", "--to-nested", chain(200))
+    assert code == 0
+    nested = sequent_from_json(_json(out))
+    assert parse_nested(render_nested(nested)) == nested
+    code, out = _run(capsys, "translate", "--to-labeled", out)
+    assert code == 0
+    assert sequent_from_json(_json(out)) == parse_labeled(chain(200))
 
 
 def test_output_file_and_stdin(capsys, tmp_path):

@@ -1,18 +1,21 @@
 """Model evaluation, frame checking and countermodel search."""
 
+import functools
 import random
 
 import pytest
 
+from fomodal import semantics
 from fomodal.semantics import (KripkeModel, SemanticsError, _all_structures,
                                _check_bounds, check_frame, enumerate_models,
                                enumerate_structures, eval_formula,
                                find_countermodel, labeled_sequent_valid)
 from fomodal.sequents import parse_labeled
-from fomodal.syntax import (Bottom, Dia, Exists, Neg, Or, Pred, box,
+from fomodal.syntax import (Bottom, Dia, Exists, Neg, Or, Pred, box, conj,
                             frame_spec, implies, parse_formula,
                             predicate_arities)
 
+import oracles
 from oracles import least_structures, structure_images
 
 
@@ -326,3 +329,99 @@ def test_find_countermodel_past_the_first_block():
     true = frozenset((name, 0, ()) for name in low + "m")
     assert find_countermodel(phi, frame_spec(), 1, 0) == (
         KripkeModel(1, frozenset(), (frozenset(),), true), 0)
+
+
+# -- the run-parallel search against the per-structure search -------------
+
+def _atom_formula(rng, names, depth):
+    """A modal formula over the nullary predicates names, each of them
+    occurring, so that every one counts as an atom of the search."""
+    def draw(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return Pred(rng.choice(names))
+        pick = rng.randrange(3)
+        if pick == 0:
+            return Neg(draw(depth - 1))
+        if pick == 1:
+            return Or(draw(depth - 1), draw(depth - 1))
+        return Dia(draw(depth - 1))
+    phi = draw(depth)
+    for name in names:
+        phi = Or(phi, conj(Pred(name), Neg(Pred(name))))
+    return phi
+
+
+def _differential_cases():
+    rng = random.Random(20261018)
+    # random formulas over every frame class at three worlds
+    for i in range(160):
+        phi = _random_formula(rng, 3)
+        if i % 3 == 1:
+            phi = implies(phi, phi)
+        yield phi, FRAMES[i % len(FRAMES)], ((3, 1), (3, 2))[i // 12 % 2]
+    # 13 to 21 atoms: valuation blocks, with several structures per chunk
+    thirteen = [f"p{i}" for i in range(13)]
+    seven = thirteen[:7]
+    for i in range(46):
+        names, bounds = ((thirteen, (1, 0)), (seven, (2, 0)),
+                         (seven, (3, 0)))[min(i // 20, 2)]
+        phi = _atom_formula(rng, names, 4)
+        if i % 3 == 1:
+            phi = implies(phi, phi)
+        yield phi, rng.choice(FRAMES), bounds
+    # where the chunk's structures and blocks compete: the reflexive
+    # point is falsified in every block, the irreflexive one in none;
+    # only with p9, past the first block, or only with p0, whose lanes
+    # come after those of the reflexive point falsified without it
+    atoms = " | ".join(thirteen)
+    for text in ["[]false", "~((p9 & []false) | (~p9 & <>~false))",
+                 "~((p0 & []false) | (~p0 & <>~false))"]:
+        yield (parse_formula(f"{text} | (false & ({atoms}))"), frame_spec(),
+               (1, 0))
+    # the limits.  21 atoms at (3, 0): 2**21 valuations per three-world
+    # structure, so the valuation limit is passed at the eighth of them.
+    # Three worlds told apart by a1 and a2 falsify the first formula,
+    # and the fifth three-world structure does; the second is valid.
+    rest = " | (a3 & a4 & a5 & a6 & a7 & ~a3)"
+    yield (parse_formula("~(a1 & <>(~a1 & a2) & <>(~a1 & ~a2))" + rest),
+           frame_spec(), (3, 0))
+    yield parse_formula("a1 | ~a1 | a2" + rest), frame_spec(), (3, 0)
+    # 22 atoms at (2, 0): the limit is passed at the fourth two-world
+    # structure, the first with two successors at one world
+    rest = " | (false & (" + " | ".join(f"a{i}" for i in range(1, 11)) + "))"
+    yield parse_formula("~(<>a0 & <>~a0)" + rest), frame_spec(), (2, 0)
+    # both limits passed at once, at the first structure of a run: the
+    # valuation limit is named
+    yield (parse_formula("forall x. forall y. (p(x, y) | ~p(x, y))"),
+           frame_spec(), (1, 5))
+
+
+def _outcome(search, phi, frame, bounds):
+    try:
+        return search(phi, frame, *bounds)
+    except SemanticsError as error:
+        return str(error)
+
+
+@functools.lru_cache(maxsize=1)
+def _per_structure_outcomes():
+    return [(case, _outcome(oracles.find_countermodel, *case))
+            for case in _differential_cases()]
+
+
+@pytest.mark.parametrize("chunk_bits", [semantics._CHUNK_BITS, 1])
+def test_find_countermodel_matches_the_per_structure_search(chunk_bits,
+                                                            monkeypatch):
+    # two lanes per chunk: a chunk holds a single structure, or two
+    # when the goal has no atom
+    monkeypatch.setattr(semantics, "_CHUNK_BITS", chunk_bits)
+    expected = _per_structure_outcomes()
+    assert len(expected) >= 200
+    for case, outcome in expected:
+        assert _outcome(find_countermodel, *case) == outcome, case
+    outcomes = [outcome for _, outcome in expected]
+    assert None in outcomes
+    assert any(isinstance(outcome, str) for outcome in outcomes)
+    model, _ = outcomes[-4]
+    assert model.worlds == 3
+    assert all("valuations" in outcome for outcome in outcomes[-3:])
