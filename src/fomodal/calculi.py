@@ -55,7 +55,7 @@ from . import propagation
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
 from .propagation import PropPath, build_graph, witness_path
 from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
-                       labeled_alpha_eq, to_labeled, to_nested, without_once)
+                       labeled_alpha_eq, to_labeled, to_nested)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      substitute)
 
@@ -170,10 +170,14 @@ class ProofTree:
     def height(self) -> int:
         return 1 + max((p.height() for p in self.premises), default=0)
 
-    def walk(self, path=()):
-        yield path, self
-        for i, premise in enumerate(self.premises):
-            yield from premise.walk(path + (i,))
+    def walk(self):
+        """(path, node) for every node in preorder, on one stack."""
+        stack = [((), self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            for i in range(len(node.premises) - 1, -1, -1):
+                stack.append(((*path, i), node.premises[i]))
 
     def at(self, path) -> ProofTree:
         node = self
@@ -350,11 +354,11 @@ def _need(condition: bool, error, message: str):
         raise error(message)
 
 
-def _take(items: tuple, item, what: str) -> tuple:
-    try:
-        return without_once(items, item)
-    except ValueError:
-        raise PrincipalMissing(f"{what} not present") from None
+def _take(seq: LabeledSequent, slot: str, item, what: str) -> tuple:
+    """The drop argument of seq.replace for a principal item, which
+    must be present."""
+    _need(item in getattr(seq, slot), PrincipalMissing, f"{what} not present")
+    return (slot, item)
 
 
 def _fresh_label(seq: LabeledSequent, label: str):
@@ -396,34 +400,32 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
 
     if name == "neg_l":
         _need(isinstance(p.formula, Neg), MalformedParams, "principal must be a negation")
-        left = _take(seq.left, (p.label, p.formula), "principal negation")
-        return (seq.replace(left=left,
-                            right=seq.right + ((p.label, p.formula.body),)),)
+        drop = _take(seq, "left", (p.label, p.formula), "principal negation")
+        return (seq.replace(drop, right=((p.label, p.formula.body),)),)
 
     if name == "neg_r":
         _need(isinstance(p.formula, Neg), MalformedParams, "principal must be a negation")
-        right = _take(seq.right, (p.label, p.formula), "principal negation")
-        return (seq.replace(right=right,
-                            left=seq.left + ((p.label, p.formula.body),)),)
+        drop = _take(seq, "right", (p.label, p.formula), "principal negation")
+        return (seq.replace(drop, left=((p.label, p.formula.body),)),)
 
     if name == "or_l":
         _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
-        left = _take(seq.left, (p.label, p.formula), "principal disjunction")
-        return (seq.replace(left=left + ((p.label, p.formula.left),)),
-                seq.replace(left=left + ((p.label, p.formula.right),)))
+        drop = _take(seq, "left", (p.label, p.formula), "principal disjunction")
+        return (seq.replace(drop, left=((p.label, p.formula.left),)),
+                seq.replace(drop, left=((p.label, p.formula.right),)))
 
     if name == "or_r":
         _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
-        right = _take(seq.right, (p.label, p.formula), "principal disjunction")
-        return (seq.replace(right=right + ((p.label, p.formula.left),
-                                           (p.label, p.formula.right))),)
+        drop = _take(seq, "right", (p.label, p.formula), "principal disjunction")
+        return (seq.replace(drop, right=((p.label, p.formula.left),
+                                         (p.label, p.formula.right))),)
 
     if name == "dia_l":
         _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
-        left = _take(seq.left, (p.label, p.formula), "principal diamond")
+        drop = _take(seq, "left", (p.label, p.formula), "principal diamond")
         _fresh_label(seq, p.target)
-        return (seq.replace(rel=seq.rel + ((p.label, p.target),),
-                            left=left + ((p.target, p.formula.body),)),)
+        return (seq.replace(drop, rel=((p.label, p.target),),
+                            left=((p.target, p.formula.body),)),)
 
     if name == "dia_r":
         _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
@@ -431,16 +433,16 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
               "principal diamond missing on the right")
         _need((p.label, p.target) in seq.rel, SideConditionViolation,
               f"no relational atom {p.label}R{p.target}")
-        return (seq.replace(right=seq.right + ((p.target, p.formula.body),)),)
+        return (seq.replace(right=((p.target, p.formula.body),)),)
 
     if name == "exists_l":
         _need(isinstance(p.formula, Exists), MalformedParams,
               "principal must be an existential")
-        left = _take(seq.left, (p.label, p.formula), "principal existential")
+        drop = _take(seq, "left", (p.label, p.formula), "principal existential")
         _fresh_var(seq, p.variable)
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        return (seq.replace(dom=seq.dom + ((p.variable, p.label),),
-                            left=left + ((p.label, instance),)),)
+        return (seq.replace(drop, dom=((p.variable, p.label),),
+                            left=((p.label, instance),)),)
 
     if name == "exists_r":
         _need(isinstance(p.formula, Exists), MalformedParams,
@@ -451,7 +453,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         _need((p.variable, p.label) in seq.dom, SideConditionViolation,
               f"no atom {p.variable} in D({p.label})")
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        return (seq.replace(right=seq.right + ((p.label, instance),)),)
+        return (seq.replace(right=((p.label, instance),)),)
 
     if name == "d":
         _known_label(seq, p.label)
@@ -459,7 +461,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         # the principal is taken even where the conclusion shows no label
         _need(p.target != p.label, FreshnessViolation,
               f"label {p.target} already occurs")
-        return (seq.replace(rel=seq.rel + ((p.label, p.target),)),)
+        return (seq.replace(rel=((p.label, p.target),)),)
 
     if name == "g":
         return _apply_g(seq, rule, p)
@@ -470,7 +472,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
               f"no relational atom {p.label}R{p.target}")
         _need((p.variable, p.label) in seq.dom, SideConditionViolation,
               f"no atom {p.variable} in D({p.label})")
-        return (seq.replace(dom=seq.dom + ((p.variable, p.target),)),)
+        return (seq.replace(dom=((p.variable, p.target),)),)
 
     if name == "dd":
         _need(p.variable is not None, MalformedParams, "missing variable")
@@ -478,12 +480,12 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
               f"no relational atom {p.label}R{p.target}")
         _need((p.variable, p.target) in seq.dom, SideConditionViolation,
               f"no atom {p.variable} in D({p.target})")
-        return (seq.replace(dom=seq.dom + ((p.variable, p.label),)),)
+        return (seq.replace(dom=((p.variable, p.label),)),)
 
     if name == "nd":
         _known_label(seq, p.label)
         _fresh_var(seq, p.variable)
-        return (seq.replace(dom=seq.dom + ((p.variable, p.label),)),)
+        return (seq.replace(dom=((p.variable, p.label),)),)
 
     if name == "p_dia":
         _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
@@ -492,7 +494,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         condition = side_condition(calc, rule, seq, p)
         _need(condition.holds, SideConditionViolation,
               condition.reason or "propagation condition fails")
-        return (seq.replace(right=seq.right + ((p.target, p.formula.body),)),)
+        return (seq.replace(right=((p.target, p.formula.body),)),)
 
     if name == "s_ex1":
         _need(isinstance(p.formula, Exists), MalformedParams,
@@ -504,7 +506,7 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         _need(condition.holds, SideConditionViolation,
               condition.reason or "availability condition fails")
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        return (seq.replace(right=seq.right + ((p.label, instance),)),)
+        return (seq.replace(right=((p.label, instance),)),)
 
     if name == "s_ex2":
         _need(isinstance(p.formula, Exists), MalformedParams,
@@ -516,8 +518,8 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         _need(condition.holds, SideConditionViolation,
               condition.reason or "path condition fails")
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
-        return (seq.replace(dom=seq.dom + ((p.variable, p.target),),
-                            right=seq.right + ((p.label, instance),)),)
+        return (seq.replace(dom=((p.variable, p.target),),
+                            right=((p.label, instance),)),)
 
     raise MalformedParams(f"unknown rule {rule}")
 
@@ -538,7 +540,7 @@ def _apply_g(seq: LabeledSequent, rule: RuleId, p: RuleParams) -> tuple:
                   f"no relational atom {a}R{b}")
     if n == 0 and k == 0:
         _known_label(seq, p.chain_u[0])
-    return (seq.replace(rel=seq.rel + ((p.chain_u[-1], p.chain_v[-1]),)),)
+    return (seq.replace(rel=((p.chain_u[-1], p.chain_v[-1]),)),)
 
 
 # ===================================================================

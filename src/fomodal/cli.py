@@ -178,9 +178,12 @@ def _node_name(node) -> str:
 
 def _cmd_prove(args) -> int:
     frame = _frame(args)
-    budget = SearchBudget(max_creations=args.max_creations,
-                          max_depth=args.max_depth,
-                          max_nodes=args.max_nodes)
+    try:
+        budget = SearchBudget(max_creations=args.max_creations,
+                              max_depth=args.max_depth,
+                              max_nodes=args.max_nodes)
+    except ValueError as err:
+        raise CliError(str(err)) from None
     text = _read_input(args.goal)
     if args.sequent:
         goal = parse_nested(text)

@@ -14,9 +14,10 @@ engine that also decides grammar membership: it reads S as a binarized
 context-free grammar and derives every triple (nonterminal, source,
 target) of the graph.  Each triple keeps the one derivation that
 produced it, so a concrete witness path is read back from the table
-without any further search.  A table depends only on the system, the
-labels and the edges, so graphs with the same skeleton share one table
-from a bounded cache; graphs are immutable once built.
+without any further search, and each path read back is kept with the
+table.  A table depends only on the system, the labels and the edges,
+so graphs with the same skeleton share one table from a bounded cache;
+graphs are immutable once built.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ class _Closure:
     def __init__(self, system: ThueSystem, labels: frozenset[str], edges):
         self.cfg = to_cfg(system)
         self.back = saturate(system, labels, edges)
+        self.paths: dict[tuple, PropPath] = {}  # the triples expanded so far
         self.by_source: dict[tuple, set[str]] = {}
         for nt, u, v in self.back:
             self.by_source.setdefault((nt, u), set()).add(v)
@@ -176,16 +178,21 @@ class _Closure:
         return self._expand(triple)
 
     def _expand(self, triple) -> PropPath:
-        reason = self.back[triple]
-        kind = reason[0]
-        if kind == "empty":
-            return empty_path(triple[1])
-        if kind == "edge":
-            w, c, u = reason[1]
-            return edge_path(w, c, u)
-        if kind == "unit":
-            return self._expand(reason[1])
-        return join_paths(self._expand(reason[1]), self._expand(reason[2]))
+        path = self.paths.get(triple)
+        if path is None:
+            reason = self.back[triple]
+            kind = reason[0]
+            if kind == "empty":
+                path = empty_path(triple[1])
+            elif kind == "edge":
+                path = edge_path(*reason[1])
+            elif kind == "unit":
+                path = self._expand(reason[1])
+            else:
+                path = join_paths(self._expand(reason[1]),
+                                  self._expand(reason[2]))
+            self.paths[triple] = path
+        return path
 
 
 def reachable(graph_or_seq, system: ThueSystem, char: str, source: str) -> frozenset[str]:

@@ -18,19 +18,29 @@ sequent.  When a round finishes without ever hitting a cap, the space
 has been explored exhaustively and the goal has no proof at any cap,
 which Exhausted reports as complete=True.
 
-The proof found is written in nested notation once, by to_nested per
-node, and replayed through the proof checker under NestedN.
+The search carries its reading down: a premise's components are those
+of its conclusion with only the labels the rule instance names read
+again off the premise apply_rule returns.  p_dia is probed by one set
+per principal component, the labels its diamonds reach in the closure
+side_condition reads, so side_condition is asked only for the instance
+applied.  The proof found is written in nested notation once, from the
+components the search recorded for its nodes, and replayed through the
+proof checker under NestedN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 
 from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
                       P_DIA, S_EX1, S_EX2, CalculusSpec, ProofTree, RuleParams,
-                      apply_rule, check, rule_set, side_condition)
+                      apply_rule, check, propagation_system, rule_set,
+                      side_condition)
+from .grammar import DIA
+from .propagation import build_graph, reachable
 from .sequents import (LabeledSequent, NestedSequent, components, fresh_label,
-                       shape_key, to_labeled, to_nested)
+                       nested_of, shape_key, to_labeled, update_components)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      fresh_variable, substitute)
 
@@ -44,6 +54,12 @@ class SearchBudget:
     max_creations: int = 8
     max_depth: int = 200
     max_nodes: int = 100000
+
+    def __post_init__(self):
+        for limit in fields(self):
+            if getattr(self, limit.name) < 0:
+                raise ValueError(f"{limit.name} must not be negative, "
+                                 f"got {getattr(self, limit.name)}")
 
 
 @dataclass(frozen=True)
@@ -69,21 +85,28 @@ class _Abort(Exception):
     pass
 
 
+# a node of a proof the search found: its labeled conclusion, the
+# components the search read off it, the rule instance and the nodes
+# of its premises
+_Found = namedtuple("_Found", "seq parts rule params premises")
+
+
 class _Search:
     def __init__(self, calc: CalculusSpec, budget: SearchBudget, cap: int):
         self.calc = calc
         self.rules = rule_set(calc)
+        self.propagation = propagation_system(calc.frame)
         self.budget = budget
         self.cap = cap
         self.nodes = 0
         self.cut = False
 
-    def run(self, goal: NestedSequent) -> ProofTree | None:
-        self.root = goal.label
-        return self._attack(to_labeled(goal), self.cap, 0)
+    def run(self, goal: NestedSequent) -> _Found | None:
+        seq = to_labeled(goal)
+        return self._attack(seq, components(seq, goal.label), self.cap, 0)
 
-    def _attack(self, seq: LabeledSequent, creations: int, depth: int,
-                history=frozenset(), applied=frozenset()) -> ProofTree | None:
+    def _attack(self, seq: LabeledSequent, comps, creations: int, depth: int,
+                history=frozenset(), applied=frozenset()) -> _Found | None:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             self.cut = True
@@ -93,26 +116,28 @@ class _Search:
             return None
 
         # closure, on the components in preorder
-        comps = components(seq, self.root)
         for comp in comps:
             for f in comp.left:
                 if isinstance(f, Bottom):
-                    return ProofTree(seq, BOT_L, RuleParams(label=comp.label))
+                    return _Found(seq, comps, BOT_L,
+                                  RuleParams(label=comp.label), ())
                 if isinstance(f, Pred) and f in comp.right:
-                    return ProofTree(
-                        seq, AX, RuleParams(label=comp.label, formula=f))
+                    return _Found(seq, comps, AX,
+                                  RuleParams(label=comp.label, formula=f), ())
 
         def down(rule, params, spent=0, mark=None):
             marked = applied if mark is None else applied | {mark}
-            premises = apply_rule(self.calc, seq, rule, params)
+            labels = _named(params)
             subs = []
-            for premise in premises:
-                sub = self._attack(premise, creations - spent, depth + 1,
-                                   history, marked)
+            for premise in apply_rule(self.calc, seq, rule, params):
+                sub = self._attack(premise,
+                                   update_components(comps, premise, labels),
+                                   creations - spent, depth + 1, history,
+                                   marked)
                 if sub is None:
                     return None
                 subs.append(sub)
-            return ProofTree(seq, rule, params, tuple(subs))
+            return _Found(seq, comps, rule, params, tuple(subs))
 
         # propositional decomposition, fully invertible
         for comp in comps:
@@ -129,8 +154,11 @@ class _Search:
 
         # reachability rules keep their principal: saturate, at most once
         # per instance on a branch since a second application is redundant
-        # by admissibility of contraction
+        # by admissibility of contraction.  The labels a diamond at comp
+        # reaches are read once from the closure that side_condition
+        # reads, so it is asked only for the instance applied.
         for comp in comps:
+            reach = None
             for f in comp.right:
                 if not isinstance(f, Dia):
                     continue
@@ -138,13 +166,16 @@ class _Search:
                     akey = ("p_dia", comp.label, f, target.label)
                     if akey in applied or f.body in target.right:
                         continue
+                    if reach is None:
+                        reach = reachable(build_graph(seq), self.propagation,
+                                          DIA, comp.label)
+                    if target.label not in reach:
+                        continue
                     params = RuleParams(label=comp.label, formula=f,
                                         target=target.label)
                     cond = side_condition(self.calc, P_DIA, seq, params)
-                    if cond.holds:
-                        return down(P_DIA,
-                                    replace(params, witness=cond.witness),
-                                    mark=akey)
+                    return down(P_DIA, replace(params, witness=cond.witness),
+                                mark=akey)
 
         theta = sorted({x for comp in comps for x in comp.vars})
         for comp in comps:
@@ -200,10 +231,11 @@ class _Search:
                 params = RuleParams(label=comp.label,
                                     target=fresh_label(taken_labels))
                 (premise,) = apply_rule(self.calc, seq, D, params)
-                sub = self._attack(premise, creations - 1, depth + 1,
-                                   history, applied | {akey})
+                sub = self._attack(premise, update_components(
+                    comps, premise, _named(params)), creations - 1,
+                    depth + 1, history, applied | {akey})
                 if sub is not None:
-                    return ProofTree(seq, D, params, (sub,))
+                    return _Found(seq, comps, D, params, (sub,))
 
         if S_EX2 in self.rules:
             for comp in comps:
@@ -225,12 +257,20 @@ class _Search:
                             continue
                         params = replace(params, witness=cond.witness)
                         (premise,) = apply_rule(self.calc, seq, S_EX2, params)
-                        sub = self._attack(premise, creations - 1, depth + 1,
-                                           history, applied | {akey})
+                        sub = self._attack(premise, update_components(
+                            comps, premise, _named(params)), creations - 1,
+                            depth + 1, history, applied | {akey})
                         if sub is not None:
-                            return ProofTree(seq, S_EX2, params, (sub,))
+                            return _Found(seq, comps, S_EX2, params, (sub,))
 
         return None
+
+
+def _named(params: RuleParams) -> tuple[str, ...]:
+    """The labels a rule instance names, the only ones its premises
+    change."""
+    return tuple(label for label in (params.label, params.target)
+                 if label is not None)
 
 
 def prove_sequent(frame: FrameSpec, goal: NestedSequent,
@@ -263,11 +303,11 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
                      False, total)
 
 
-def _nested(proof: ProofTree, conclusion: NestedSequent) -> ProofTree:
-    """The labeled proof of the goal's view written over the goal."""
-    return ProofTree(conclusion, proof.rule, proof.params, tuple(
-        _nested(p, to_nested(p.conclusion, root=conclusion.label))
-        for p in proof.premises))
+def _nested(found: _Found, conclusion: NestedSequent) -> ProofTree:
+    """The proof found written over the goal, each premise built from
+    the components the search read off it."""
+    return ProofTree(conclusion, found.rule, found.params, tuple(
+        _nested(p, nested_of(p.parts, p.seq)) for p in found.premises))
 
 
 def prove_formula(frame: FrameSpec, phi: Formula,

@@ -3,7 +3,8 @@
 A labeled sequent is a pair of formula multisets indexed by labels,
 together with a multiset of relational atoms wRu and domain atoms
 x in D(w).  Its multisets are stored in a canonical sorted order, so
-that multiset equality coincides with structural equality.
+that multiset equality coincides with structural equality; replace
+keeps that order by insertion.
 
 A labeled sequent whose relational atoms form a tree (and whose other
 atoms only mention labels of that tree) is read by components: its
@@ -12,17 +13,19 @@ children in label order.  A nested sequent writes that tree as nested
 components, whose children keep the order they were built in; it is
 notation, for input, output and NestedN proofs.  to_nested is built on
 components and to_labeled flattens a tree; the two are inverse on
-tree sequents.  A nested sequent keeps its labeled view: to_labeled
-stores the flattened sequent on it, and to_nested its input on its
-result.  labeled_alpha_eq, equality up to bound variable names,
-compares structurally first and renders alpha-canonical keys only on
-a mismatch; nested_alpha_eq compares the root labels and the views.
+tree sequents.  update_components reads a premise's components from
+its conclusion's, reading again only the labels a rule changed.  A
+nested sequent keeps its labeled view: to_labeled stores the
+flattened sequent on it, and to_nested its input on its result.
+labeled_alpha_eq, equality up to bound variable names, compares
+structurally first and renders alpha-canonical keys only on a
+mismatch; nested_alpha_eq compares the root labels and the views.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,13 +55,6 @@ _second = itemgetter(1)
 @lru_cache(maxsize=4096)
 def formula_key(phi: Formula) -> str:
     return render_formula(phi)
-
-
-def without_once(items: tuple, item) -> tuple:
-    """Drop one occurrence of item, raising ValueError when absent."""
-    out = list(items)
-    out.remove(item)
-    return tuple(out)
 
 
 def fresh_label(taken, base: str = "w") -> str:
@@ -120,12 +116,25 @@ class LabeledSequent:
         for _, phi in self.left + self.right:
             yield phi
 
-    def replace(self, **changes) -> LabeledSequent:
-        """A copy with some slots changed; only those are sorted anew."""
+    def replace(self, drop=None, **added) -> LabeledSequent:
+        """A copy with one occurrence of drop, a (slot, item) pair, taken
+        out and the items of each slot=items argument put in at their
+        place in slot order; the other slots are shared.  Raises
+        ValueError when drop is absent."""
+        slots = {"rel": self.rel, "dom": self.dom, "left": self.left,
+                 "right": self.right}
+        if drop is not None:
+            slot, item = drop
+            items = list(slots[slot])
+            items.remove(item)
+            slots[slot] = tuple(items)
+        for slot, new in added.items():
+            items, key = list(slots[slot]), _SLOT_KEYS[slot]
+            for item in new:
+                insort(items, item, key=key)
+            slots[slot] = tuple(items)
         out = object.__new__(LabeledSequent)
-        for slot, key in _SLOT_KEYS.items():
-            object.__setattr__(out, slot, tuple(sorted(changes[slot], key=key))
-                               if slot in changes else getattr(self, slot))
+        out.__dict__.update(slots)
         return out
 
     def __str__(self):
@@ -335,19 +344,49 @@ def to_labeled(phi: NestedSequent) -> LabeledSequent:
     return view
 
 
+def update_components(parts: tuple[Component, ...], seq: LabeledSequent,
+                      labels) -> tuple[Component, ...]:
+    """The components of seq, given parts, the components of a tree
+    sequent that agrees with seq except at the given labels, any new
+    one a child of another.  Only those labels are read off seq; the
+    preorder is walked again only when one of them is new."""
+    fresh = {label: Component(label,
+                              tuple([f for w, f in seq.left if w == label]),
+                              tuple([x for x, w in seq.dom if w == label]),
+                              tuple([f for w, f in seq.right if w == label]),
+                              tuple([u for w, u in seq.rel if w == label]))
+             for label in labels}
+    out = [fresh.pop(comp.label, comp) for comp in parts]
+    if not fresh:
+        return tuple(out)
+    table = {comp.label: comp for comp in out}
+    table.update(fresh)
+    order, stack = [], [out[0].label]
+    while stack:
+        order.append(table[stack.pop()])
+        stack.extend(reversed(order[-1].children))
+    return tuple(order)
+
+
 def to_nested(seq: LabeledSequent, root: str | None = None) -> NestedSequent:
     """The nested sequent that components reads off a labeled tree
     sequent, with seq kept as its view; children come out sorted by
     label.  Raises NotATreeError as components does."""
-    parts = components(seq, root)
+    return nested_of(components(seq, root), seq)
+
+
+def nested_of(parts: tuple[Component, ...],
+              seq: LabeledSequent) -> NestedSequent:
+    """The nested sequent whose components are parts, the components of
+    seq, with seq kept as its view."""
     built = {}
     # reversed preorder builds every child before its parent; the parts
     # already are in the order NestedSequent keeps, so its fields are
     # set directly
-    for comp in reversed(parts):
-        node = built[comp.label] = object.__new__(NestedSequent)
-        node.__dict__.update(comp._asdict(),
-                             children=tuple(map(built.pop, comp.children)))
+    for label, left, vars_, right, children in reversed(parts):
+        node = built[label] = object.__new__(NestedSequent)
+        node.__dict__.update(label=label, left=left, vars=vars_, right=right,
+                             children=tuple(map(built.pop, children)))
     phi = built[parts[0].label]
     object.__setattr__(phi, "_view", seq)
     return phi

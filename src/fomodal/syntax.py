@@ -205,24 +205,32 @@ def substitute(phi: Formula, new: str, old: str) -> Formula:
 
 
 def rename_apart(phi: Formula) -> Formula:
-    """Rename binders so each exists binds a distinct, non-shadowing name."""
+    """Rename binders so each exists binds a distinct, non-shadowing name.
+    A subformula in which nothing is renamed comes back as it is."""
     def walk(psi: Formula, taken: set[str]) -> Formula:
         match psi:
             case Pred() | Bottom():
                 return psi
             case Neg(body=body):
-                return Neg(walk(body, taken))
+                new = walk(body, taken)
+                return psi if new is body else Neg(new)
             case Dia(body=body):
-                return Dia(walk(body, taken))
+                new = walk(body, taken)
+                return psi if new is body else Dia(new)
             case Or(left=left, right=right):
-                return Or(walk(left, taken), walk(right, taken))
+                new_left, new_right = walk(left, taken), walk(right, taken)
+                if new_left is left and new_right is right:
+                    return psi
+                return Or(new_left, new_right)
             case Exists(bound=bound, body=body):
                 if bound in taken:
                     fresh = fresh_variable(bound, taken | all_vars(body))
-                    body = substitute(body, fresh, bound)
-                    bound = fresh
+                    taken.add(fresh)
+                    return Exists(fresh, walk(substitute(body, fresh, bound),
+                                              taken))
                 taken.add(bound)
-                return Exists(bound, walk(body, taken))
+                new = walk(body, taken)
+                return psi if new is body else Exists(bound, new)
         raise TypeError(f"not a formula: {psi!r}")
 
     return walk(phi, set(free_vars(phi)))

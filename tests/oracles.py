@@ -201,6 +201,19 @@ def least_structures(max_worlds: int, max_individuals: int) -> tuple:
 
 
 # ===================================================================
+# Proof trees
+# ===================================================================
+
+def walk_pairs(proof, path=()) -> list:
+    """(path, node) for every node of a proof tree in preorder, by
+    direct recursion."""
+    out = [(path, proof)]
+    for i, premise in enumerate(proof.premises):
+        out += walk_pairs(premise, path + (i,))
+    return out
+
+
+# ===================================================================
 # Random structures
 # ===================================================================
 

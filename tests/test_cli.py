@@ -38,6 +38,19 @@ def test_prove_failure_exit_code(capsys):
     assert payload["complete"] is True
 
 
+def test_prove_refuses_negative_budgets(capsys):
+    for flag, goal in [("--max-creations", "p"), ("--max-depth", "~(p & ~p)"),
+                       ("--max-nodes", "p")]:
+        assert main(["prove", goal, flag, "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = flag[2:].replace("-", "_")
+        assert captured.err == f"error: {name} must not be negative, got -1\n"
+    # zero stays a budget
+    code, out = _run(capsys, "prove", "p", "--max-creations", "0")
+    assert code == 1 and _json(out)["complete"] is True
+
+
 def test_prove_sequent_with_proof_payload(capsys):
     code, out = _run(capsys, "prove", "--sequent", "--path", "0:2",
                      "--proof", "<><> p ; |- <> p")

@@ -1,12 +1,21 @@
 """Backward proof search over nested sequents."""
 
+import random
+import sys
+
 import pytest
 
-from fomodal.calculi import CalculusSpec, check
+from fomodal import prover
+from fomodal.calculi import (AX, OR_R, P_DIA, CalculusSpec, ProofTree,
+                             RuleParams, check)
 from fomodal.prover import (Exhausted, Proved, ProverError, SearchBudget,
                             prove_formula, prove_sequent)
-from fomodal.sequents import DuplicateLabelError, NestedSequent, parse_nested
-from fomodal.syntax import frame_spec, parse_formula
+from fomodal.sequents import (DuplicateLabelError, NestedSequent, components,
+                              parse_labeled, parse_nested)
+from fomodal.syntax import Dia, Neg, Or, frame_spec, parse_formula, rename_apart
+from oracles import random_formula, walk_pairs
+from test_acceptance import THEOREMS
+from test_prover_output import NON_THEOREMS
 
 
 def _proves(text, frame):
@@ -118,3 +127,99 @@ def test_duplicate_root_labels_rejected():
     seq = NestedSequent("w0", (), (parse_formula("p"),), (), (child,))
     with pytest.raises(DuplicateLabelError):
         prove_sequent(frame_spec(), seq)
+
+
+def test_negative_budgets_are_refused():
+    for field in ("max_creations", "max_depth", "max_nodes"):
+        with pytest.raises(ValueError, match=f"{field} must not be negative"):
+            SearchBudget(**{field: -1})
+    zero = SearchBudget(max_creations=0, max_depth=0, max_nodes=0)
+    assert isinstance(prove_formula(frame_spec(), parse_formula("p"), zero),
+                      Exhausted)
+
+
+# the frame classes of the benchmark's random sweep
+FRAME_CLASSES = (
+    {}, {"serial": True}, {"paths": [(0, 0)]}, {"paths": [(1, 0)]},
+    {"paths": [(0, 2)]}, {"paths": [(1, 1)]},
+    {"serial": True, "paths": [(0, 2)]}, {"paths": [(0, 0), (0, 2)]},
+    {"paths": [(0, 0), (1, 1)]}, {"inc": True}, {"dec": True},
+    {"const": True}, {"nonempty": True})
+
+
+def _goals():
+    """(frame, goal, budget): the acceptance theorems, the pinned
+    non-theorems and seeded random formulas over every frame class."""
+    def goal(phi):
+        return NestedSequent("w0", (), (), (phi,), ())
+
+    for formula_text, sequent_text, frame, _ in THEOREMS:
+        yield frame, goal(parse_formula(formula_text)), None
+        if sequent_text is not None:
+            yield frame, parse_nested(sequent_text), None
+    for formula_text, conditions in NON_THEOREMS:
+        yield frame_spec(**conditions), goal(parse_formula(formula_text)), None
+    rng = random.Random(2024)
+    small = SearchBudget(max_creations=3, max_nodes=300)
+    for conditions in FRAME_CLASSES:
+        for _ in range(8):
+            # an implication with a diamond in its consequent, so that
+            # both sides get decomposed and p_dia has work to do
+            phi = Or(Neg(random_formula(rng, 5)),
+                     Or(random_formula(rng, 5), Dia(random_formula(rng, 4))))
+            yield frame_spec(**conditions), goal(rename_apart(phi)), small
+
+
+def test_search_carries_the_components_of_every_node(monkeypatch):
+    attack = prover._Search._attack
+    root, sizes = [None], []
+
+    def checked(self, seq, comps, *rest):
+        assert comps == components(seq, root[0])
+        sizes.append(len(comps))
+        return attack(self, seq, comps, *rest)
+
+    monkeypatch.setattr(prover._Search, "_attack", checked)
+    for frame, goal, budget in _goals():
+        root[0] = goal.label
+        prove_sequent(frame, goal, budget)
+    assert len(sizes) > 1000 and max(sizes) >= 4
+
+
+def test_every_p_dia_condition_the_search_asks_holds(monkeypatch):
+    asked, side_condition = [], prover.side_condition
+
+    def recording(calc, rule, seq, params):
+        cond = side_condition(calc, rule, seq, params)
+        if rule == P_DIA:
+            asked.append(cond.holds)
+        return cond
+
+    monkeypatch.setattr(prover, "side_condition", recording)
+    for frame, goal, budget in _goals():
+        prove_sequent(frame, goal, budget)
+    assert len(asked) > 200 and all(asked)
+
+
+def test_walk_matches_the_recursive_preorder():
+    leaf = parse_labeled("w0: p |- w0: p")
+    chain = ProofTree(leaf, AX, RuleParams(label="w0"))
+    for _ in range(1999):
+        chain = ProofTree(leaf, OR_R, RuleParams(label="w0"), (chain,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        pairs = walk_pairs(chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(pairs) == 2000
+    assert [(path, id(node)) for path, node in chain.walk()] == \
+        [(path, id(node)) for path, node in pairs]
+    # a branching tree: premises come in order, each subtree at once
+    rng = random.Random(5)
+    nodes = [ProofTree(leaf, AX) for _ in range(40)]
+    while len(nodes) > 1:
+        k = min(len(nodes), rng.randint(1, 3))
+        nodes[:k] = [ProofTree(leaf, OR_R, RuleParams(), tuple(nodes[:k]))]
+    assert [(path, id(node)) for path, node in nodes[0].walk()] == \
+        [(path, id(node)) for path, node in walk_pairs(nodes[0])]

@@ -6,7 +6,7 @@ from fomodal import refine
 from fomodal.calculi import (AX, DIA_R, RELATIONAL, CalculusSpec, ProofTree,
                              RuleParams, apply_rule, check, g_rule)
 from fomodal.refine import (RefineError, labelize, nestify, refine_proof)
-from fomodal.sequents import labeled_alpha_eq, parse_labeled
+from fomodal.sequents import LabeledSequent, labeled_alpha_eq, parse_labeled
 from fomodal.syntax import frame_spec, parse_formula
 from fixtures import (EX_FRAME, elimination_display_2, elimination_display_3,
                       elimination_display_4, elimination_initial)
@@ -100,7 +100,7 @@ def test_refine_refuses_a_corrupted_premise_at_that_step(monkeypatch):
     def corrupt(sub):
         # the swapped-in premise loses its formulas, keeping its rule
         (mid,) = sub.premises
-        empty = mid.conclusion.replace(left=(), right=())
+        empty = LabeledSequent(mid.conclusion.rel, mid.conclusion.dom)
         return ProofTree(sub.conclusion, sub.rule, sub.params,
                          (ProofTree(empty, mid.rule, mid.params,
                                     mid.premises),))

@@ -151,8 +151,13 @@ def test_to_nested_and_replace_sort_as_the_constructors_do():
     left = (("w10", f("p")), ("w2", f("q | p")), ("w2", f("<>q")),
             ("w0", f("p")))
     dom = (("y", "w10"), ("x", "w10"), ("x", "w2"))
-    assert seq.replace(left=left, dom=dom) == LabeledSequent(
-        seq.rel, dom, left, seq.right)
+    # replace drops one item and inserts the others in slot order
+    dropped = ("w2", f("r | p"))
+    kept = tuple(item for item in seq.left if item != dropped)
+    assert seq.replace(("left", dropped), left=left, dom=dom) == \
+        LabeledSequent(seq.rel, seq.dom + dom, kept + left, seq.right)
+    with pytest.raises(ValueError):
+        seq.replace(("right", dropped))
 
 
 def test_round_trip_nested_to_labeled():

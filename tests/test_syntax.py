@@ -5,7 +5,8 @@ import pytest
 from fomodal.syntax import (ArityError, Bottom, Dia, Exists, Neg, Or, ParseError,
                             Pred, all_vars, alpha_eq, box, conj, forall,
                             frame_spec, free_vars, fresh_variable, implies,
-                            parse_formula, render_formula, substitute)
+                            parse_formula, rename_apart, render_formula,
+                            substitute)
 
 
 def test_connective_shapes():
@@ -116,6 +117,29 @@ def test_parse_binders_renamed_apart():
 
     walk(phi)
     assert len(bound) == len(set(bound))
+
+
+def test_rename_apart_keeps_what_it_does_not_rename():
+    p = lambda *args: Pred("p", args)
+    q = lambda *args: Pred("q", args)
+    distinct = Neg(Dia(Or(Exists("x", Exists("y", p("x", "y"))),
+                          Or(q("z"), Exists("u", Neg(q("u")))))))
+    assert rename_apart(distinct) is distinct
+    # a renamed binder rebuilds only the spine above it
+    phi = Or(Exists("y", q("y")),
+             Neg(Dia(Or(Exists("x", Exists("x", p("x"))), q("z")))))
+    renamed = rename_apart(phi)
+    assert render_formula(renamed) == \
+        "(exists y. q(y)) | ~<>((exists x. exists x'. p(x')) | q(z))"
+    assert renamed.left is phi.left
+    assert renamed.right.body.body.right is phi.right.body.body.right
+    for before, after in [
+            (Or(Exists("x", p("x")), Exists("x", q("x"))),
+             "(exists x. p(x)) | (exists x'. q(x'))"),
+            (Or(p("x"), Exists("x", q("x"))), "p(x) | (exists x'. q(x'))"),
+            (Exists("x", Or(Exists("x", p("x", "x1")), Exists("x1", q("x1")))),
+             "exists x. (exists x'. p(x',x1)) | (exists x1'. q(x1'))")]:
+        assert render_formula(rename_apart(before)) == after
 
 
 def test_frame_spec_const_expands():
