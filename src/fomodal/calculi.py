@@ -165,10 +165,10 @@ class ProofTree:
     premises: tuple[ProofTree, ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        return sum(1 for _ in self.walk())
 
     def height(self) -> int:
-        return 1 + max((p.height() for p in self.premises), default=0)
+        return 1 + max(len(path) for path, _ in self.walk())
 
     def walk(self):
         """(path, node) for every node in preorder, on one stack."""

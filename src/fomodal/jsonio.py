@@ -245,10 +245,16 @@ def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
 
 
 def proof_to_json(tree: ProofTree) -> dict:
-    return {"conclusion": sequent_to_json(tree.conclusion),
-            "rule": rule_to_json(tree.rule),
-            "params": params_to_json(tree.params),
-            "premises": [proof_to_json(p) for p in tree.premises]}
+    """Built bottom-up, in reversed preorder: a node's premises are the
+    last ones built, the first of them on top."""
+    built: list[dict] = []
+    for _, node in reversed(list(tree.walk())):
+        premises = [built.pop() for _ in node.premises]
+        built.append({"conclusion": sequent_to_json(node.conclusion),
+                      "rule": rule_to_json(node.rule),
+                      "params": params_to_json(node.params),
+                      "premises": premises})
+    return built[0]
 
 
 def proof_from_json(obj) -> ProofTree:

@@ -125,6 +125,8 @@ class _Search:
                     return _Found(seq, comps, AX,
                                   RuleParams(label=comp.label, formula=f), ())
 
+        # reads history when called, so the choice points below pass on
+        # the shape they add to it
         def down(rule, params, spent=0, mark=None):
             marked = applied if mark is None else applied | {mark}
             labels = _named(params)
@@ -228,14 +230,11 @@ class _Search:
                 if creations == 0:
                     self.cut = True
                     break
-                params = RuleParams(label=comp.label,
-                                    target=fresh_label(taken_labels))
-                (premise,) = apply_rule(self.calc, seq, D, params)
-                sub = self._attack(premise, update_components(
-                    comps, premise, _named(params)), creations - 1,
-                    depth + 1, history, applied | {akey})
-                if sub is not None:
-                    return _Found(seq, comps, D, params, (sub,))
+                found = down(D, RuleParams(label=comp.label,
+                                           target=fresh_label(taken_labels)),
+                             spent=1, mark=akey)
+                if found is not None:
+                    return found
 
         if S_EX2 in self.rules:
             for comp in comps:
@@ -255,13 +254,11 @@ class _Search:
                         cond = side_condition(self.calc, S_EX2, seq, params)
                         if not cond.holds:
                             continue
-                        params = replace(params, witness=cond.witness)
-                        (premise,) = apply_rule(self.calc, seq, S_EX2, params)
-                        sub = self._attack(premise, update_components(
-                            comps, premise, _named(params)), creations - 1,
-                            depth + 1, history, applied | {akey})
-                        if sub is not None:
-                            return _Found(seq, comps, S_EX2, params, (sub,))
+                        found = down(S_EX2, replace(params,
+                                                    witness=cond.witness),
+                                     spent=1, mark=akey)
+                        if found is not None:
+                            return found
 
         return None
 

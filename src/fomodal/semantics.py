@@ -13,6 +13,15 @@ seriality, the closure conditions (n, k) reading `wR^n u and wR^k v
 imply uRv`, increasing or decreasing domains along the relation, and
 nonempty domains.
 
+Truth is computed one way, by the program _compile makes of a formula:
+each node has a table from the assignments of its free variables to
+its truth value at each world, an int bitmask over lanes.  Negation is
+XOR with the all-ones mask and disjunction is OR; the diamond and the
+existential AND their body with columns, whose lane is set when its
+structure has wRu or d in D(w).  An Evaluator, behind eval_formula and
+labeled_sequent_valid, runs the program on one model with masks one
+lane wide, and refuses past MAX_ASSIGNMENTS atoms and table entries.
+
 Countermodel search walks the structures (worlds, relation, domains)
 within given bounds, pruned up to isomorphism by keeping only the least
 representative under world and individual permutations.  The table is
@@ -30,24 +39,22 @@ individuals, or one world with 2000 individuals.
 
 The search takes the structures in runs of equal worlds and pool, and
 evaluates the goal once per chunk of a run for all its valuations
-together: truth values are int bitmasks whose lane v*S + s holds
-valuation v, numbered as enumerate_valuations numbers them, of the
-structure s of a chunk of S.  Negation is XOR with the all-ones mask
-and disjunction is OR; the diamond and the existential AND their body
-with the run's columns, whose bit s is set when structure s has wRu or
-d in D(w), repeated at every valuation's lanes.  A chunk spans at most
-2**14 lanes, or one structure, and a block at most 2**12 valuations:
-with more atoms, the valuations come in ordered blocks, each fixing
-the atoms past the twelfth.  Folding the valuations onto the lanes of
-valuation 0 finds the first falsified structure, so the search returns
-the same (model, world) as a walk over enumerate_models: the first
-valuation, in the first structure, falsifying the goal at some world,
-and the least such world.  It is refused at the structure where that
-walk would pass MAX_VALUATIONS valuations or MAX_ASSIGNMENTS table
-entries, one per node, assignment of its free variables and block;
-both are counted per run, before its atoms and assignments are listed.
-The structure table of each pair of bounds, and its runs and columns
-for each frame class, are cached per process in bounded caches.
+together: lane v*S + s holds valuation v, numbered as
+enumerate_valuations numbers them, of the structure s of a chunk of S,
+and the run's columns are repeated at every valuation's lanes.  A chunk
+spans at most 2**14 lanes, or one structure, and a block at most 2**12
+valuations: with more atoms, the valuations come in ordered blocks,
+each fixing the atoms past the twelfth.  Folding the valuations onto
+the lanes of valuation 0 finds the first falsified structure, so the
+search returns the same (model, world) as a walk over
+enumerate_models: the first valuation, in the first structure,
+falsifying the goal at some world, and the least such world.  It is
+refused at the structure where that walk would pass MAX_VALUATIONS
+valuations or MAX_ASSIGNMENTS table entries, one per node, assignment
+of its free variables and block; both are counted per run, before its
+atoms and assignments are listed.  The structure table of each pair of
+bounds, and its runs and columns for each frame class, are cached per
+process in bounded caches.
 """
 
 from __future__ import annotations
@@ -109,14 +116,19 @@ class KripkeModel:
 
 
 class Evaluator:
-    """Truth evaluation against one model, memoized per subformula,
-    world and relevant variable assignment."""
+    """Truth in one model, as a run of one structure with one valuation.
+    Individuals are numbered over the model's, then the assigned ones
+    outside every domain, which satisfy no atom; the root's table of
+    each formula is kept per numbering."""
 
     def __init__(self, model: KripkeModel):
         self.model = model
-        self._succ = {w: tuple(sorted(model.successors(w)))
-                      for w in range(model.worlds)}
-        self._cache: dict = {}
+        self._number = {d: i for i, d in enumerate(sorted(model.individuals()))}
+        self._domains = tuple(frozenset(self._number[d] for d in domain)
+                              for domain in model.domains)
+        self._true = {(name, w, tuple(self._number[a] for a in args))
+                      for name, w, args in model.valuation}
+        self._tables: dict = {}
 
     def formula(self, world: int, phi: Formula, assignment=None) -> bool:
         if assignment is None:
@@ -125,40 +137,31 @@ class Evaluator:
         if missing:
             raise InterpretationError(
                 f"unassigned free variables {sorted(missing)}")
-        return self._eval(world, phi, assignment)
+        if not 0 <= world < self.model.worlds:
+            raise InterpretationError(f"no world {world} in the model")
+        names = sorted(free_vars(phi))
+        for x in names:
+            self._number.setdefault(assignment[x], len(self._number))
+        key = (phi, len(self._number))
+        if key not in self._tables:
+            self._tables[key] = self._table(*key)
+        env = tuple(self._number[assignment[x]] for x in names)
+        return bool(self._tables[key][env][world])
 
-    def _eval(self, world: int, phi: Formula, assignment: dict) -> bool:
-        key = (world, phi,
-               tuple(sorted((v, assignment[v]) for v in free_vars(phi))))
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        match phi:
-            case Bottom():
-                value = False
-            case Pred(name=name, args=args):
-                tup = tuple(assignment[a] for a in args)
-                value = (name, world, tup) in self.model.valuation
-            case Neg(body=body):
-                value = not self._eval(world, body, assignment)
-            case Or(left=left, right=right):
-                value = (self._eval(world, left, assignment)
-                         or self._eval(world, right, assignment))
-            case Dia(body=body):
-                value = any(self._eval(u, body, assignment)
-                            for u in self._succ[world])
-            case Exists(bound=bound, body=body):
-                value = False
-                for individual in sorted(self.model.domains[world]):
-                    inner = dict(assignment)
-                    inner[bound] = individual
-                    if self._eval(world, body, inner):
-                        value = True
-                        break
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
-        self._cache[key] = value
-        return value
+    def _table(self, phi: Formula, p: int) -> dict:
+        """The root's table of phi over individuals 0..p-1."""
+        n = self.model.worlds
+        program = _compile(phi)
+        atoms = _atoms(predicate_arities([phi]), n, range(p))
+        if len(atoms) + sum(p ** len(names)
+                            for _, names, _ in program) > MAX_ASSIGNMENTS:
+            raise SemanticsError(
+                f"evaluation out of reach: more than {MAX_ASSIGNMENTS} "
+                f"atoms and assignments")
+        rel, dom = _columns(n, p, [(n, self.model.rel, self._domains)])
+        return _root_table(program, n, rel, dom, _envs(program, p),
+                           {atom: i for i, atom in enumerate(atoms)},
+                           [int(atom in self._true) for atom in atoms], 1)
 
 
 def eval_formula(model: KripkeModel, world: int, phi: Formula,
@@ -166,48 +169,27 @@ def eval_formula(model: KripkeModel, world: int, phi: Formula,
     return Evaluator(model).formula(world, phi, assignment)
 
 
-def eval_labeled_sequent(model: KripkeModel, label_interp: dict,
-                         var_interp: dict, seq: LabeledSequent,
-                         evaluator: Evaluator | None = None) -> bool:
-    """A labeled sequent holds under an interpretation when the truth
-    of every relational atom, domain atom and left formula forces the
-    truth of some right formula."""
-    ev = evaluator if evaluator is not None else Evaluator(model)
-    try:
-        for w, u in seq.rel:
-            if (label_interp[w], label_interp[u]) not in model.rel:
-                return True
-        for x, w in seq.dom:
-            if var_interp[x] not in model.domains[label_interp[w]]:
-                return True
-        for w, phi in seq.left:
-            if not ev.formula(label_interp[w], phi, var_interp):
-                return True
-        for w, phi in seq.right:
-            if ev.formula(label_interp[w], phi, var_interp):
-                return True
-    except KeyError as missing:
-        raise InterpretationError(f"uninterpreted name {missing}") from None
-    return False
-
-
 def labeled_sequent_valid(model: KripkeModel, seq: LabeledSequent) -> bool:
     """Does the sequent hold under every interpretation of its labels
-    and variables into the model?"""
+    and variables into the model?  It holds under one when the truth of
+    every relational atom, domain atom and left formula forces the
+    truth of some right formula."""
     labels = sorted(seq.labels())
-    needed = {x for x, _ in seq.dom}
-    for f in seq.formulas():
-        needed |= free_vars(f)
-    variables = sorted(needed)
+    variables = sorted({x for x, _ in seq.dom}.union(
+        *map(free_vars, seq.formulas())))
     pool = sorted(model.individuals())
     ev = Evaluator(model)
-    if variables and not pool:
-        return True  # no way to interpret the variables
     for world_choice in product(range(model.worlds), repeat=len(labels)):
-        label_interp = dict(zip(labels, world_choice))
+        at = dict(zip(labels, world_choice))
+        if any((at[w], at[u]) not in model.rel for w, u in seq.rel):
+            continue
         for indiv_choice in product(pool, repeat=len(variables)):
             var_interp = dict(zip(variables, indiv_choice))
-            if not eval_labeled_sequent(model, label_interp, var_interp, seq, ev):
+            if (all(var_interp[x] in model.domains[at[w]] for x, w in seq.dom)
+                    and all(ev.formula(at[w], phi, var_interp)
+                            for w, phi in seq.left)
+                    and not any(ev.formula(at[w], phi, var_interp)
+                                for w, phi in seq.right)):
                 return False
     return True
 
@@ -398,16 +380,23 @@ def _runs(max_worlds: int, max_individuals: int, frame: FrameSpec) -> tuple:
             key=lambda s: (s[0], len(frozenset().union(*s[2])))):
         structures = [s for s in group
                       if check_frame(KripkeModel(*s, frozenset()), frame)]
-        rel = [[0] * n for _ in range(n)]
-        dom = [[0] * p for _ in range(n)]
-        for s, (_, pairs, domains) in enumerate(structures):
-            for w, u in pairs:
-                rel[w][u] |= 1 << s
-            for w, d in enumerate(domains):
-                for i in d:
-                    dom[w][i] |= 1 << s
-        runs.append((n, p, structures, rel, dom))
+        runs.append((n, p, structures, *_columns(n, p, structures)))
     return tuple(runs)
+
+
+def _columns(n: int, p: int, structures) -> tuple[list, list]:
+    """The columns of structures of n worlds over individuals 0..p-1:
+    rel[w][u] has bit s set when structure s has wRu, and dom[w][d]
+    when d is in its domain at w."""
+    rel = [[0] * n for _ in range(n)]
+    dom = [[0] * p for _ in range(n)]
+    for s, (_, pairs, domains) in enumerate(structures):
+        for w, u in pairs:
+            rel[w][u] |= 1 << s
+        for w, d in enumerate(domains):
+            for i in d:
+                dom[w][i] |= 1 << s
+    return rel, dom
 
 
 def enumerate_structures(max_worlds: int, max_individuals: int,
@@ -423,15 +412,19 @@ def enumerate_structures(max_worlds: int, max_individuals: int,
                                in _runs(max_worlds, max_individuals, frame))
 
 
+def _atoms(signature: dict[str, int], worlds: int, pool) -> list[tuple]:
+    """The atoms (predicate, world, arguments) over the worlds and the
+    pool, in its order; valuation v makes atom i true when bit i of v
+    is set."""
+    return [(name, w, args) for name in sorted(signature)
+            for w in range(worlds)
+            for args in product(pool, repeat=signature[name])]
+
+
 def enumerate_valuations(signature: dict[str, int], worlds: int, pool):
     """All valuations for the signature over the given worlds and
     individual pool."""
-    atoms = []
-    for name in sorted(signature):
-        arity = signature[name]
-        for w in range(worlds):
-            for args in product(sorted(pool), repeat=arity):
-                atoms.append((name, w, args))
+    atoms = _atoms(signature, worlds, sorted(pool))
     for bits in range(1 << len(atoms)):
         yield frozenset(atoms[i] for i in range(len(atoms)) if bits >> i & 1)
 
@@ -508,11 +501,18 @@ def _pick(env: tuple, projection) -> tuple:
     return env if projection is None else tuple(env[j] for j in projection)
 
 
-def _root_masks(program, worlds, rel, dom, envs, atom_index, masks,
-                full) -> list[int]:
-    """The root's mask at each world.  Every node gets a table from the
-    assignments of its free variables to its mask at each world, built
-    after its children's; rel and dom hold the chunk's columns."""
+def _envs(program, p: int) -> dict[int, list[tuple]]:
+    """The assignments of k individuals of 0..p-1, for each number k of
+    free variables of a node."""
+    return {len(names): list(product(range(p), repeat=len(names)))
+            for _, names, _ in program}
+
+
+def _root_table(program, worlds, rel, dom, envs, atom_index, masks,
+                full) -> dict:
+    """The root's table, from the assignments of its free variables to
+    its mask at each world.  Every node gets such a table, built after
+    its children's; rel and dom hold the chunk's columns."""
     tables: list[dict] = []
     for op, names, arg in program:
         table = {}
@@ -540,7 +540,7 @@ def _root_masks(program, worlds, rel, dom, envs, atom_index, masks,
                 row = [0] * worlds
             table[env] = row
         tables.append(table)
-    return tables[-1][()]
+    return tables[-1]
 
 
 def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
@@ -579,13 +579,9 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
         bits = min(width, _MASK_BITS)
         step = max(1, (1 << _CHUNK_BITS) >> bits)
         if count:
-            # numbered as enumerate_valuations numbers them
-            atoms = [(name, w, args) for name in sorted(signature)
-                     for w in range(n)
-                     for args in product(range(p), repeat=signature[name])]
+            atoms = _atoms(signature, n, range(p))
             atom_index = {atom: i for i, atom in enumerate(atoms)}
-            envs = {len(names): list(product(range(p), repeat=len(names)))
-                    for _, names, _ in program}
+            envs = _envs(program, p)
         for start in range(0, count, step):
             size = min(step, count - start)
             ones, full = (1 << size) - 1, (1 << (size << bits)) - 1
@@ -603,9 +599,9 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
             for block in range(1 << width - bits):
                 masks = low + [full if block >> j & 1 else 0
                                for j in range(width - bits)]
-                falsified = [full ^ m for m in _root_masks(
+                falsified = [full ^ m for m in _root_table(
                     program, n, rel_lanes, dom_lanes, envs, atom_index,
-                    masks, full)]
+                    masks, full)[()]]
                 first = reduce(or_, falsified)
                 # fold the valuations: bit s is set when structure s is
                 # falsified here, and kept below a structure found before

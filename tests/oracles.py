@@ -14,7 +14,8 @@ from itertools import product
 
 from fomodal.grammar import ALPHABET, BDIA, DIA, one_step
 from fomodal.semantics import (_DIA, _EXISTS, _MASK_BITS, _NEG, _OR, _PRED,
-                               MAX_ASSIGNMENTS, MAX_VALUATIONS, KripkeModel,
+                               MAX_ASSIGNMENTS, MAX_VALUATIONS,
+                               InterpretationError, KripkeModel,
                                SemanticsError, _compile, _pick,
                                enumerate_structures)
 from fomodal.sequents import LabeledSequent, NestedSequent
@@ -198,6 +199,93 @@ def least_structures(max_worlds: int, max_individuals: int) -> tuple:
     return tuple(s for n in range(1, max_worlds + 1)
                  for p in range(max_individuals + 1)
                  for s in _least_block(n, p))
+
+
+# ===================================================================
+# Formula evaluation by tree walking
+# ===================================================================
+
+class Evaluator:
+    """Truth evaluation against one model, memoized per subformula,
+    world and relevant variable assignment."""
+
+    def __init__(self, model: KripkeModel):
+        self.model = model
+        self._succ = {w: tuple(sorted(model.successors(w)))
+                      for w in range(model.worlds)}
+        self._cache: dict = {}
+
+    def formula(self, world: int, phi: Formula, assignment=None) -> bool:
+        if assignment is None:
+            assignment = {}
+        missing = free_vars(phi) - set(assignment)
+        if missing:
+            raise InterpretationError(
+                f"unassigned free variables {sorted(missing)}")
+        return self._eval(world, phi, assignment)
+
+    def _eval(self, world: int, phi: Formula, assignment: dict) -> bool:
+        key = (world, phi,
+               tuple(sorted((v, assignment[v]) for v in free_vars(phi))))
+        got = self._cache.get(key)
+        if got is not None:
+            return got
+        match phi:
+            case Bottom():
+                value = False
+            case Pred(name=name, args=args):
+                tup = tuple(assignment[a] for a in args)
+                value = (name, world, tup) in self.model.valuation
+            case Neg(body=body):
+                value = not self._eval(world, body, assignment)
+            case Or(left=left, right=right):
+                value = (self._eval(world, left, assignment)
+                         or self._eval(world, right, assignment))
+            case Dia(body=body):
+                value = any(self._eval(u, body, assignment)
+                            for u in self._succ[world])
+            case Exists(bound=bound, body=body):
+                value = False
+                for individual in sorted(self.model.domains[world]):
+                    inner = dict(assignment)
+                    inner[bound] = individual
+                    if self._eval(world, body, inner):
+                        value = True
+                        break
+            case _:
+                raise TypeError(f"not a formula: {phi!r}")
+        self._cache[key] = value
+        return value
+
+
+def eval_formula(model: KripkeModel, world: int, phi: Formula,
+                 assignment=None) -> bool:
+    """A reference for semantics.eval_formula."""
+    return Evaluator(model).formula(world, phi, assignment)
+
+
+def labeled_sequent_valid(model: KripkeModel, seq: LabeledSequent) -> bool:
+    """Every interpretation of the labels into worlds and of the
+    variables into the model's individuals that makes the relational
+    atoms, domain atoms and left formulas true makes a right formula
+    true.  A reference for semantics.labeled_sequent_valid."""
+    ev = Evaluator(model)
+    labels = sorted(seq.labels())
+    variables = sorted({x for x, _ in seq.dom}.union(
+        *(free_vars(f) for f in seq.formulas())))
+    for worlds in product(range(model.worlds), repeat=len(labels)):
+        at = dict(zip(labels, worlds))
+        for individuals in product(sorted(model.individuals()),
+                                   repeat=len(variables)):
+            env = dict(zip(variables, individuals))
+            if (all((at[w], at[u]) in model.rel for w, u in seq.rel)
+                    and all(env[x] in model.domains[at[w]]
+                            for x, w in seq.dom)
+                    and all(ev.formula(at[w], f, env) for w, f in seq.left)
+                    and not any(ev.formula(at[w], f, env)
+                                for w, f in seq.right)):
+                return False
+    return True
 
 
 # ===================================================================

@@ -8,6 +8,7 @@ import pytest
 from fomodal import prover
 from fomodal.calculi import (AX, OR_R, P_DIA, CalculusSpec, ProofTree,
                              RuleParams, check)
+from fomodal.jsonio import proof_from_json, proof_to_json, rule_to_json
 from fomodal.prover import (Exhausted, Proved, ProverError, SearchBudget,
                             prove_formula, prove_sequent)
 from fomodal.sequents import (DuplicateLabelError, NestedSequent, components,
@@ -201,11 +202,17 @@ def test_every_p_dia_condition_the_search_asks_holds(monkeypatch):
     assert len(asked) > 200 and all(asked)
 
 
-def test_walk_matches_the_recursive_preorder():
+def _chain(length):
     leaf = parse_labeled("w0: p |- w0: p")
     chain = ProofTree(leaf, AX, RuleParams(label="w0"))
-    for _ in range(1999):
+    for _ in range(length - 1):
         chain = ProofTree(leaf, OR_R, RuleParams(label="w0"), (chain,))
+    return chain
+
+
+def test_walk_matches_the_recursive_preorder():
+    leaf = parse_labeled("w0: p |- w0: p")
+    chain = _chain(2000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(10000)
     try:
@@ -223,3 +230,20 @@ def test_walk_matches_the_recursive_preorder():
         nodes[:k] = [ProofTree(leaf, OR_R, RuleParams(), tuple(nodes[:k]))]
     assert [(path, id(node)) for path, node in nodes[0].walk()] == \
         [(path, id(node)) for path, node in walk_pairs(nodes[0])]
+
+
+def test_a_deep_chain_has_a_size_a_height_and_json():
+    chain = _chain(2000)
+    assert chain.size() == chain.height() == 2000
+    node, count = proof_to_json(chain), 1
+    while node["premises"]:
+        (node,) = node["premises"]
+        count += 1
+    assert count == 2000 and node["rule"] == rule_to_json(AX)
+    # a branching tree keeps its premises in order
+    tree = ProofTree(chain.conclusion, OR_R, RuleParams(), (
+        _chain(3), ProofTree(chain.conclusion, AX, RuleParams(label="w0"))))
+    assert proof_to_json(tree)["premises"] == [proof_to_json(_chain(3)),
+                                               proof_to_json(tree.premises[1])]
+    assert proof_from_json(proof_to_json(tree)) == tree
+    assert (tree.size(), tree.height()) == (5, 4)

@@ -1,12 +1,14 @@
 """Model evaluation, frame checking and countermodel search."""
 
 import functools
+import itertools
 import random
 
 import pytest
 
 from fomodal import semantics
-from fomodal.semantics import (KripkeModel, SemanticsError, _all_structures,
+from fomodal.semantics import (InterpretationError, KripkeModel,
+                               SemanticsError, _all_structures,
                                _check_bounds, check_frame, enumerate_models,
                                enumerate_structures, eval_formula,
                                find_countermodel, labeled_sequent_valid)
@@ -200,6 +202,78 @@ def test_find_countermodel_stops_at_the_assignment_limit():
     assert find_countermodel(six, frame_spec(), 2, 2) is None
 
 
+# -- the compiled evaluator against the tree walker ------------------------
+
+def _random_model(rng):
+    """1-3 worlds, 0-3 individuals with random (possibly empty)
+    domains, and random atoms over them of the predicates that
+    oracles.random_formula draws: p, q, r, p1, q1, p2 and q2."""
+    n = rng.randint(1, 3)
+    k = rng.randint(0, 3)
+    domains = tuple(frozenset(d for d in range(k) if rng.random() < 0.6)
+                    for _ in range(n))
+    pool = sorted(frozenset().union(*domains))
+    signature = {"p": 0, "q": 0, "r": 0, "p1": 1, "q1": 1, "p2": 2, "q2": 2}
+    atoms = [(name, w, args) for name, arity in signature.items()
+             for w in range(n)
+             for args in itertools.product(pool, repeat=arity)]
+    return KripkeModel(
+        n, frozenset((w, u) for w in range(n) for u in range(n)
+                     if rng.random() < 0.4), domains,
+        frozenset(atom for atom in atoms if rng.random() < 0.5))
+
+
+def test_eval_formula_matches_the_tree_walker():
+    rng = random.Random(20261019)
+    truths = []
+    for _ in range(400):
+        model = _random_model(rng)
+        phi = oracles.random_formula(rng, 4, ("y", "z"))
+        # 7 lies outside every domain
+        candidates = sorted(model.individuals()) + [7]
+        assignment = {"y": rng.choice(candidates), "z": rng.choice(candidates)}
+        ev = semantics.Evaluator(model)
+        for w in range(model.worlds):
+            expected = oracles.eval_formula(model, w, phi, assignment)
+            assert eval_formula(model, w, phi, assignment) == expected, \
+                (model, w, phi, assignment)
+            assert ev.formula(w, phi, assignment) == expected
+            truths.append(expected)
+    assert len(truths) > 700 and 0.2 < sum(truths) / len(truths) < 0.8
+
+
+def test_labeled_sequent_valid_matches_the_tree_walker():
+    rng = random.Random(20261020)
+    outcomes = []
+    for _ in range(150):
+        model = _random_model(rng)
+        seq = oracles.random_labeled_tree(rng, 3)
+        got = labeled_sequent_valid(model, seq)
+        assert got == oracles.labeled_sequent_valid(model, seq), (model, seq)
+        outcomes.append(got)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_eval_formula_refuses_past_the_assignment_limit():
+    six = parse_formula("forall a. forall b. forall c. forall d. forall e. "
+                        "forall f. (p(a, b, c, d, e, f) | ~p(a, b, c, d, e, f))")
+    four = KripkeModel(1, frozenset(), (frozenset(range(4)),), frozenset())
+    assert eval_formula(four, 0, six)
+    # 9**6 assignments of the innermost nodes
+    nine = KripkeModel(1, frozenset(), (frozenset(range(9)),), frozenset())
+    with pytest.raises(SemanticsError, match="out of reach: .* assignments"):
+        eval_formula(nine, 0, six)
+
+
+def test_eval_formula_refuses_a_world_outside_the_model():
+    model = _chain_model()
+    for world in (-1, 2):
+        with pytest.raises(InterpretationError, match="no world"):
+            eval_formula(model, world, parse_formula("p"))
+    with pytest.raises(InterpretationError, match="unassigned"):
+        eval_formula(model, 0, parse_formula("p(x)"))
+
+
 def test_enumerate_models_covers_valuations():
     seen = set()
     for model in enumerate_models({"p": 0}, 1, 0):
@@ -258,7 +332,7 @@ def _reference(phi, frame, max_worlds, max_individuals):
     for model in enumerate_models(signature, max_worlds, max_individuals,
                                   frame):
         for w in range(model.worlds):
-            if not eval_formula(model, w, phi):
+            if not oracles.eval_formula(model, w, phi):
                 return model, w
     return None
 
