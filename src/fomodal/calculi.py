@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from . import propagation
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
@@ -184,6 +185,22 @@ class ProofTree:
         for i in path:
             node = node.premises[i]
         return node
+
+
+def fold(root, build, premises=attrgetter("premises")):
+    """build(node, values) at every node, in a recursion's order on one
+    stack: premises left to right, then the node.  premises(node) is read
+    on entering the node; values holds build's results for them."""
+    values, stack = [], [(root, iter(premises(root)), 0)]
+    while stack:
+        node, todo, start = stack[-1]
+        for sub in todo:
+            stack.append((sub, iter(premises(sub)), len(values)))
+            break
+        else:
+            stack.pop()
+            values[start:] = [build(node, tuple(values[start:]))]
+    return values[0]
 
 
 _LOGICAL = (AX, BOT_L, NEG_L, NEG_R, OR_L, OR_R, DIA_L, EXISTS_L)

@@ -82,15 +82,11 @@ def _print(args, payload: dict, pretty_lines) -> None:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        if args.pretty:
-            for line in pretty_lines:
-                print(line)
-        return
+    elif not args.pretty:
+        print(json.dumps(payload, indent=2))
     if args.pretty:
         for line in pretty_lines:
             print(line)
-    else:
-        print(json.dumps(payload, indent=2))
 
 
 _PATH_RE = re.compile(r"^(\d+):(\d+)$")
@@ -158,12 +154,10 @@ def _render_sequent(seq) -> str:
     return render_labeled(seq)
 
 
-def _proof_lines(tree: ProofTree, indent: int = 0) -> list[str]:
-    name = str(tree.rule)
-    lines = [f"{'  ' * indent}[{name}] {_render_sequent(tree.conclusion)}"]
-    for premise in tree.premises:
-        lines.extend(_proof_lines(premise, indent + 1))
-    return lines
+def _proof_lines(tree: ProofTree) -> list[str]:
+    return [f"{'  ' * len(path)}[{node.rule}] "
+            f"{_render_sequent(node.conclusion)}"
+            for path, node in tree.walk()]
 
 
 def _node_name(node) -> str:

@@ -7,11 +7,14 @@ dict from text to formula for the length of the call, so repeated
 texts share one formula object.  Every from_json function validates
 its input and raises JsonError with a message naming the offending key.
 
-JSON text from outside is read with loads, which refuses arrays and
-objects nested more than MAX_NESTING (500) deep: json.loads and the
-readers here recurse once per level.  A proof takes two levels per
-premise and two per nested component, so every proof the prover emits
-within its default max_depth of 200 passes.
+Proofs of any height are written and read by calculi.fold, without
+recursion; proof_from_json checks a node on entering it and decodes it
+on leaving, so errors come in a recursion's order.  JSON text from
+outside is read with loads, which refuses arrays and objects nested
+more than MAX_NESTING (500) deep: json.loads and the nested sequent
+reader recurse once per level.  A proof takes two levels per premise
+and two per nested component, so every proof the prover emits within
+its default max_depth of 200 passes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import re
 from itertools import accumulate
 
-from .calculi import ProofTree, RuleId, RuleParams
+from .calculi import ProofTree, RuleId, RuleParams, fold
 from .grammar import GrammarError, ThueSystem, parse_production, system
 from .propagation import PropPath
 from .semantics import KripkeModel
@@ -245,32 +248,29 @@ def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
 
 
 def proof_to_json(tree: ProofTree) -> dict:
-    """Built bottom-up, in reversed preorder: a node's premises are the
-    last ones built, the first of them on top."""
-    built: list[dict] = []
-    for _, node in reversed(list(tree.walk())):
-        premises = [built.pop() for _ in node.premises]
-        built.append({"conclusion": sequent_to_json(node.conclusion),
-                      "rule": rule_to_json(node.rule),
-                      "params": params_to_json(node.params),
-                      "premises": premises})
-    return built[0]
+    return fold(tree, lambda node, premises: {
+        "conclusion": sequent_to_json(node.conclusion),
+        "rule": rule_to_json(node.rule),
+        "params": params_to_json(node.params),
+        "premises": list(premises)})
 
 
 def proof_from_json(obj) -> ProofTree:
-    return _proof(obj, {})
+    parsed: dict[str, Formula] = {}
 
+    def enter(node) -> list:
+        _expect(node, dict, "proof node")
+        if "conclusion" not in node or "rule" not in node:
+            raise JsonError("proof node needs 'conclusion' and 'rule'")
+        return _expect(node.get("premises", []), list, "premises")
 
-def _proof(obj, parsed: dict[str, Formula]) -> ProofTree:
-    _expect(obj, dict, "proof node")
-    if "conclusion" not in obj or "rule" not in obj:
-        raise JsonError("proof node needs 'conclusion' and 'rule'")
-    premises = tuple(_proof(p, parsed)
-                     for p in _expect(obj.get("premises", []), list, "premises"))
-    return ProofTree(_sequent(obj["conclusion"], parsed),
-                     rule_from_json(obj["rule"]),
-                     _params(obj.get("params", {}), parsed),
-                     premises)
+    def build(node, premises) -> ProofTree:
+        return ProofTree(_sequent(node["conclusion"], parsed),
+                         rule_from_json(node["rule"]),
+                         _params(node.get("params", {}), parsed),
+                         premises)
+
+    return fold(obj, build, enter)
 
 
 # ===================================================================

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 
 from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
                       P_DIA, S_EX1, S_EX2, CalculusSpec, ProofTree, RuleParams,
-                      apply_rule, check, propagation_system, rule_set,
+                      apply_rule, check, fold, propagation_system, rule_set,
                       side_condition)
 from .grammar import DIA
 from .propagation import build_graph, reachable
@@ -49,6 +49,11 @@ class ProverError(Exception):
     pass
 
 
+# deeper searches could pass Python's default recursion limit: two frames
+# per level, and the node at the bound may render a syntax.MAX_DEPTH formula
+MAX_SEARCH_DEPTH = 300
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_creations: int = 8
@@ -60,6 +65,9 @@ class SearchBudget:
             if getattr(self, limit.name) < 0:
                 raise ValueError(f"{limit.name} must not be negative, "
                                  f"got {getattr(self, limit.name)}")
+        if self.max_depth > MAX_SEARCH_DEPTH:
+            raise ValueError(f"max_depth must be at most {MAX_SEARCH_DEPTH}, "
+                             f"got {self.max_depth}")
 
 
 @dataclass(frozen=True)
@@ -300,11 +308,12 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
                      False, total)
 
 
-def _nested(found: _Found, conclusion: NestedSequent) -> ProofTree:
+def _nested(found: _Found, goal: NestedSequent) -> ProofTree:
     """The proof found written over the goal, each premise built from
     the components the search read off it."""
-    return ProofTree(conclusion, found.rule, found.params, tuple(
-        _nested(p, nested_of(p.parts, p.seq)) for p in found.premises))
+    proof = fold(found, lambda node, premises: ProofTree(
+        nested_of(node.parts, node.seq), node.rule, node.params, premises))
+    return ProofTree(goal, proof.rule, proof.params, proof.premises)
 
 
 def prove_formula(frame: FrameSpec, phi: Formula,

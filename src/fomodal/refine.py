@@ -23,13 +23,19 @@ the witness is repaired:
 
 Relational rules never touch formulas, so an instance sitting under an
 axiom leaf can simply be dropped.  The bubbling order is topmost
-instance first; since everything above the topmost instance is
-non-relational, a swap never needs a second repair pass.  With
-validation on, the retagged proof is checked once in full, and each
-step checks only the subtree it rewrote, whose conclusion it must
-keep.  The result is checked against the refined calculus.  nestify
-then maps a refined labeled proof whose sequents are trees with a
-common root onto the nested calculus.
+instance first (deepest, then first in preorder); since everything
+above it is non-relational, a swap never needs a second repair pass.
+A step rewrites only its instance's subtree, so the other instances
+keep their paths: they are collected once onto a stack, and a swap
+pushes its copies, the first on top.  Each copy has a smaller subtree
+above it than its instance had, and an absorption or fusion leaves
+no instance, so the elimination ends.  With validation on, the
+retagged proof is checked once in full, and each step checks only the
+subtree it rewrote, whose conclusion it must keep.  The result is
+checked against the refined calculus.  nestify then maps a refined
+labeled proof whose sequents are trees with a common root onto the
+nested calculus.  Proofs are rebuilt by calculi.fold, without
+recursion.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass, replace
 from .calculi import (AX, BOT_L, DIA_R, EXISTS_R, P_DIA, RELATIONAL, S_EX1,
                       S_EX2, CalculusSpec, ProofTree, RuleApplicationError,
                       RuleParams, apply_rule, availability_system, check,
-                      side_condition)
+                      fold, side_condition)
 from .grammar import BDIA, DIA
 from .propagation import PropPath
 from .sequents import (NotATreeError, is_labeled_tree, labeled_alpha_eq,
@@ -65,49 +71,41 @@ class RefineResult:
 
 
 # ===================================================================
-# Retagging dia_r and exists_r
+# Retagging dia_r and exists_r, and witness bookkeeping
 # ===================================================================
 
-def _retag_node(frame: FrameSpec, node: ProofTree) -> ProofTree:
-    premises = tuple(_retag_node(frame, p) for p in node.premises)
-    rule, params = node.rule, node.params
-    if rule == DIA_R:
-        rule = P_DIA
-        params = replace(params, witness=PropPath(
-            (params.label, params.target), (DIA,)))
-    elif rule == EXISTS_R:
-        rule = S_EX1
-        if availability_system(frame) is None:
-            params = replace(params, target=None, witness=None)
-        else:
-            # the instantiating variable sits at the principal label
-            params = replace(params, target=params.label,
-                             witness=PropPath((params.label,), ()))
-    return ProofTree(node.conclusion, rule, params, premises)
+def _retag(calc: CalculusSpec, proof: ProofTree) -> tuple[ProofTree, int]:
+    """proof with dia_r and exists_r retagged as p_dia and s_ex1 and every
+    missing witness filled in for repairs, and the number retagged."""
+    paths = availability_system(calc.frame) is not None
+    retagged = 0
 
-
-def _count_rules(node: ProofTree, names) -> int:
-    return sum(1 for _, n in node.walk() if n.rule.name in names)
-
-
-# ===================================================================
-# Witness bookkeeping
-# ===================================================================
-
-def _ensure_witnesses(calc: CalculusSpec, node: ProofTree) -> ProofTree:
-    """Fill in missing witness paths so later repairs have something
-    concrete to work on."""
-    premises = tuple(_ensure_witnesses(calc, p) for p in node.premises)
-    params = node.params
-    if node.rule in (P_DIA, S_EX1, S_EX2):
-        needs_path = not (node.rule in (S_EX1, S_EX2)
-                          and availability_system(calc.frame) is None)
-        if needs_path and (params.witness is None or params.target is None):
-            cond = side_condition(calc, node.rule, node.conclusion, params)
+    def build(node: ProofTree, premises) -> ProofTree:
+        nonlocal retagged
+        rule, params = node.rule, node.params
+        if rule == DIA_R:
+            retagged += 1
+            rule = P_DIA
+            params = replace(params, witness=PropPath(
+                (params.label, params.target), (DIA,)))
+        elif rule == EXISTS_R:
+            retagged += 1
+            rule = S_EX1
+            if not paths:
+                params = replace(params, target=None, witness=None)
+            else:
+                # the instantiating variable sits at the principal label
+                params = replace(params, target=params.label,
+                                 witness=PropPath((params.label,), ()))
+        if (rule == P_DIA or rule in (S_EX1, S_EX2) and paths) \
+                and (params.witness is None or params.target is None):
+            cond = side_condition(calc, rule, node.conclusion, params)
             if not cond.holds:
-                raise RefineError(f"{node.rule}: {cond.reason or 'side condition fails'}")
+                raise RefineError(f"{rule}: {cond.reason or 'side condition fails'}")
             params = replace(params, target=cond.target, witness=cond.witness)
-    return ProofTree(node.conclusion, node.rule, params, premises)
+        return ProofTree(node.conclusion, rule, params, premises)
+
+    return fold(proof, build), retagged
 
 
 def _uses_edge(path: PropPath, a: str, b: str) -> bool:
@@ -220,21 +218,14 @@ def _bubble(calc: CalculusSpec, node: ProofTree) -> tuple[ProofTree, str, str]:
 
 
 def _replace_at(proof: ProofTree, path, sub: ProofTree) -> ProofTree:
-    if not path:
-        return sub
-    i = path[0]
-    premises = proof.premises[:i] + (_replace_at(proof.premises[i], path[1:], sub),) \
-        + proof.premises[i + 1:]
-    return ProofTree(proof.conclusion, proof.rule, proof.params, premises)
-
-
-def _topmost_relational(proof: ProofTree):
-    best = None
-    for path, node in proof.walk():
-        if node.rule.name in RELATIONAL:
-            if best is None or len(path) > len(best[0]):
-                best = (path, node)
-    return best
+    """proof with sub at path; only the spine down to it is rebuilt."""
+    spine = [proof]
+    for i in path[:-1]:
+        spine.append(spine[-1].premises[i])
+    for node, i in zip(reversed(spine), reversed(path)):
+        sub = ProofTree(node.conclusion, node.rule, node.params,
+                        node.premises[:i] + (sub,) + node.premises[i + 1:])
+    return sub
 
 
 # ===================================================================
@@ -256,46 +247,42 @@ def _validate_step(calc: CalculusSpec, node: ProofTree, sub: ProofTree,
                           f"{detail}: {report.message}")
 
 
+def _checked(calc: CalculusSpec, proof: ProofTree, what: str) -> ProofTree:
+    report = check(calc, proof)
+    if not report.ok:
+        raise RefineError(f"{what} does not check: {report.message}")
+    return proof
+
+
 def refine_proof(frame: FrameSpec, proof: ProofTree,
                  validate: bool = True) -> RefineResult:
     """Turn a ground labeled proof into one in the refined calculus
     with the same end sequent, recording every intermediate proof."""
     mixed = CalculusSpec("Mixed", frame)
-    report = check(mixed, proof)
-    if not report.ok:
-        raise RefineError(f"input proof does not check: {report.message}")
-
+    _checked(mixed, proof, "input proof")
     steps: list[RefineStep] = []
-    retagged = _count_rules(proof, ("dia_r", "exists_r"))
-    proof = _retag_node(frame, proof)
-    proof = _ensure_witnesses(mixed, proof)
+    proof, retagged = _retag(mixed, proof)
     if validate:
-        report = check(mixed, proof)
-        if not report.ok:
-            raise RefineError(f"retagged proof does not check: {report.message}")
+        _checked(mixed, proof, "retagged proof")
     if retagged:
         steps.append(RefineStep("retag",
                                 f"retag {retagged} rule(s) as p_dia/s_ex1", proof))
 
-    budget = 64 + proof.size() * proof.height() * 16
-    while True:
-        found = _topmost_relational(proof)
-        if found is None:
-            break
-        if budget <= 0:
-            raise RefineError("step budget exhausted")
-        budget -= 1
-        path, node = found
+    # a stack with the topmost instance on top: the deepest, first in preorder
+    todo = sorted(reversed([path for path, node in proof.walk()
+                            if node.rule.name in RELATIONAL]), key=len)
+    while todo:
+        path = todo.pop()
+        node = proof.at(path)
         sub, op, detail = _bubble(mixed, node)
         if validate:
             _validate_step(mixed, node, sub, detail)
         proof = _replace_at(proof, path, sub)
         steps.append(RefineStep(op, detail, proof))
+        if op == "swap":
+            todo.extend((*path, i) for i in reversed(range(len(sub.premises))))
 
-    refined = CalculusSpec("RefinedL", frame)
-    report = check(refined, proof)
-    if not report.ok:
-        raise RefineError(f"refined proof does not check: {report.message}")
+    _checked(CalculusSpec("RefinedL", frame), proof, "refined proof")
     return RefineResult(proof, tuple(steps))
 
 
@@ -308,33 +295,25 @@ def nestify(frame: FrameSpec, proof: ProofTree) -> ProofTree:
         raise RefineError("end sequent is not a tree")
     root = root or "w0"
 
-    def go(node: ProofTree) -> ProofTree:
+    def read(seq):
         try:
-            nested = to_nested(node.conclusion, root=root)
+            nested = to_nested(seq, root=root)
         except NotATreeError:
             raise RefineError("a sequent in the proof is not a tree") from None
         if nested.label != root:
             raise RefineError("root label changes inside the proof")
-        return ProofTree(nested, node.rule, node.params,
-                         tuple(go(p) for p in node.premises))
+        return nested
 
-    result = go(proof)
-    report = check(CalculusSpec("NestedN", frame), result)
-    if not report.ok:
-        raise RefineError(f"nested reading does not check: {report.message}")
-    return result
+    return _checked(CalculusSpec("NestedN", frame), fold(
+        proof, lambda node, premises: ProofTree(
+            read(node.conclusion), node.rule, node.params, premises)),
+        "nested reading")
 
 
 def labelize(frame: FrameSpec, proof: ProofTree) -> ProofTree:
     """Read a nested proof as a refined labeled proof, the inverse of
     nestify.  Rules and parameters carry over unchanged."""
-
-    def go(node: ProofTree) -> ProofTree:
-        return ProofTree(to_labeled(node.conclusion), node.rule, node.params,
-                         tuple(go(p) for p in node.premises))
-
-    result = go(proof)
-    report = check(CalculusSpec("RefinedL", frame), result)
-    if not report.ok:
-        raise RefineError(f"labeled reading does not check: {report.message}")
-    return result
+    return _checked(CalculusSpec("RefinedL", frame), fold(
+        proof, lambda node, premises: ProofTree(
+            to_labeled(node.conclusion), node.rule, node.params, premises)),
+        "labeled reading")

@@ -7,11 +7,13 @@ import pytest
 
 from fomodal.cli import main
 from fomodal.jsonio import proof_from_json, proof_to_json, sequent_from_json
+from fomodal.prover import MAX_SEARCH_DEPTH
 from fomodal.refine import refine_proof
 from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
                               render_nested, to_labeled)
 
 from fixtures import EX_FRAME, elimination_initial
+from test_prover import deep_branch_goal
 
 
 def _run(capsys, *argv):
@@ -49,6 +51,19 @@ def test_prove_refuses_negative_budgets(capsys):
     # zero stays a budget
     code, out = _run(capsys, "prove", "p", "--max-creations", "0")
     assert code == 1 and _json(out)["complete"] is True
+
+
+def test_prove_refuses_a_depth_past_the_limit(capsys):
+    goal = deep_branch_goal(MAX_SEARCH_DEPTH, "deep_cli")
+    code, out = _run(capsys, "prove", "--sequent", goal,
+                     "--max-depth", str(MAX_SEARCH_DEPTH))
+    assert code == 1 and _json(out)["status"] == "exhausted"
+    assert main(["prove", "p -> p", "--max-depth",
+                 str(MAX_SEARCH_DEPTH + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: max_depth must be at most "
+                            f"{MAX_SEARCH_DEPTH}, got {MAX_SEARCH_DEPTH + 1}\n")
 
 
 def test_prove_sequent_with_proof_payload(capsys):

@@ -9,11 +9,12 @@ from fomodal import prover
 from fomodal.calculi import (AX, OR_R, P_DIA, CalculusSpec, ProofTree,
                              RuleParams, check)
 from fomodal.jsonio import proof_from_json, proof_to_json, rule_to_json
-from fomodal.prover import (Exhausted, Proved, ProverError, SearchBudget,
-                            prove_formula, prove_sequent)
+from fomodal.prover import (MAX_SEARCH_DEPTH, Exhausted, Proved, ProverError,
+                            SearchBudget, prove_formula, prove_sequent)
 from fomodal.sequents import (DuplicateLabelError, NestedSequent, components,
                               parse_labeled, parse_nested)
-from fomodal.syntax import Dia, Neg, Or, frame_spec, parse_formula, rename_apart
+from fomodal.syntax import (MAX_DEPTH, Dia, Neg, Or, frame_spec, parse_formula,
+                            rename_apart)
 from oracles import random_formula, walk_pairs
 from test_acceptance import THEOREMS
 from test_prover_output import NON_THEOREMS
@@ -130,6 +131,35 @@ def test_duplicate_root_labels_rejected():
         prove_sequent(frame_spec(), seq)
 
 
+def deep_branch_goal(depth: int, atom: str) -> str:
+    """A nested goal whose search runs a branch of depth steps: or_r
+    splits a balanced disjunction of depth + 1 atoms, and at the node
+    at that depth neg_r puts on the left the body of a negation of
+    syntax.MAX_DEPTH connectives, which is first rendered there."""
+    def balanced(lo, hi):
+        if hi - lo == 1:
+            return f"p{lo}"
+        mid = (lo + hi) // 2
+        return f"({balanced(lo, mid)} | {balanced(mid, hi)})"
+    deep = "~" + "exists x. " * (MAX_DEPTH - 1) + f"{atom}(x)"
+    return f"; |- {balanced(0, depth + 1)}, {deep}"
+
+
+def test_a_branch_at_the_depth_limit_stays_within_the_recursion_limit():
+    budget = SearchBudget(max_depth=MAX_SEARCH_DEPTH)
+    goal = parse_nested(deep_branch_goal(MAX_SEARCH_DEPTH, "deep_prover"))
+    result = prove_sequent(frame_spec(), goal, budget)
+    assert isinstance(result, Exhausted) and not result.complete
+    # one more step and the branch would be cut below that node
+    assert prove_sequent(frame_spec(), goal,
+                         SearchBudget(max_depth=MAX_SEARCH_DEPTH - 1)).nodes \
+        < result.nodes
+    with pytest.raises(ValueError, match=f"max_depth must be at most "
+                                         f"{MAX_SEARCH_DEPTH}, got "
+                                         f"{MAX_SEARCH_DEPTH + 1}"):
+        SearchBudget(max_depth=MAX_SEARCH_DEPTH + 1)
+
+
 def test_negative_budgets_are_refused():
     for field in ("max_creations", "max_depth", "max_nodes"):
         with pytest.raises(ValueError, match=f"{field} must not be negative"):
@@ -240,6 +270,12 @@ def test_a_deep_chain_has_a_size_a_height_and_json():
         (node,) = node["premises"]
         count += 1
     assert count == 2000 and node["rule"] == rule_to_json(AX)
+    # == on ProofTree recurses, so the trees are compared node by node
+    back = proof_from_json(proof_to_json(chain))
+    assert [(path, node.conclusion, node.rule, node.params)
+            for path, node in back.walk()] == \
+        [(path, node.conclusion, node.rule, node.params)
+         for path, node in chain.walk()]
     # a branching tree keeps its premises in order
     tree = ProofTree(chain.conclusion, OR_R, RuleParams(), (
         _chain(3), ProofTree(chain.conclusion, AX, RuleParams(label="w0"))))

@@ -3,11 +3,11 @@
 import pytest
 
 from fomodal import refine
-from fomodal.calculi import (AX, DIA_R, RELATIONAL, CalculusSpec, ProofTree,
-                             RuleParams, apply_rule, check, g_rule)
+from fomodal.calculi import (AX, DIA_R, ID, OR_R, RELATIONAL, CalculusSpec,
+                             ProofTree, RuleParams, apply_rule, check, g_rule)
 from fomodal.refine import (RefineError, labelize, nestify, refine_proof)
 from fomodal.sequents import LabeledSequent, labeled_alpha_eq, parse_labeled
-from fomodal.syntax import frame_spec, parse_formula
+from fomodal.syntax import Or, frame_spec, parse_formula
 from fixtures import (EX_FRAME, elimination_display_2, elimination_display_3,
                       elimination_display_4, elimination_initial)
 
@@ -95,7 +95,10 @@ def test_refine_refuses_a_corrupted_premise_at_that_step(monkeypatch):
     steps = refine_proof(EX_FRAME, elimination_initial()).steps
     assert steps[1].detail == "swap id above s_ex1"
     before = steps[0].proof  # the retagged proof the swap rewrites
-    path, node = refine._topmost_relational(before)
+    # the topmost relational instance: the deepest, first in preorder
+    path, node = max(((path, node) for path, node in before.walk()
+                      if node.rule.name in RELATIONAL),
+                     key=lambda found: len(found[0]))
 
     def corrupt(sub):
         # the swapped-in premise loses its formulas, keeping its rule
@@ -191,3 +194,65 @@ def test_nestify_rejects_non_tree_proofs():
     assert check(calc, proof).ok
     with pytest.raises(RefineError):
         nestify(frame, proof)
+
+
+def _preorder(tree: ProofTree):
+    """The nodes of tree with their paths, compared without recursion."""
+    return [(path, node.conclusion, node.rule, node.params)
+            for path, node in tree.walk()]
+
+
+def _balanced(atoms):
+    if len(atoms) == 1:
+        return atoms[0]
+    half = len(atoms) // 2
+    return f"({_balanced(atoms[:half])} | {_balanced(atoms[half:])})"
+
+
+def test_a_deep_or_r_proof_survives_check_nestify_labelize_and_refine():
+    # 1199 or_r steps split a balanced disjunction of 1200 atoms
+    frame = frame_spec()
+    calc = CalculusSpec("RefinedL", frame)
+    atoms = [f"p{i}" for i in range(1200)]
+    seqs = [parse_labeled(f"w0: p0 |- w0: {_balanced(atoms)}")]
+    steps = []
+    while True:
+        ors = [f for _, f in seqs[-1].right if isinstance(f, Or)]
+        if not ors:
+            break
+        steps.append(RuleParams(label="w0", formula=ors[0]))
+        (premise,) = apply_rule(calc, seqs[-1], OR_R, steps[-1])
+        seqs.append(premise)
+    proof = ProofTree(seqs[-1], AX,
+                      RuleParams(label="w0", formula=parse_formula("p0")))
+    for params, seq in zip(reversed(steps), reversed(seqs[:-1])):
+        proof = ProofTree(seq, OR_R, params, (proof,))
+    assert proof.height() == 1200
+    assert check(calc, proof).ok
+    nested = nestify(frame, proof)
+    assert nested.height() == 1200
+    assert _preorder(labelize(frame, nested)) == _preorder(proof)
+    result = refine_proof(frame, proof)
+    assert result.steps == ()
+    assert _preorder(result.proof) == _preorder(proof)
+
+
+def test_refine_absorbs_a_deep_chain_of_id_instances():
+    # 1200 id instances under ax, each moving one more variable to w1
+    frame = frame_spec(inc=True)
+    calc = CalculusSpec("G3", frame)
+    dom = ", ".join(f"y{i} in D(w0)" for i in range(1200))
+    seqs = [parse_labeled(f"w0Rw1, {dom}, w1: p |- w1: p")]
+    params = [RuleParams(label="w0", target="w1", variable=f"y{i}")
+              for i in range(1200)]
+    for step in params:
+        (premise,) = apply_rule(calc, seqs[-1], ID, step)
+        seqs.append(premise)
+    proof = ProofTree(seqs[-1], AX,
+                      RuleParams(label="w1", formula=parse_formula("p")))
+    for step, seq in zip(reversed(params), reversed(seqs[:-1])):
+        proof = ProofTree(seq, ID, step, (proof,))
+    result = refine_proof(frame, proof)
+    assert [s.detail for s in result.steps] == ["absorb id below ax"] * 1200
+    assert _preorder(result.proof) == [
+        ((), seqs[0], AX, RuleParams(label="w1", formula=parse_formula("p")))]
