@@ -19,8 +19,8 @@ from .calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R, ID,
                       rule_set, side_condition)
 from .grammar import (ALPHABET, BDIA, DIA, GrammarError, Production,
                       ThueSystem, converse_string, derives, directed,
-                      empty_system, of_paths, one_step, parse_production, s4,
-                      s5, system, undirected, union)
+                      empty_system, of_paths, parse_production, s4, s5,
+                      system, undirected, union)
 from .jsonio import (JsonError, frame_from_json, frame_to_json,
                      model_from_json, model_to_json, proof_from_json,
                      proof_to_json, sequent_from_json, sequent_to_json,

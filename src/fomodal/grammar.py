@@ -22,8 +22,7 @@ Three families of systems matter here:
 Membership t in L_S(a) is decided by reading the system as a
 context-free grammar and saturating reachability triples over the
 chain graph of t, the same saturation that decides reachability in
-propagation graphs; the brute-force one-step closure is provided for
-cross-checking only.  derives keeps its last 1024 answers, because
+propagation graphs.  derives keeps its last 1024 answers, because
 replaying a proof decides the same witness strings again.  The
 functions s4 and s5 are aliases for directed and undirected, following
 the names of the modal logics whose reachability they encode.
@@ -53,13 +52,6 @@ def check_string(s: str) -> str:
         if c not in _CONVERSE:
             raise GrammarError(f"bad character {c!r} in string {s!r}")
     return s
-
-
-def converse_char(c: str) -> str:
-    try:
-        return _CONVERSE[c]
-    except KeyError:
-        raise GrammarError(f"bad character {c!r}") from None
 
 
 def converse_string(s: str) -> str:
@@ -148,21 +140,6 @@ def parse_production(text: str) -> Production:
 
 def pretty_string(s: str) -> str:
     return "".join(_PRETTY[c] for c in check_string(s)) if s else "ε"
-
-
-# ===================================================================
-# One-step rewriting
-# ===================================================================
-
-def one_step(s: str, sys: ThueSystem) -> set[str]:
-    """All strings obtained by rewriting one occurrence of a letter."""
-    check_string(s)
-    out = set()
-    for i, c in enumerate(s):
-        for prod in sys.productions:
-            if prod.lhs == c:
-                out.add(s[:i] + prod.rhs + s[i + 1:])
-    return out
 
 
 # ===================================================================

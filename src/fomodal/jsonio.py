@@ -88,16 +88,14 @@ def frame_to_json(frame: FrameSpec) -> dict:
 def frame_from_json(obj) -> FrameSpec:
     _expect(obj, dict, "frame")
     paths = []
-    for pair in obj.get("paths", []):
+    for pair in _expect(obj.get("paths", []), list, "frame.paths"):
         _expect(pair, list, "frame.paths entry")
-        if len(pair) != 2 or not all(isinstance(n, int) and n >= 0 for n in pair):
+        if len(pair) != 2 or not all(type(n) is int and n >= 0 for n in pair):
             raise JsonError(f"frame.paths entry {pair!r} is not a pair of naturals")
         paths.append((pair[0], pair[1]))
-    return FrameSpec(serial=bool(obj.get("serial", False)),
-                     paths=frozenset(paths),
-                     inc=bool(obj.get("inc", False)),
-                     dec=bool(obj.get("dec", False)),
-                     nonempty=bool(obj.get("nonempty", False)))
+    flags = {key: _expect(obj.get(key, False), bool, f"frame.{key}")
+             for key in ("serial", "inc", "dec", "nonempty")}
+    return FrameSpec(paths=frozenset(paths), **flags)
 
 
 # ===================================================================
@@ -231,20 +229,17 @@ def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
     for key in obj:
         if key not in known:
             raise JsonError(f"unknown params key {key!r}")
-    chains = {}
+    names = {key: _expect(obj[key], str, f"params.{key}")
+             for key in ("label", "target", "variable") if key in obj}
     for key in ("chain_u", "chain_v"):
         if key in obj:
-            chains[key] = tuple(_expect(x, str, f"{key} label")
-                                for x in _expect(obj[key], list, key))
+            names[key] = tuple(_expect(x, str, f"{key} label")
+                               for x in _expect(obj[key], list, key))
     return RuleParams(
-        label=obj.get("label"),
-        target=obj.get("target"),
         formula=(_formula(obj["formula"], "params.formula", parsed)
                  if "formula" in obj else None),
-        variable=obj.get("variable"),
-        chain_u=chains.get("chain_u"),
-        chain_v=chains.get("chain_v"),
-        witness=path_from_json(obj["witness"]) if "witness" in obj else None)
+        witness=path_from_json(obj["witness"]) if "witness" in obj else None,
+        **names)
 
 
 def proof_to_json(tree: ProofTree) -> dict:

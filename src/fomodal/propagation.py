@@ -62,10 +62,6 @@ class PropPath:
     def string(self) -> str:
         return "".join(self.chars)
 
-    def converse(self) -> PropPath:
-        return PropPath(tuple(reversed(self.labels)),
-                        tuple(grammar.converse_char(c) for c in reversed(self.chars)))
-
     def steps(self):
         for i, c in enumerate(self.chars):
             yield (self.labels[i], c, self.labels[i + 1])
@@ -105,9 +101,6 @@ class PropagationGraph:
             if w not in self.vertices or u not in self.vertices:
                 raise PropagationError(f"edge ({w},{c},{u}) leaves the vertex set")
             grammar.check_string(c)
-
-    def has_edge(self, source: str, char: str, target: str) -> bool:
-        return (source, char, target) in self.edges
 
     def validate_path(self, path: PropPath) -> bool:
         if path.source not in self.vertices:

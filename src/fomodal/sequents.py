@@ -20,20 +20,25 @@ flattened sequent on it, and to_nested its input on its result.
 labeled_alpha_eq, equality up to bound variable names, compares
 structurally first and renders alpha-canonical keys only on a
 mismatch; nested_alpha_eq compares the root labels and the views.
+
+parse_labeled and parse_nested read their notations from one token
+stream of the formula parser, syntax._Parser, which also knows the
+sequent punctuation; each formula is read by it with the checks
+parse_formula makes.  Labels, tags and variables are identifiers, and
+an unreadable item is a SequentError or a FormulaError.
 """
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
 
-from .syntax import (MAX_DEPTH, Formula, alpha_canonical, all_vars,
-                     render_formula)
+from .syntax import (MAX_DEPTH, Formula, _Parser, _tokenize, alpha_canonical,
+                     all_vars, render_formula)
 
 
 class SequentError(Exception):
@@ -141,14 +146,6 @@ class LabeledSequent:
         return render_labeled(self)
 
 
-def compose(first: LabeledSequent, second: LabeledSequent) -> LabeledSequent:
-    """Componentwise multiset union."""
-    return LabeledSequent(rel=first.rel + second.rel,
-                          dom=first.dom + second.dom,
-                          left=first.left + second.left,
-                          right=first.right + second.right)
-
-
 def render_labeled(seq: LabeledSequent) -> str:
     parts = [f"{w}R{u}" for w, u in seq.rel]
     parts += [f"{x} in D({w})" for x, w in seq.dom]
@@ -160,41 +157,88 @@ def render_labeled(seq: LabeledSequent) -> str:
 def parse_labeled(text: str) -> LabeledSequent:
     """Parse the form `wRu, x in D(w), w: phi |- u: psi`.
 
-    Antecedent items are relational atoms aRb, domain atoms x in D(w),
+    Antecedent items are relational atoms wRu, domain atoms x in D(w),
     or labeled formulas; the succedent holds labeled formulas only.
-    Commas inside parentheses do not split items.  A label must not
-    contain a capital R, which is reserved as the atom separator.
+    Items are separated by commas, and empty items are skipped.  Labels
+    and variables are identifiers, read as formula variables are; the
+    labels of a relational atom contain no capital R, which separates
+    them.  The text is one token stream of syntax._Parser.
     """
-    from .syntax import parse_formula
+    parser = _Parser(text)
+    slots = {"rel": [], "dom": [], "left": []}
+    for slot, item in _slot(parser, _antecedent_item, "turnstile", "|-"):
+        slots[slot].append(item)
+    return LabeledSequent(
+        right=_slot(parser, _succedent_item, "end", "the end"), **slots)
 
-    halves = _split_top(text, "|-")
-    if len(halves) != 2:
-        raise SequentError(f"expected exactly one |- in {text!r}")
-    rel, dom, left, right = [], [], [], []
 
-    def read(chunk: str, succedent: bool):
-        chunk = chunk.strip()
-        if not chunk:
-            return
-        m = re.fullmatch(r"([\w']+)\s+in\s+D\(([\w']+)\)", chunk)
-        if m and not succedent:
-            dom.append((m.group(1), m.group(2)))
-            return
-        m = re.fullmatch(r"([^R:()\s]+)R([^R:()\s]+)", chunk)
-        if m and not succedent:
-            rel.append((m.group(1), m.group(2)))
-            return
-        label, sep, body = chunk.partition(":")
-        if not sep or not label.strip() or not body.strip():
-            raise SequentError(f"cannot read sequent item {chunk!r}")
-        (right if succedent else left).append(
-            (label.strip(), parse_formula(body)))
+def _fault(token, wanted: str) -> SequentError:
+    kind, value, pos = token
+    found = repr(value) if value else "the end"
+    return SequentError(f"expected {wanted}, found {found} (at column {pos + 1})")
 
-    for chunk in _split_top(halves[0], ","):
-        read(chunk, succedent=False)
-    for chunk in _split_top(halves[1], ","):
-        read(chunk, succedent=True)
-    return LabeledSequent(tuple(rel), tuple(dom), tuple(left), tuple(right))
+
+def _take(parser: _Parser, kind: str, wanted: str) -> str:
+    """The text of the next token, which must be of the given kind."""
+    token = parser.next()
+    if token[0] != kind:
+        raise _fault(token, wanted)
+    return token[1]
+
+
+def _slot(parser: _Parser, read, stop: str, shown: str) -> list:
+    """The items read by read up to the token kind stop, which is
+    consumed; items are separated by commas, empty ones are skipped."""
+    items = []
+    while True:
+        kind = parser.peek()[0]
+        if kind == stop:
+            parser.next()
+            return items
+        if kind == "comma":
+            parser.next()
+            continue
+        items.append(read(parser))
+        if parser.peek()[0] not in ("comma", stop):
+            raise _fault(parser.peek(), f"a comma or {shown}")
+
+
+_IN_D = [("ident", "in"), ("ident", "D"), ("lparen", "(")]
+
+
+def _antecedent_item(parser: _Parser):
+    """wRu, x in D(w) or w: phi, as a pair (slot, item)."""
+    start = parser.peek()[2]
+    word = _take(parser, "ident", "a label or a variable")
+    if parser.peek()[0] == "colon":
+        parser.next()
+        return "left", (word, parser.checked_formula())
+    if [token[:2] for token in parser.tokens[parser.pos:parser.pos + 3]] == _IN_D:
+        parser.pos += 3
+        label = _take(parser, "ident", "a label")
+        _take(parser, "rparen", ")")
+        return "dom", (word, label)
+    # wRu is one identifier, or two glued together when w ends in a prime
+    kind, value, pos = parser.peek()
+    if kind == "ident" and pos == start + len(word) and word.endswith("'"):
+        parser.next()
+        word += value
+    w, r, u = word.partition("R")
+    if not (r and _rel_label(w) and _rel_label(u)):
+        raise SequentError(f"cannot read sequent item at column {start + 1}")
+    return "rel", (w, u)
+
+
+def _rel_label(word: str) -> bool:
+    """Is word one identifier token without a capital R?"""
+    return ((word[:1].isalpha() or word[:1] == "_") and "R" not in word
+            and _tokenize(word)[0][:2] == ("ident", word))
+
+
+def _succedent_item(parser: _Parser):
+    label = _take(parser, "ident", "a label")
+    _take(parser, "colon", ":")
+    return label, parser.checked_formula()
 
 
 def labeled_alpha_key(seq: LabeledSequent):
@@ -407,133 +451,63 @@ def render_nested(phi: NestedSequent, top: bool = True) -> str:
     return body
 
 
-def _split_top(text: str, separator: str) -> list[str]:
-    """Split on a separator at bracket depth zero."""
-    parts, depth, start, i = [], 0, 0, 0
-    while i < len(text):
-        depth += (text[i] in "([") - (text[i] in ")]")
-        if depth < 0:
-            raise SequentError(f"unbalanced brackets in {text!r}")
-        if depth == 0 and text.startswith(separator, i):
-            parts.append(text[start:i])
-            start = i = i + len(separator)
-        else:
-            i += 1
-    if depth != 0:
-        raise SequentError(f"unbalanced brackets in {text!r}")
-    return parts + [text[start:]]
+def _body(parser: _Parser, label: str | None) -> dict:
+    """The left formulas and the variables of a body, read through its
+    |-; its right slot is read by parse_nested."""
+    left = _slot(parser, _Parser.checked_formula, "semi", ";")
+    vars_ = _slot(parser, lambda p: _take(p, "ident", "a variable"),
+                  "turnstile", "|-")
+    return {"label": label, "left": left, "vars": vars_, "right": [],
+            "kids": []}
 
 
 def parse_nested(text: str, root_label: str = "w0") -> NestedSequent:
     """Parse the form `G ; x, y |- D, [ ... ]@u`.
 
-    The three slots may each be empty.  Children are bracketed sequents
-    in the right slot, each optionally tagged with @label; missing
-    labels are filled in afterwards, counting up from w1 in preorder,
-    and the root may likewise be tagged with a trailing @label.
-    Children nest at most syntax.MAX_DEPTH brackets deep; deeper input
-    is a SequentError.  One pass indexes the separators by bracket
-    depth, so no body rescans its text; a stack holds open bodies.
+    The three slots may each be empty, and empty items are skipped.
+    Children are bracketed sequents in the right slot, each optionally
+    tagged with @label; missing labels are filled in afterwards,
+    counting up from w1 in preorder, and the root may likewise be
+    tagged with a trailing @label.  Labels and variables are
+    identifiers, read as formula variables are.  Children nest at most
+    syntax.MAX_DEPTH brackets deep; deeper input is a SequentError.
+    The text is one token stream of syntax._Parser, read left to right
+    once; a stack holds the open bodies.
     """
-    from .syntax import parse_formula
-
-    text = text.strip()
-    seps, match, closes, opened = {}, {}, [], []  # seps: (kind, depth)
-    depth = nesting = 0   # nesting counts child brackets: "[]" is a box
-    box = negative = False
-    tag_at, solid = None, ""  # solid: the last non-space character
-    for i, c in enumerate(text):
-        if c in "([":
-            opened.append(i)
-            depth += 1
-            box = c == "[" and text.startswith("]", i + 1)
-            nesting += c == "[" and not box
-            if nesting > MAX_DEPTH:
-                raise SequentError(
-                    f"sequent nested more than {MAX_DEPTH} brackets deep")
-        elif c in ")]":
-            depth -= 1
-            if opened:
-                match[opened.pop()] = i
-            negative |= depth < 0
-            if c == "]":
-                closes.append(i)
-                nesting -= not box
-                box = False
-        elif c in ",;" or c == "|" and text.startswith("-", i + 1):
-            seps.setdefault(("|-" if c == "|" else c, depth), []).append(i)
-        elif c == "@" and depth == 0 and solid != "]":
-            # a trailing @label at depth zero names the root, unless it
-            # is glued to a closing bracket and therefore tags a child
-            tag_at = i
-        solid = solid if c.isspace() else c
-
-    end, label = len(text), root_label
-    if tag_at is not None:
-        tag = text[tag_at + 1:].strip()
-        if tag and all(ch.isalnum() or ch in "_'" for ch in tag):
-            end, label = tag_at, tag
-
-    def between(kind: str, level: int, lo: int, hi: int) -> list[int]:
-        found = seps.get((kind, level), [])
-        return found[bisect_left(found, lo):bisect_left(found, hi)]
-
-    def items(level: int, lo: int, hi: int):
-        cuts = between(",", level, lo, hi)
-        return zip([lo] + [cut + 1 for cut in cuts], cuts + [hi])
-
-    def body(lo: int, hi: int, level: int, label: str | None) -> dict:
-        bars = between("|-", level, lo, hi - 1)
-        if len(bars) != 1:
-            raise SequentError(f"expected exactly one |- in {text[lo:hi]!r}")
-        semis = between(";", level, lo, bars[0])
-        if len(semis) != 1:
-            raise SequentError(
-                f"expected exactly one ; before |- in {text[lo:hi]!r}")
-        left = [parse_formula(t) for t in
-                (text[u:v] for u, v in items(level, lo, semis[0])) if t.strip()]
-        vars_ = [t for t in (text[u:v].strip() for u, v in
-                             items(level, semis[0] + 1, bars[0])) if t]
-        for t in vars_:
-            if not all(ch.isalnum() or ch in "_'" for ch in t):
-                raise SequentError(f"bad variable name {t!r}")
-        return {"label": label, "left": left, "vars": vars_, "right": [],
-                "kids": [], "level": level,
-                "items": iter(items(level, bars[0] + 2, hi))}
-
-    if negative or depth != 0:
-        raise SequentError(f"unbalanced brackets in {text[:end]!r}")
-    order = [body(0, end, 0, label)]
+    parser = _Parser(text)
+    order = [_body(parser, root_label)]
     stack = order[:]
     while stack:
         node = stack[-1]
-        for lo, hi in node["items"]:
-            while lo < hi and text[lo].isspace():
-                lo += 1
-            while hi > lo and text[hi - 1].isspace():
-                hi -= 1
-            if lo == hi:
-                continue
-            if not text.startswith("[", lo) or text.startswith("[]", lo, hi):
-                node["right"].append(parse_formula(text[lo:hi]))
-                continue
-            # the child runs to the last ] of the item, a tag may follow
-            k = bisect_left(closes, hi)
-            close = closes[k - 1] if k and closes[k - 1] > lo else lo - 1
-            tag = text[close + 1:hi].strip()
-            if tag and not tag.startswith("@"):
+        kind = parser.peek()[0]
+        if kind == "comma":
+            parser.next()
+            continue
+        if kind == "lbrack":
+            if len(stack) > MAX_DEPTH:
                 raise SequentError(
-                    f"bad child suffix {tag!r} in {text[lo:hi]!r}")
-            if match.get(lo) != close:
-                raise SequentError(
-                    f"unbalanced brackets in {text[lo + 1:close]!r}")
-            kid = body(lo + 1, close, node["level"] + 1, tag[1:].strip())
+                    f"sequent nested more than {MAX_DEPTH} brackets deep")
+            parser.next()
+            kid = _body(parser, None)
             node["kids"].append(kid)
             order.append(kid)
             stack.append(kid)
-            break
-        else:
+            continue
+        if kind in ("rbrack", "at", "end"):
+            # the body ends: a child's at its ], the root's at the end
+            if len(stack) > 1:
+                _take(parser, "rbrack", "]")
+            if parser.peek()[0] == "at":
+                parser.next()
+                node["label"] = _take(parser, "ident", "a label")
             stack.pop()
+            if not stack:
+                _take(parser, "end", "the end")
+                break
+        else:
+            node["right"].append(parser.checked_formula())
+        if parser.peek()[0] not in ("comma", "rbrack", "at", "end"):
+            raise _fault(parser.peek(), "a comma")
 
     taken = {node["label"] for node in order}
     fresh = (f"w{n}" for n in count(1) if f"w{n}" not in taken)

@@ -13,9 +13,11 @@ and implication are accepted by the parser and immediately expanded:
 The concrete syntax is plain ASCII.  Prefix operators bind tightest,
 then `&`, then `|`, then `->` (right associative).  A quantifier takes
 the longest scope to its right, so `exists x. p(x) | q` quantifies over
-the whole disjunction.  Identifiers are letters, digits and underscores
-with optional trailing primes; `false`, `exists` and `forall` are
-reserved.
+the whole disjunction.  An identifier is a letter or underscore, then
+letters, digits and underscores, then optional primes; `false`,
+`exists` and `forall` are reserved.  The tokenizer also reads the
+punctuation of sequent text, `;`, `|-`, `[`, `]`, `@` and `:`, so that
+sequents reads its notations with this parser.
 
 A parsed formula has at most MAX_DEPTH (200) connectives on any branch
 of its expanded tree; deeper input is a ParseError, so the recursive
@@ -346,8 +348,17 @@ def frame_spec(serial=False, paths=(), inc=False, dec=False, const=False,
 
 _KEYWORDS = {"false", "exists", "forall"}
 
+# two-character tokens, then one-character ones; a "[" that does not
+# open "[]" opens a child of a nested sequent
+_PAIRS = {"<>": "dia", "[]": "box", "->": "arrow", "|-": "turnstile"}
+_SINGLES = {"(": "lparen", ")": "rparen", "~": "neg", "|": "or", "&": "and",
+            ",": "comma", ".": "dot", ";": "semi", "[": "lbrack",
+            "]": "rbrack", "@": "at", ":": "colon"}
+
 
 def _tokenize(text: str):
+    """The tokens of a formula or of a sequent, as (kind, text,
+    position) triples ending in an "end" token."""
     tokens = []
     i = 0
     n = len(text)
@@ -356,19 +367,11 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c == "<" and text[i:i + 2] == "<>":
-            tokens.append(("dia", "<>", i))
+        if c in "<[-|" and (pair := text[i:i + 2]) in _PAIRS:
+            tokens.append((_PAIRS[pair], pair, i))
             i += 2
-        elif c == "[" and text[i:i + 2] == "[]":
-            tokens.append(("box", "[]", i))
-            i += 2
-        elif c == "-" and text[i:i + 2] == "->":
-            tokens.append(("arrow", "->", i))
-            i += 2
-        elif c in "()~|&,.":
-            kind = {"(": "lparen", ")": "rparen", "~": "neg", "|": "or",
-                    "&": "and", ",": "comma", ".": "dot"}[c]
-            tokens.append((kind, c, i))
+        elif c in _SINGLES:
+            tokens.append((_SINGLES[c], c, i))
             i += 1
         elif c.isalpha() or c == "_":
             j = i
@@ -519,6 +522,21 @@ class _Parser:
             return Pred(value, tuple(args))
         raise ParseError(f"expected a formula, found {value!r}", pos)
 
+    def checked_formula(self) -> Formula:
+        """formula(), refused and renamed as parse_formula does: more
+        than MAX_DEPTH connectives on one branch of the expanded tree is
+        a ParseError, a predicate of two arities an ArityError, and the
+        binders come back renamed apart."""
+        start = self.pos
+        phi = self.formula()
+        # one token adds at most three connectives to a branch
+        if 3 * (self.pos - start) > MAX_DEPTH and _depth(phi) > MAX_DEPTH:
+            raise ParseError(
+                f"formula nested more than {MAX_DEPTH} connectives deep",
+                self.tokens[start][2])
+        predicate_arities([phi])
+        return rename_apart(phi)
+
 
 def _depth(phi: Formula) -> int:
     """Connectives on the longest branch of phi, found without recursion."""
@@ -539,16 +557,11 @@ def parse_formula(text: str) -> Formula:
     """Parse the concrete syntax; a formula whose expanded tree has more
     than MAX_DEPTH connectives on one branch is a ParseError."""
     parser = _Parser(text)
-    phi = parser.formula()
+    phi = parser.checked_formula()
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    # one token adds at most three connectives to a branch
-    if 3 * len(parser.tokens) > MAX_DEPTH and _depth(phi) > MAX_DEPTH:
-        raise ParseError(
-            f"formula nested more than {MAX_DEPTH} connectives deep", 0)
-    predicate_arities([phi])
-    return rename_apart(phi)
+    return phi
 
 
 # ===================================================================

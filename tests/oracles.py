@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from fomodal.grammar import ALPHABET, BDIA, DIA, one_step
+from fomodal.grammar import ALPHABET, BDIA, DIA, check_string
 from fomodal.semantics import (_DIA, _EXISTS, _MASK_BITS, _NEG, _OR, _PRED,
                                MAX_ASSIGNMENTS, MAX_VALUATIONS,
                                InterpretationError, KripkeModel,
@@ -26,6 +26,17 @@ from fomodal.syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or,
 # ===================================================================
 # Rewriting closure
 # ===================================================================
+
+def one_step(s: str, sys_) -> set[str]:
+    """All strings obtained by rewriting one occurrence of a letter."""
+    check_string(s)
+    out = set()
+    for i, c in enumerate(s):
+        for prod in sys_.productions:
+            if prod.lhs == c:
+                out.add(s[:i] + prod.rhs + s[i + 1:])
+    return out
+
 
 def closure_members(sys_, start: str, max_len: int, cap: int) -> set:
     """All strings of length <= max_len reachable from start by

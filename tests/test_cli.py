@@ -142,6 +142,29 @@ def test_translate_round_trip(capsys, tmp_path):
     assert sequent_from_json(_json(out)) == parse_nested(text)
 
 
+@pytest.mark.parametrize("text", ["v0Rv1,- v1: r |- v0: r", "|- ~v0: p",
+                                  "v2@: q |- "])
+def test_translate_refuses_labels_that_are_no_identifiers(capsys, text):
+    assert main(["translate", "--to-nested", text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"label": {"a": 1}, "target": "v"}, "params.label"),
+    ({"label": "w", "target": ["v"]}, "params.target"),
+    ({"label": "w", "target": "v", "variable": 3}, "params.variable")])
+def test_check_refuses_mistyped_params(capsys, params, key):
+    node = {"conclusion": {"kind": "labeled", "left": [["w", "p"]],
+                           "right": [["w", "p"]]},
+            "rule": "d", "params": params, "premises": []}
+    code = main(["check", "--calculus", "refined", "--serial",
+                 json.dumps(node)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {key}: expected str")
+
+
 def test_translate_rejects_wrong_direction(capsys):
     code, _ = _run(capsys, "translate", "--to-nested",
                    "<>p ; |- [p ; |- ]@v @w")

@@ -10,10 +10,10 @@ import pytest
 import fomodal
 from fomodal.calculi import availability_system, propagation_system
 from fomodal.grammar import (BDIA, DIA, GrammarError, Production, converse_string,
-                             derives, empty_system, of_paths, one_step,
-                             parse_production, s4, s5, system, union)
+                             derives, empty_system, of_paths, parse_production,
+                             s4, s5, system, union)
 from fomodal.syntax import frame_spec
-from oracles import all_strings, earley_member, saturated_members
+from oracles import all_strings, earley_member, one_step, saturated_members
 
 
 def test_converse_reverses_and_flips():

@@ -42,6 +42,16 @@ def test_frame_rejects_bad_paths():
         frame_from_json([])
 
 
+def test_frame_rejects_mistyped_fields():
+    for obj, message in [({"serial": "no"}, "frame.serial: expected bool"),
+                         ({"inc": [0]}, "frame.inc: expected bool"),
+                         ({"nonempty": 1}, "frame.nonempty: expected bool"),
+                         ({"paths": [[0, True]]}, "pair of naturals"),
+                         ({"paths": 3}, "frame.paths: expected list")]:
+        with pytest.raises(JsonError, match=message):
+            frame_from_json(obj)
+
+
 def test_labeled_sequent_round_trip():
     seq = parse_labeled("wRv, x in D(w), w: <>p(x) |- v: p(x), w: false")
     assert sequent_from_json(_via_json(sequent_to_json(seq))) == seq

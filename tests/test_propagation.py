@@ -38,8 +38,8 @@ def test_build_graph_from_labeled():
     assert graph.vertices["v"] == frozenset()
     assert graph.edges == {("w", "d", "v"), ("v", "b", "w"),
                            ("w", "d", "u"), ("u", "b", "w")}
-    assert graph.has_edge("w", "d", "v")
-    assert not graph.has_edge("v", "d", "w")
+    assert ("w", "d", "v") in graph.edges
+    assert ("v", "d", "w") not in graph.edges
 
 
 def test_validate_path():

@@ -5,14 +5,15 @@ import sys
 
 import pytest
 
-from fomodal import sequents
+from fomodal import sequents, syntax
 from fomodal.sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
                               NotATreeError, SequentError, check_unique_labels,
-                              components, compose, fresh_label, is_labeled_tree,
+                              components, fresh_label, is_labeled_tree,
                               labeled_alpha_eq, nested_alpha_eq, parse_labeled,
                               parse_nested, render_labeled, render_nested,
                               shape_key, to_labeled, to_nested)
-from fomodal.syntax import Dia, Or, Pred, parse_formula
+from fomodal.syntax import (Dia, FormulaError, Or, ParseError, Pred,
+                            parse_formula, render_formula)
 from oracles import random_labeled_tree, random_nested
 
 
@@ -31,17 +32,6 @@ def test_labeled_sequent_is_canonical():
                        left=(("w", Pred("p")),), right=())
     assert a == b
     assert a.labels() == frozenset({"w", "v", "u"})
-
-
-def test_compose_merges_multisets():
-    a = LabeledSequent(rel=(("w", "v"),), dom=(), left=(("w", Pred("p")),),
-                       right=())
-    b = LabeledSequent(rel=(), dom=(("x", "w"),), left=(("w", Pred("p")),),
-                       right=(("v", Pred("q")),))
-    both = compose(a, b)
-    assert both.rel == (("w", "v"),)
-    assert both.left.count(("w", Pred("p"))) == 2
-    assert both.dom == (("x", "w"),)
 
 
 def test_parse_labeled_round_trip():
@@ -192,9 +182,54 @@ def test_parse_nested_depth_limit():
         parse_nested(brackets(201))
 
 
+@pytest.mark.parametrize("text", ["v0Rv1,- v1: r |- v0: r", "|- ~v0: p",
+                                  "v2@: q |- ", "wRv1 , w 1: p |- ",
+                                  "0 in D(w) |- ", "falseRw |- ", "aRbRc |- "])
+def test_parse_labeled_refuses_labels_that_are_no_identifiers(text):
+    with pytest.raises((SequentError, FormulaError)):
+        parse_labeled(text)
+
+
+@pytest.mark.parametrize("text", ["; 0 |- ", "; x y |- ", "; |- [ ; |- ]@",
+                                  "; |- [ ; |- ]@~v", "; |- p @5", "p |- q",
+                                  "; |- p q", "; |- [ ; |- p", "; |- p]",
+                                  "; |- [ ; |- p @v]"])
+def test_parse_nested_refuses_malformed_text(text):
+    with pytest.raises((SequentError, FormulaError)):
+        parse_nested(text)
+
+
+def test_sequent_text_is_read_by_tokens():
+    assert parse_labeled("x in  D (v) |- ") == parse_labeled("x in D(v) |- ")
+    # a label may end in primes on either side of R
+    assert set(parse_labeled("w0'Rw1, w1Rw2'' |- ").rel) == {("w0'", "w1"),
+                                                             ("w1", "w2''")}
+    # empty items are skipped, as before
+    assert parse_labeled(", w: p,, w: q |- ,") == parse_labeled("w: p, w: q |- ")
+    assert parse_nested("p,, q ; , x |- , [ ; |- ]@v,") == parse_nested(
+        "p, q ; x |- [ ; |- ]@v")
+
+
+def test_parse_nested_reports_columns_of_the_whole_text():
+    text = "p ; |- [q ; |- r & ]@v"
+    with pytest.raises(ParseError) as err:
+        parse_nested(text)
+    assert err.value.position == text.index("]")
+    text = "p ; |- [q |- r]@v"
+    with pytest.raises(SequentError, match=f"at column {text.index('|- r') + 1}"):
+        parse_nested(text)
+
+
+def test_parse_nested_renames_binders_apart_in_each_formula():
+    seq = parse_nested("(exists x0. q1(x0)) | (exists x0. r) ;  |- ")
+    assert render_formula(seq.left[0]) == "(exists x0. q1(x0)) | (exists x0'. r)"
+
+
 def _parser_lines(text: str) -> int:
-    """Lines of the sequents module executed while parsing text."""
+    """Lines of the sequents and syntax modules executed while parsing
+    text: the formulas of a nested sequent are read by syntax."""
     count = 0
+    files = {sequents.__file__, syntax.__file__}
 
     def line(frame, event, arg):
         nonlocal count
@@ -202,7 +237,7 @@ def _parser_lines(text: str) -> int:
         return line
 
     def call(frame, event, arg):
-        return line if frame.f_code.co_filename == sequents.__file__ else None
+        return line if frame.f_code.co_filename in files else None
 
     before = sys.gettrace()
     sys.settrace(call)
@@ -214,10 +249,10 @@ def _parser_lines(text: str) -> int:
 
 
 def test_parse_nested_work_is_linear_in_the_text():
-    # a body's separators are looked up, not rescanned at every level;
-    # rescanning made the count grow with depth times length
+    # the text is read once, not rescanned at every level; rescanning
+    # made the count grow with depth times length
     item = ", ".join(f"p{i}" for i in range(10))
-    for depth in (5, 40):
+    for depth in (5, 40, 150):
         text = (f"{item} ; |- " + f"[{item} ; x |- {item}, " * depth + "q"
                 + "]" * depth)
-        assert _parser_lines(text) <= 20 * len(text), depth
+        assert _parser_lines(text) <= 30 * len(text), depth

@@ -83,7 +83,9 @@ def test_parse_rejects_arity_clash():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "p |", "(p", "exists x p(x)", "p(", "1p"]:
+    for bad in ["", "p |", "(p", "exists x p(x)", "p(", "1p",
+                # sequent punctuation is no part of a formula
+                "p ; q", "p |- q", "[p", "p]", "p @w", "w: p"]:
         with pytest.raises(ParseError):
             parse_formula(bad)
 
