@@ -31,9 +31,9 @@ way and compares the stored premises against the recomputed ones up to
 multiset equality and renaming of bound variables; the comparison is
 structural first and renders alpha-canonical keys only on a mismatch.
 
-Side conditions of the reachability rules are decided on the
-propagation graph of the conclusion.  Which rewriting system and start
-letter govern availability depends on the domain conditions:
+Side conditions of the reachability rules ask for a path in the
+conclusion whose string a rewriting system derives.  Which system and
+start letter govern availability depends on the domain conditions:
 
     inc and dec   undirected system, forward letter
     inc only      directed system joined with the path productions, b
@@ -41,9 +41,9 @@ letter govern availability depends on the domain conditions:
     neither       a domain atom y in D(w) in the sequent itself
                   (for s_ex2: the target component is w itself)
 
-Rule parameters carry any witness path, so checking revalidates the
-stored witness without a new search.  The two system builders are
-cached per frame, in bounded caches.
+Rule parameters carry any witness path, checked on the conclusion's
+own atoms; only a rule that lacks one searches the propagation graph.
+The two system builders are cached per frame, in bounded caches.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 
-from . import propagation
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
-from .propagation import PropPath, build_graph, witness_path
+from .propagation import (PropPath, build_graph, path_in, reachable,
+                          witness_path)
 from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
                        labeled_alpha_eq, to_labeled, to_nested)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
@@ -262,15 +262,14 @@ class Condition:
 
 def side_condition(calc: CalculusSpec, rule: RuleId, seq, params: RuleParams) -> Condition:
     """Evaluate the side condition of p_dia, s_ex1 or s_ex2 on the
-    given conclusion.  A stored witness is revalidated; otherwise a
-    witness is searched for and returned."""
+    given conclusion.  A stored witness is checked on the sequent;
+    otherwise a witness is searched for on its graph and returned."""
     frame = calc.frame
-    graph = build_graph(seq)
 
     if rule == P_DIA:
         if params.label is None or params.target is None:
             raise MalformedParams("p_dia needs label and target")
-        return _path_condition(graph, propagation_system(frame), DIA,
+        return _path_condition(seq, propagation_system(frame), DIA,
                                params.label, params.target, params.witness)
 
     if rule == S_EX1:
@@ -284,13 +283,14 @@ def side_condition(calc: CalculusSpec, rule: RuleId, seq, params: RuleParams) ->
                              f"no atom {params.variable} in D({params.label})")
         system, char = avail
         if params.target is not None:
-            if params.variable not in graph.vertices.get(params.target, frozenset()):
+            if (params.variable, params.target) not in seq.dom:
                 return Condition(False, None, None,
                                  f"{params.variable} not known at {params.target}")
-            return _path_condition(graph, system, char, params.label,
+            return _path_condition(seq, system, char, params.label,
                                    params.target, params.witness)
         # search every label that knows the variable
-        for target in sorted(propagation.reachable(graph, system, char, params.label)):
+        graph = build_graph(seq)
+        for target in sorted(reachable(graph, system, char, params.label)):
             if params.variable in graph.vertices[target]:
                 path = witness_path(graph, system, char, params.label, target)
                 return Condition(True, path, target)
@@ -306,26 +306,26 @@ def side_condition(calc: CalculusSpec, rule: RuleId, seq, params: RuleParams) ->
             return Condition(ok, None, params.target,
                              "" if ok else "target must equal the principal label")
         system, char = avail
-        return _path_condition(graph, system, char, params.label,
+        return _path_condition(seq, system, char, params.label,
                                params.target, params.witness)
 
     raise MalformedParams(f"rule {rule} has no side condition")
 
 
-def _path_condition(graph, system: ThueSystem, char: str, source: str,
-                    target: str, stored: PropPath | None) -> Condition:
+def _path_condition(seq: LabeledSequent, system: ThueSystem, char: str,
+                    source: str, target: str, stored: PropPath | None) -> Condition:
     if stored is not None:
         if stored.source != source or stored.target != target:
             return Condition(False, None, None,
                              f"witness connects {stored.source} to {stored.target}, "
                              f"wanted {source} to {target}")
-        if not graph.validate_path(stored):
+        if not path_in(seq, stored):
             return Condition(False, None, None, "witness uses a missing edge")
         if not derives(system, char, stored.string()):
             return Condition(False, None, None,
                              f"witness string {stored.string() or 'eps'} not derivable")
         return Condition(True, stored, target)
-    path = witness_path(graph, system, char, source, target)
+    path = witness_path(build_graph(seq), system, char, source, target)
     if path is None:
         return Condition(False, None, None,
                          f"no admissible path from {source} to {target}")

@@ -20,12 +20,12 @@ Three families of systems matter here:
   the endpoints of an n-step and a k-step path.
 
 Membership t in L_S(a) is decided by reading the system as a
-context-free grammar and saturating reachability triples over the
-chain graph of t, the same saturation that decides reachability in
-propagation graphs.  derives keeps its last 1024 answers, because
-replaying a proof decides the same witness strings again.  The
-functions s4 and s5 are aliases for directed and undirected, following
-the names of the modal logics whose reachability they encode.
+context-free grammar, where LETTER_SYMBOL[a] is the nonterminal of a,
+and saturating reachability triples over the chain graph of t, as
+propagation graphs are saturated.  derives keeps its last 1024
+answers: replaying a proof checks the same stored witness strings.
+The functions s4 and s5 are aliases for directed and undirected,
+following the names of the modal logics whose reachability they encode.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ BDIA = "b"
 ALPHABET = (DIA, BDIA)
 
 _CONVERSE = {DIA: BDIA, BDIA: DIA}
-
-_PRETTY = {DIA: "◇", BDIA: "◆"}
 
 
 class GrammarError(Exception):
@@ -83,9 +81,6 @@ class ThueSystem:
 
     def sorted_productions(self) -> tuple[Production, ...]:
         return tuple(sorted(self.productions, key=lambda p: (p.lhs, len(p.rhs), p.rhs)))
-
-    def __str__(self):
-        return "; ".join(str(p) for p in self.sorted_productions())
 
 
 def system(*rules: tuple[str, str] | Production) -> ThueSystem:
@@ -138,10 +133,6 @@ def parse_production(text: str) -> Production:
     return Production(lhs, "" if rhs == "eps" else rhs)
 
 
-def pretty_string(s: str) -> str:
-    return "".join(_PRETTY[c] for c in check_string(s)) if s else "ε"
-
-
 # ===================================================================
 # Derivability as context-free reachability
 # ===================================================================
@@ -156,39 +147,31 @@ def pretty_string(s: str) -> str:
 # reachability", 1998).  derives asks it about the chain graph of the
 # target string; propagation asks it about the graph of a sequent.
 
+# The nonterminal of each letter, in the order saturate records its edges.
+LETTER_SYMBOL = {DIA: 0, BDIA: 1}
+
+
 @dataclass(frozen=True)
 class Cfg:
     """A rewriting system viewed as a grammar with right sides of length
     at most two.
 
-    Nonterminals are integers; start[a] names the nonterminal for the
-    letter a.  Binarizing a long right side introduces helper
-    nonterminals numbered from 2.
+    Nonterminals are integers; LETTER_SYMBOL[a] names the nonterminal
+    for the letter a, which also derives a itself.  Binarizing a long
+    right side introduces helper nonterminals numbered from 2.
     """
-    terminal_rules: tuple[tuple[int, str], ...]
     unit_rules: tuple[tuple[int, int], ...]
     binary_rules: tuple[tuple[int, int, int], ...]
     nullable: frozenset[int]
-    start: tuple[tuple[str, int], ...]
-
-    def start_symbol(self, char: str) -> int:
-        for c, n in self.start:
-            if c == char:
-                return n
-        raise GrammarError(f"bad start character {char!r}")
 
 
 @lru_cache(maxsize=64)
 def to_cfg(sys: ThueSystem) -> Cfg:
-    start = {DIA: 0, BDIA: 1}
-    terminal_rules = [(0, DIA), (1, BDIA)]
-    unit_rules = []
-    binary_rules = []
-    nullable = set()
+    unit_rules, binary_rules, nullable = [], [], set()
     next_nt = 2
     for prod in sys.sorted_productions():
-        lhs = start[prod.lhs]
-        symbols = [start[c] for c in prod.rhs]
+        lhs = LETTER_SYMBOL[prod.lhs]
+        symbols = [LETTER_SYMBOL[c] for c in prod.rhs]
         if not symbols:
             nullable.add(lhs)
             continue
@@ -217,11 +200,9 @@ def to_cfg(sys: ThueSystem) -> Cfg:
                 nullable.add(a)
                 changed = True
 
-    return Cfg(terminal_rules=tuple(terminal_rules),
-               unit_rules=tuple(unit_rules),
+    return Cfg(unit_rules=tuple(unit_rules),
                binary_rules=tuple(binary_rules),
-               nullable=frozenset(nullable),
-               start=tuple(start.items()))
+               nullable=frozenset(nullable))
 
 
 @lru_cache(maxsize=64)
@@ -260,7 +241,7 @@ def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
             back[triple] = reason
             worklist.append(triple)
 
-    for nt, letter in cfg.terminal_rules:
+    for letter, nt in LETTER_SYMBOL.items():
         for edge in sorted(edges):
             w, c, u = edge
             if c == letter:
@@ -304,4 +285,4 @@ def derives(sys: ThueSystem, char: str, target: str) -> bool:
     n = len(target)
     chain = [(i, c, i + 1) for i, c in enumerate(target)]
     table = saturate(sys, range(n + 1), chain)
-    return (to_cfg(sys).start_symbol(char), 0, n) in table
+    return (LETTER_SYMBOL[char], 0, n) in table

@@ -4,8 +4,10 @@ Formulas travel as their ASCII rendering and are parsed back on read,
 so the schemas stay readable and independent of the AST layout.  One
 decode parses each distinct formula text once: proof_from_json keeps a
 dict from text to formula for the length of the call, so repeated
-texts share one formula object.  Every from_json function validates
-its input and raises JsonError with a message naming the offending key.
+texts share one formula object.  Labels and variables must be names
+the text readers take back, with no R in a relational atom.  Every
+from_json function validates its input and raises JsonError with a
+message naming the offending key.
 
 Proofs of any height are written and read by calculi.fold, without
 recursion; proof_from_json checks a node on entering it and decodes it
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .calculi import ProofTree, RuleId, RuleParams, fold
 from .grammar import GrammarError, ThueSystem, parse_production, system
 from .propagation import PropPath
 from .semantics import KripkeModel
-from .sequents import LabeledSequent, NestedSequent
+from .sequents import LabeledSequent, NestedSequent, _rel_label, is_name
 from .syntax import Formula, FormulaError, FrameSpec, parse_formula, render_formula
 
 
@@ -60,6 +62,14 @@ def _expect(obj, kind, what: str):
         name = kind.__name__ if isinstance(kind, type) else "value"
         raise JsonError(f"{what}: expected {name}, got {type(obj).__name__}")
     return obj
+
+
+def _names(words, what: str, fits=is_name):
+    """Refuse any of the strings words that is not a name, or not a label
+    of a relational atom when fits is sequents._rel_label."""
+    if not all(map(fits, words)):
+        word = next(word for word in words if not fits(word))
+        raise JsonError(f"{what}: cannot read {word!r} as a name")
 
 
 def _formula(text, what: str, parsed: dict[str, Formula]) -> Formula:
@@ -128,6 +138,7 @@ def _labeled_pairs(obj, what: str, parsed: dict[str, Formula]):
             raise JsonError(f"{what} entry {entry!r} is not a pair")
         out.append((_expect(entry[0], str, f"{what} label"),
                     _formula(entry[1], f"{what} formula", parsed)))
+    _names([w for w, _ in out], f"{what} label")
     return tuple(out)
 
 
@@ -147,6 +158,8 @@ def _sequent(obj, parsed: dict[str, Formula]):
                 if len(entry) != 2 or not all(isinstance(x, str) for x in entry):
                     raise JsonError(f"{key} entry {entry!r} is not a pair of names")
                 pairs.append(tuple(entry))
+            _names(list(chain.from_iterable(pairs)), f"{key} entry",
+                   _rel_label if key == "rel" else is_name)
             atoms.append(tuple(pairs))
         return LabeledSequent(rel=atoms[0], dom=atoms[1],
                               left=_labeled_pairs(obj.get("left", []), "left",
@@ -161,6 +174,7 @@ def _sequent(obj, parsed: dict[str, Formula]):
                       for t in _expect(obj.get("right", []), list, "right"))
         vars_ = tuple(_expect(v, str, "vars entry")
                       for v in _expect(obj.get("vars", []), list, "vars"))
+        _names((label, *vars_), "label or vars entry")
         children = tuple(_sequent(c, parsed)
                          for c in _expect(obj.get("children", []), list, "children"))
         for child in children:
@@ -196,6 +210,7 @@ def path_from_json(obj) -> PropPath:
     _expect(obj, dict, "path")
     labels = tuple(_expect(x, str, "path label")
                    for x in _expect(obj.get("labels"), list, "path.labels"))
+    _names(labels, "path label")
     chars = tuple(_expect(c, str, "path char")
                   for c in _expect(obj.get("chars"), list, "path.chars"))
     return PropPath(labels, chars)
@@ -235,6 +250,8 @@ def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
         if key in obj:
             names[key] = tuple(_expect(x, str, f"{key} label")
                                for x in _expect(obj[key], list, key))
+    for key, value in names.items():
+        _names((value,) if isinstance(value, str) else value, f"params.{key}")
     return RuleParams(
         formula=(_formula(obj["formula"], "params.formula", parsed)
                  if "formula" in obj else None),

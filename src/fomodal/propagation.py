@@ -7,7 +7,8 @@ backward edge (u, b, w).  A path spells out a string of d's and b's,
 and a rewriting system S picks out the paths whose string lies in the
 language of a start letter.  Reachability under that constraint is what
 licenses the propagation and availability side conditions of the
-refined calculi.
+refined calculi.  A path already found is checked without a graph,
+on the sequent's relational atoms by path_in: graphs serve searches.
 
 Reachability is decided by grammar.saturate, the CFL-reachability
 engine that also decides grammar membership: it reads S as a binarized
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import grammar
-from .grammar import DIA, BDIA, ThueSystem, saturate, to_cfg
+from .grammar import DIA, BDIA, LETTER_SYMBOL, ThueSystem, saturate
 from .sequents import LabeledSequent
 
 
@@ -66,15 +67,6 @@ class PropPath:
         for i, c in enumerate(self.chars):
             yield (self.labels[i], c, self.labels[i + 1])
 
-    def __str__(self):
-        if not self.chars:
-            return f"{self.source} (empty path)"
-        out = [self.labels[0]]
-        for w, c, u in self.steps():
-            out.append(grammar.pretty_string(c))
-            out.append(u)
-        return ", ".join(out)
-
 
 def empty_path(label: str) -> PropPath:
     return PropPath((label,), ())
@@ -91,6 +83,16 @@ def join_paths(first: PropPath, second: PropPath) -> PropPath:
     return PropPath(first.labels + second.labels[1:], first.chars + second.chars)
 
 
+def path_in(seq: LabeledSequent, path: PropPath) -> bool:
+    """Is path a walk of build_graph(seq), read off seq: each d step along
+    a relational atom, each b step against one, an empty path at a label?"""
+    if not path.chars:
+        return path.source in seq.labels()
+    rel = seq.rel
+    return all((w, u) in rel if c == DIA else c == BDIA and (u, w) in rel
+               for w, c, u in path.steps())
+
+
 class PropagationGraph:
     """Vertices with their variable sets and directed labeled edges."""
 
@@ -102,20 +104,8 @@ class PropagationGraph:
                 raise PropagationError(f"edge ({w},{c},{u}) leaves the vertex set")
             grammar.check_string(c)
 
-    def validate_path(self, path: PropPath) -> bool:
-        if path.source not in self.vertices:
-            return False
-        return all(step in self.edges for step in path.steps())
-
     def closure(self, system: ThueSystem) -> "_Closure":
         return _closure(system, frozenset(self.vertices), self.edges)
-
-    def __str__(self):
-        verts = ", ".join(f"({w}, {{{', '.join(sorted(xs))}}})"
-                          for w, xs in sorted(self.vertices.items()))
-        edges = ", ".join(f"({w}, {grammar.pretty_string(c)}, {u})"
-                          for w, c, u in sorted(self.edges))
-        return f"vertices: {verts}; edges: {edges}"
 
 
 _NO_VARIABLES: frozenset[str] = frozenset()
@@ -152,7 +142,6 @@ class _Closure:
     triple."""
 
     def __init__(self, system: ThueSystem, labels: frozenset[str], edges):
-        self.cfg = to_cfg(system)
         self.back = saturate(system, labels, edges)
         self.paths: dict[tuple, PropPath] = {}  # the triples expanded so far
         self.by_source: dict[tuple, set[str]] = {}
@@ -160,12 +149,11 @@ class _Closure:
             self.by_source.setdefault((nt, u), set()).add(v)
 
     def targets(self, char: str, source: str) -> frozenset[str]:
-        nt = self.cfg.start_symbol(char)
+        nt = LETTER_SYMBOL[char]
         return frozenset(self.by_source.get((nt, source), ()))
 
     def witness(self, char: str, source: str, target: str) -> PropPath | None:
-        nt = self.cfg.start_symbol(char)
-        triple = (nt, source, target)
+        triple = (LETTER_SYMBOL[char], source, target)
         if triple not in self.back:
             return None
         return self._expand(triple)
@@ -188,39 +176,22 @@ class _Closure:
         return path
 
 
-def reachable(graph_or_seq, system: ThueSystem, char: str, source: str) -> frozenset[str]:
+def reachable(graph: PropagationGraph, system: ThueSystem, char: str,
+              source: str) -> frozenset[str]:
     """Labels u such that some path from source to u spells a string in
     the language of char under system; source itself is included
     exactly when the empty string is in that language."""
-    graph = _as_graph(graph_or_seq)
     if source not in graph.vertices:
         raise PropagationError(f"unknown label {source}")
     return graph.closure(system).targets(char, source)
 
 
-def witness_path(graph_or_seq, system: ThueSystem, char: str, source: str,
-                 target: str) -> PropPath | None:
+def witness_path(graph: PropagationGraph, system: ThueSystem, char: str,
+                 source: str, target: str) -> PropPath | None:
     """Some path witnessing reachability, or None.  The witness is
     valid but not necessarily shortest."""
-    graph = _as_graph(graph_or_seq)
     if source not in graph.vertices:
         raise PropagationError(f"unknown label {source}")
     if target not in graph.vertices:
         return None
     return graph.closure(system).witness(char, source, target)
-
-
-def available(seq, system: ThueSystem, char: str, label: str) -> frozenset[str]:
-    """Variables known to exist at some label reachable from label
-    under the string constraint."""
-    graph = _as_graph(seq)
-    out: set[str] = set()
-    for target in reachable(graph, system, char, label):
-        out |= graph.vertices[target]
-    return frozenset(out)
-
-
-def _as_graph(thing) -> PropagationGraph:
-    if isinstance(thing, PropagationGraph):
-        return thing
-    return build_graph(thing)

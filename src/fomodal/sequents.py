@@ -37,8 +37,8 @@ from functools import lru_cache
 from itertools import count
 from operator import itemgetter
 
-from .syntax import (MAX_DEPTH, Formula, _Parser, _tokenize, alpha_canonical,
-                     all_vars, render_formula)
+from .syntax import (MAX_DEPTH, Formula, ParseError, _Parser, _tokenize,
+                     alpha_canonical, all_vars, render_formula)
 
 
 class SequentError(Exception):
@@ -229,10 +229,18 @@ def _antecedent_item(parser: _Parser):
     return "rel", (w, u)
 
 
+@lru_cache(maxsize=4096)
+def is_name(word: str) -> bool:
+    """Is word one identifier token, as labels and variables are read?"""
+    try:
+        return _tokenize(word)[0][:2] == ("ident", word)
+    except ParseError:
+        return False
+
+
 def _rel_label(word: str) -> bool:
-    """Is word one identifier token without a capital R?"""
-    return ((word[:1].isalpha() or word[:1] == "_") and "R" not in word
-            and _tokenize(word)[0][:2] == ("ident", word))
+    """Is word a name without a capital R?"""
+    return "R" not in word and is_name(word)
 
 
 def _succedent_item(parser: _Parser):

@@ -22,8 +22,9 @@ sequents reads its notations with this parser.
 A parsed formula has at most MAX_DEPTH (200) connectives on any branch
 of its expanded tree; deeper input is a ParseError, so the recursive
 functions over formulas never meet a tree deeper than Python's
-recursion limit allows.  The parser itself keeps its open groups on an
-explicit stack.
+recursion limit allows.  The parser keeps its open groups on a stack,
+and hashing and equality, which formulas of any depth meet deep in a
+proof search, never recurse.
 
 Terms are variables only; there are no constants or function symbols.
 Predicates may be nullary.  Parsing renames bound variables apart, so
@@ -55,64 +56,85 @@ class ArityError(FormulaError):
 # Abstract syntax
 # ===================================================================
 
-def _remember_hash(cls):
-    """Keep a formula's hash once computed.  Formulas key many caches
-    and sets, and the generated hash walks the whole tree each time."""
-    generated = cls.__hash__
+@dataclass(frozen=True)
+class Formula:
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", self._fields_hash())
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = generated(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-    cls.__hash__ = __hash__
+
+def _hashed(cls):
+    """Hash each formula once, as it is built, by the generated hash over
+    its fields, whose own hashes are remembered: hashing never walks."""
+    cls._fields_hash = cls.__hash__
+    cls.__hash__ = lambda self: self._hash
     return cls
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+def _walked_eq(self, other):
+    """Equality of connectives: hashes first, then the pairs with equal
+    hashes walked on a stack, so comparing never recurses."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        cls = a.__class__
+        if a is b:
+            continue
+        if cls is not b.__class__ or a._hash != b._hash:
+            return False
+        if cls is Or:
+            stack += ((a.right, b.right), (a.left, b.left))
+        elif cls is Exists and a.bound != b.bound:
+            return False
+        elif cls is Neg or cls is Dia or cls is Exists:
+            stack.append((a.body, b.body))
+        elif a != b:  # Pred and Bottom keep the generated comparison
+            return False
+    return True
 
 
-@_remember_hash
+@_hashed
 @dataclass(frozen=True)
 class Pred(Formula):
     name: str
     args: tuple[str, ...] = ()
 
 
-@_remember_hash
+@_hashed
 @dataclass(frozen=True)
 class Bottom(Formula):
     pass
 
 
-@_remember_hash
+@_hashed
 @dataclass(frozen=True)
 class Neg(Formula):
     body: Formula
+    __eq__ = _walked_eq
 
 
-@_remember_hash
+@_hashed
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
+    __eq__ = _walked_eq
 
 
-@_remember_hash
+@_hashed
 @dataclass(frozen=True)
 class Dia(Formula):
     body: Formula
+    __eq__ = _walked_eq
 
 
-@_remember_hash
+@_hashed
 @dataclass(frozen=True)
 class Exists(Formula):
     bound: str
     body: Formula
+    __eq__ = _walked_eq
 
 
 def box(body: Formula) -> Formula:

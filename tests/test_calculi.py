@@ -12,10 +12,13 @@ from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
                              g_rule, propagation_system, rule_set,
                              side_condition)
 from fomodal.grammar import s4, s5, of_paths, union
-from fomodal.propagation import PropPath
+from fomodal.propagation import PropPath, build_graph
+from fomodal.prover import prove_formula
+from fomodal.refine import labelize, nestify, refine_proof
 from fomodal.sequents import (LabeledSequent, NestedSequent, parse_labeled,
                               parse_nested, render_nested)
 from fomodal.syntax import frame_spec, parse_formula
+from fixtures import EX_FRAME, elimination_initial
 
 
 def LS(text):
@@ -542,3 +545,36 @@ def test_check_rejects_wrong_rule_for_calculus():
     refined = check(CalculusSpec("RefinedL", frame_spec(inc=True)), proof)
     assert not refined.ok
     assert "not a rule" in refined.message
+
+
+def test_an_empty_witness_needs_its_label_in_the_sequent():
+    calc = CalculusSpec("RefinedL", frame_spec(paths=[(0, 0)], inc=True))
+    seq = LS("wRv, y in D(w) |- w: <>p")
+    params = RuleParams(label="t", target="t", formula=parse_formula("<>p"),
+                        witness=PropPath(("t",), ()))
+    for rule in (P_DIA, S_EX2):
+        cond = side_condition(calc, rule, seq, params)
+        assert not cond.holds
+        assert cond.reason == "witness uses a missing edge"
+    at_w = RuleParams(label="w", target="w", witness=PropPath(("w",), ()))
+    assert side_condition(calc, P_DIA, seq, at_w).holds
+
+
+def test_replaying_stored_witnesses_builds_no_graph():
+    goals = [(frame_spec(paths=[(0, 2)], inc=True),
+              "(exists x. []p(x)) -> [][]exists x. p(x)"),
+             (frame_spec(paths=[(0, 2)], inc=True, dec=True),
+              "(exists x. <>p(x)) -> <>exists x. p(x)")]
+    proofs = [(frame, prove_formula(frame, parse_formula(text)).proof)
+              for frame, text in goals]
+    rules = {node.rule for _, proof in proofs for _, node in proof.walk()
+             if node.params.witness is not None}
+    assert rules == {P_DIA, S_EX1}
+    build_graph.cache_clear()
+    for frame, proof in proofs:
+        assert check(CalculusSpec("NestedN", frame), proof).ok
+        labeled = labelize(frame, proof)
+        assert check(CalculusSpec("RefinedL", frame), labeled).ok
+        nestify(frame, labeled)
+    refine_proof(EX_FRAME, elimination_initial())
+    assert build_graph.cache_info().misses == 0

@@ -150,6 +150,48 @@ def test_translate_refuses_labels_that_are_no_identifiers(capsys, text):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"kind": "labeled", "rel": [["w0", "- v1"]], "right": [["- v1", "p"]]},
+     "rel entry"),
+    ({"kind": "labeled", "rel": [["w0", "wR"]]}, "rel entry"),
+    ({"kind": "labeled", "dom": [["x y", "w"]]}, "dom entry"),
+    ({"kind": "labeled", "right": [["exists", "p"]]}, "right label"),
+    ({"kind": "nested", "label": "1w"}, "label or vars entry"),
+    ({"kind": "nested", "vars": ["x'y"]}, "label or vars entry")])
+def test_json_labels_and_variables_are_names(capsys, obj, key):
+    code = main(["translate", "--to-nested", "--pretty", json.dumps(obj)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: {key}: cannot read ")
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"label": "w", "target": "v+"}, "params.target"),
+    ({"label": "w", "chain_u": ["w", ""]}, "params.chain_u"),
+    ({"label": "w", "witness": {"labels": ["w", "v v"], "chars": ["d"]}},
+     "path label")])
+def test_json_params_carry_names(capsys, params, key):
+    node = {"conclusion": {"kind": "labeled", "left": [["w", "p"]],
+                           "right": [["w", "p"]]},
+            "rule": "ax", "params": params, "premises": []}
+    code = main(["check", "--calculus", "refined", json.dumps(node)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {key}: cannot read ")
+
+
+def test_prover_proofs_round_trip_through_json(capsys):
+    code, out = _run(capsys, "prove", "--proof", "--path", "0:2", "--inc-dom",
+                     "(exists x. []p(x)) -> [][]exists x. p(x)")
+    assert code == 0
+    proof = _json(out)["proof"]
+    assert proof_to_json(proof_from_json(proof)) == proof
+    assert _run(capsys, "check", "--calculus", "nested", "--path", "0:2",
+                "--inc-dom", json.dumps(proof))[0] == 0
+    code, out = _run(capsys, "check", "--calculus", "nested", "--inc-dom",
+                     json.dumps(proof))
+    assert code == 4 and "witness string dd not derivable" in out
+
+
 @pytest.mark.parametrize("params, key", [
     ({"label": {"a": 1}, "target": "v"}, "params.label"),
     ({"label": "w", "target": ["v"]}, "params.target"),
@@ -330,6 +372,29 @@ def test_check_takes_a_proof_near_the_prover_depth_limit(capsys):
     proof = json.dumps(_json(out)["proof"])
     assert proof_from_json(json.loads(proof)).height() == 199
     assert _run(capsys, "check", "--calculus", "nested", proof)[0] == 0
+
+
+def _balanced(atoms: int) -> str:
+    def part(lo, hi):
+        if hi - lo == 1:
+            return f"p{lo}"
+        mid = (lo + hi) // 2
+        return f"({part(lo, mid)} | {part(mid, hi)})"
+    return part(0, atoms)
+
+
+@pytest.mark.parametrize("argv", [
+    # p_dia compares two diamond chains 200 deep, deep in a branch
+    ["--sequent", f"; |- {_balanced(201)}, {'<>' * 200}q"],
+    # s_ex1 hashes a fresh instance of a 198-deep chain, deeper still
+    ["--max-depth", "300", "--sequent",
+     f"; y |- {_balanced(290)}, exists x. {'<>' * 198}p(x)"],
+])
+def test_long_formulas_compare_and_hash_deep_in_a_branch(capsys, argv):
+    code, out = _run(capsys, "prove", *argv)
+    assert code == 1
+    assert _json(out)["reason"] == "no proof exists for this goal"
+    assert _json(out)["complete"] is True
 
 
 def test_over_deep_nested_sequent_is_an_input_error(capsys):

@@ -6,9 +6,10 @@ import pytest
 
 from fomodal.grammar import of_paths, s4, s5, union
 from fomodal.propagation import (PropagationError, PropagationGraph, PropPath,
-                                 available, build_graph, edge_path, empty_path,
-                                 join_paths, reachable, witness_path)
-from fomodal.sequents import parse_labeled
+                                 build_graph, edge_path, empty_path,
+                                 join_paths, path_in, reachable, witness_path)
+from fomodal.sequents import LabeledSequent, parse_labeled
+from fomodal.syntax import parse_formula
 from oracles import earley_member, enumerate_reachable, random_edges
 
 
@@ -43,10 +44,45 @@ def test_build_graph_from_labeled():
 
 
 def test_validate_path():
-    graph = build_graph(parse_labeled("wRv |- "))
-    assert graph.validate_path(PropPath(("w", "v", "w"), ("d", "b")))
-    assert not graph.validate_path(PropPath(("w", "v"), ("b",)))
-    assert not graph.validate_path(PropPath(("t",), ()))
+    seq = parse_labeled("wRv, y in D(u) |- ")
+    assert path_in(seq, PropPath(("w", "v", "w"), ("d", "b")))
+    assert not path_in(seq, PropPath(("w", "v"), ("b",)))
+    assert not path_in(seq, PropPath(("w", "v"), ("dd",)))
+    assert not path_in(seq, PropPath(("t",), ()))
+    assert path_in(seq, PropPath(("u",), ()))
+
+
+def test_path_in_agrees_with_the_graph():
+    # a path of the sequent is a walk of its graph, and only such
+    rng = random.Random(14)
+    names = ["w", "u", "v", "t"]
+    chars = ["d", "b", "d", "b", "dd", ""]
+    agreed = 0
+    for _ in range(2000):
+        seq = LabeledSequent(
+            rel=tuple((rng.choice(names), rng.choice(names))
+                      for _ in range(rng.randint(0, 4))),
+            dom=tuple(("y", rng.choice(names)) for _ in range(rng.randint(0, 1))),
+            right=tuple((rng.choice(names), parse_formula("p"))
+                        for _ in range(rng.randint(0, 1))))
+        graph = build_graph.__wrapped__(seq)
+        for _ in range(10):
+            labels = [rng.choice(names)]
+            steps = []
+            for _ in range(rng.randint(0, 3)):
+                here = [e for e in graph.edges if e[0] == labels[-1]]
+                if here and rng.random() < 0.7:
+                    _, c, u = rng.choice(here)
+                else:
+                    c, u = rng.choice(chars), rng.choice(names)
+                steps.append(c)
+                labels.append(u)
+            path = PropPath(tuple(labels), tuple(steps))
+            want = (path.source in graph.vertices
+                    and all(step in graph.edges for step in path.steps()))
+            assert path_in(seq, path) == want, (seq, path)
+            agreed += want
+    assert 2000 < agreed < 18000
 
 
 def test_reachable_under_empty_word():
@@ -73,7 +109,7 @@ def test_witness_path_is_valid_and_in_language():
     path = witness_path(graph, sys_, "d", "w", "v")
     assert path is not None
     assert path.source == "w" and path.target == "v"
-    assert graph.validate_path(path)
+    assert path_in(seq, path)
     assert earley_member(sys_, "d", path.string())
     assert witness_path(graph, sys_, "b", "w", "v") is None
 
@@ -91,13 +127,6 @@ def test_graphs_with_one_skeleton_share_one_closure():
     assert reachable(b, sys_, "d", "w") == {"u", "v"}
     # the variable sets stay per graph
     assert a.vertices["u"] == {"y"} and b.vertices["u"] == frozenset()
-
-
-def test_available_follows_domain_atoms():
-    seq = parse_labeled("wRv, y in D(w) |- ")
-    assert available(seq, s4(), "b", "v") == {"y"}
-    assert available(seq, of_paths([(1, 1)]), "b", "v") == {"y"}
-    assert available(seq, of_paths([(0, 2)]), "d", "v") == set()
 
 
 def test_reachable_matches_walk_enumeration():

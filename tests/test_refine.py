@@ -1,10 +1,14 @@
 """Relational-rule elimination and the nested reading of refined proofs."""
 
+from dataclasses import replace
+
 import pytest
 
 from fomodal import refine
-from fomodal.calculi import (AX, DIA_R, ID, OR_R, RELATIONAL, CalculusSpec,
-                             ProofTree, RuleParams, apply_rule, check, g_rule)
+from fomodal.calculi import (AX, DIA_R, ID, OR_R, P_DIA, RELATIONAL,
+                             CalculusSpec, ProofTree, RuleParams, apply_rule,
+                             check, g_rule)
+from fomodal.propagation import PropPath
 from fomodal.refine import (RefineError, labelize, nestify, refine_proof)
 from fomodal.sequents import LabeledSequent, labeled_alpha_eq, parse_labeled
 from fomodal.syntax import Or, frame_spec, parse_formula
@@ -256,3 +260,31 @@ def test_refine_absorbs_a_deep_chain_of_id_instances():
     assert [s.detail for s in result.steps] == ["absorb id below ax"] * 1200
     assert _preorder(result.proof) == [
         ((), seqs[0], AX, RuleParams(label="w1", formula=parse_formula("p")))]
+
+
+def test_refine_fills_in_a_missing_witness_by_search():
+    # display 2 with the s_ex1 witness and target left out
+    stripped = elimination_display_2()
+    sub = stripped.premises[0]
+    sub = ProofTree(sub.conclusion, sub.rule,
+                    replace(sub.params, target=None, witness=None), sub.premises)
+    stripped = ProofTree(stripped.conclusion, stripped.rule, stripped.params,
+                         (sub,))
+    assert check(CalculusSpec("Mixed", EX_FRAME), stripped).ok
+    result = refine_proof(EX_FRAME, stripped)
+    assert result.proof == elimination_display_4()
+
+
+def test_refine_fills_in_a_missing_p_dia_witness():
+    frame = frame_spec(paths=[(0, 2)])
+    calc = CalculusSpec("Mixed", frame)
+    seq = parse_labeled("wRu, uRv, v: p |- w: <>p")
+    dia = parse_formula("<>p")
+    params = RuleParams(label="w", target="v", formula=dia)
+    (premise,) = apply_rule(calc, seq, P_DIA, params)
+    leaf = ProofTree(premise, AX, RuleParams(label="v",
+                                             formula=parse_formula("p")))
+    proof = ProofTree(seq, P_DIA, params, (leaf,))
+    refined = refine_proof(frame, proof).proof
+    assert refined.params.witness == PropPath(("w", "u", "v"), ("d", "d"))
+    assert check(CalculusSpec("RefinedL", frame), refined).ok

@@ -15,6 +15,30 @@ def test_connective_shapes():
     assert phi.right.body.args == ("x",)
 
 
+def _neg_chain(depth: int, atom: str):
+    phi = Pred(atom, ("x",))
+    for _ in range(depth):
+        phi = Neg(phi)
+    return phi
+
+
+def test_deep_formulas_hash_and_compare_without_recursion():
+    a, b, c = _neg_chain(5000, "p"), _neg_chain(5000, "p"), _neg_chain(5000, "q")
+    assert a is not b
+    assert hash(a) == hash(b) and a == b and not a != b
+    assert a != c and not a == c
+    assert {a: 1}[b] == 1
+
+
+def test_formula_hashes_are_the_hashes_of_their_fields():
+    p = Pred("p", ("x",))
+    phi = Or(Exists("x", Dia(p)), Neg(Bottom()))
+    assert hash(p) == hash(("p", ("x",))) and hash(Bottom()) == hash(())
+    assert hash(phi) == hash((phi.left, phi.right))
+    assert hash(phi.left) == hash(("x", Dia(p)))
+    assert Exists("x", p) != Exists("y", p) and Neg(p) != Dia(p)
+
+
 def test_box_and_forall_are_abbreviations():
     assert box(Pred("p")) == Neg(Dia(Neg(Pred("p"))))
     assert forall("x", Pred("p", ("x",))) == Neg(Exists("x", Neg(Pred("p", ("x",)))))
