@@ -16,7 +16,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -24,7 +23,7 @@ import sys
 from .calculi import CalculusSpec, ProofTree, check, propagation_system
 from .grammar import (ALPHABET, GrammarError, check_string, derives,
                       of_paths, parse_production, s4, s5, system, union)
-from .jsonio import (JsonError, loads, model_to_json, path_to_json,
+from .jsonio import (JsonError, dumps, loads, model_to_json, path_to_json,
                      proof_from_json, proof_to_json, sequent_from_json,
                      sequent_to_json, system_to_json)
 from .propagation import (PropagationError, build_graph, reachable,
@@ -80,10 +79,9 @@ def _read_json(value: str):
 def _print(args, payload: dict, pretty_lines) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(dumps(payload) + "\n")
     elif not args.pretty:
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload))
     if args.pretty:
         for line in pretty_lines:
             print(line)

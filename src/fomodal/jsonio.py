@@ -9,39 +9,62 @@ the text readers take back, with no R in a relational atom.  Every
 from_json function validates its input and raises JsonError with a
 message naming the offending key.
 
-Proofs of any height are written and read by calculi.fold, without
-recursion; proof_from_json checks a node on entering it and decodes it
-on leaving, so errors come in a recursion's order.  JSON text from
-outside is read with loads, which refuses arrays and objects nested
-more than MAX_NESTING (500) deep: json.loads and the nested sequent
-reader recurse once per level.  A proof takes two levels per premise
-and two per nested component, so every proof the prover emits within
-its default max_depth of 200 passes.
+Proofs of any height and nested sequents of any depth are written and
+read by calculi.fold, without recursion; proof_from_json checks a node
+on entering it and decodes it on leaving, so errors come in a
+recursion's order.  JSON text from outside is read with loads, which
+refuses arrays and objects nested more than MAX_NESTING deep, and
+written with dumps.  MAX_NESTING is the deepest JSON a prover proof
+takes, so every proof prove_sequent emits is read back.  The json
+module recurses once per level and counts its levels against Python's
+recursion limit, so loads and dumps raise that limit by MAX_NESTING for
+the length of the call.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
+from contextlib import contextmanager
 from itertools import accumulate, chain
+from operator import attrgetter
 
 from .calculi import ProofTree, RuleId, RuleParams, fold
 from .grammar import GrammarError, ThueSystem, parse_production, system
 from .propagation import PropPath
+from .prover import MAX_SEARCH_DEPTH
 from .semantics import KripkeModel
 from .sequents import LabeledSequent, NestedSequent, _rel_label, is_name
-from .syntax import Formula, FormulaError, FrameSpec, parse_formula, render_formula
+from .syntax import (MAX_DEPTH, Formula, FormulaError, FrameSpec,
+                     parse_formula, render_formula)
 
 
 class JsonError(Exception):
     pass
 
 
-MAX_NESTING = 500
+# A proof node at search depth h sits 2h + 1 deep (two levels per
+# premise), and its conclusion's components 2 deeper per level; the
+# goal nests at most MAX_DEPTH levels and each search step adds at most
+# one, and a component's formula lists are one level further in.
+MAX_NESTING = 2 * MAX_SEARCH_DEPTH + 2 * (MAX_DEPTH + MAX_SEARCH_DEPTH) + 3
 
 _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 _JSON_BRACKET = re.compile(r"[][{}]")
 _NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+@contextmanager
+def _nesting_room():
+    """Python's recursion limit raised by MAX_NESTING, for the json
+    module's one recursion per level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + MAX_NESTING)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def loads(text: str):
@@ -52,9 +75,16 @@ def loads(text: str):
            default=0) > MAX_NESTING:
         raise JsonError(f"JSON nested more than {MAX_NESTING} deep")
     try:
-        return json.loads(text)
+        with _nesting_room():
+            return json.loads(text)
     except ValueError as exc:
         raise JsonError(f"not valid JSON: {exc}") from None
+
+
+def dumps(obj) -> str:
+    """json.dumps, indented, for values nested up to MAX_NESTING deep."""
+    with _nesting_room():
+        return json.dumps(obj, indent=2)
 
 
 def _expect(obj, kind, what: str):
@@ -114,12 +144,13 @@ def frame_from_json(obj) -> FrameSpec:
 
 def sequent_to_json(seq) -> dict:
     if isinstance(seq, NestedSequent):
-        return {"kind": "nested",
-                "label": seq.label,
-                "left": [render_formula(f) for f in seq.left],
-                "vars": list(seq.vars),
-                "right": [render_formula(f) for f in seq.right],
-                "children": [sequent_to_json(c) for c in seq.children]}
+        return fold(seq, lambda node, children: {
+            "kind": "nested",
+            "label": node.label,
+            "left": [render_formula(f) for f in node.left],
+            "vars": list(node.vars),
+            "right": [render_formula(f) for f in node.right],
+            "children": list(children)}, attrgetter("children"))
     if isinstance(seq, LabeledSequent):
         return {"kind": "labeled",
                 "rel": [list(pair) for pair in seq.rel],
@@ -167,21 +198,36 @@ def _sequent(obj, parsed: dict[str, Formula]):
                               right=_labeled_pairs(obj.get("right", []), "right",
                                                    parsed))
     if kind == "nested":
-        label = _expect(obj.get("label", "w0"), str, "label")
-        left = tuple(_formula(t, "left formula", parsed)
-                     for t in _expect(obj.get("left", []), list, "left"))
-        right = tuple(_formula(t, "right formula", parsed)
-                      for t in _expect(obj.get("right", []), list, "right"))
-        vars_ = tuple(_expect(v, str, "vars entry")
-                      for v in _expect(obj.get("vars", []), list, "vars"))
-        _names((label, *vars_), "label or vars entry")
-        children = tuple(_sequent(c, parsed)
-                         for c in _expect(obj.get("children", []), list, "children"))
-        for child in children:
-            if not isinstance(child, NestedSequent):
-                raise JsonError("children of a nested sequent must be nested")
-        return NestedSequent(label, left, vars_, right, children)
+        return fold(obj, lambda node, children: _component(node, children,
+                                                           parsed),
+                    _children)
     raise JsonError(f"sequent.kind must be 'labeled' or 'nested', got {kind!r}")
+
+
+def _children(obj) -> list:
+    """The children of a nested sequent's component, which must be
+    nested components themselves."""
+    children = _expect(obj.get("children", []), list, "children")
+    for child in children:
+        kind = _expect(child, dict, "sequent").get("kind")
+        if kind == "labeled":
+            raise JsonError("children of a nested sequent must be nested")
+        if kind != "nested":
+            raise JsonError(f"sequent.kind must be 'labeled' or 'nested', "
+                            f"got {kind!r}")
+    return children
+
+
+def _component(obj, children, parsed: dict[str, Formula]) -> NestedSequent:
+    label = _expect(obj.get("label", "w0"), str, "label")
+    left = tuple(_formula(t, "left formula", parsed)
+                 for t in _expect(obj.get("left", []), list, "left"))
+    right = tuple(_formula(t, "right formula", parsed)
+                  for t in _expect(obj.get("right", []), list, "right"))
+    vars_ = tuple(_expect(v, str, "vars entry")
+                  for v in _expect(obj.get("vars", []), list, "vars"))
+    _names((label, *vars_), "label or vars entry")
+    return NestedSequent(label, left, vars_, right, children)
 
 
 # ===================================================================

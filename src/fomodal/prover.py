@@ -18,6 +18,15 @@ sequent.  When a round finishes without ever hitting a cap, the space
 has been explored exhaustively and the goal has no proof at any cap,
 which Exhausted reports as complete=True.
 
+The rounds of one prove_sequent call share their nodes.  All the search
+decides at a node but whether a creation is left (the closure, the step
+it commits to, the shape key, the d and s_ex2 instances) is planned the
+first time a round reaches it, and the premises of each step it takes
+are built once.  A later round replays those plans and premises: it
+applies no rule again, and asks each s_ex2 side condition once, when a
+round first reaches the node with a creation to spend.  The nodes a
+result reports count visits, in every round, replayed ones included.
+
 The search carries its reading down: a premise's components are those
 of its conclusion with only the labels the rule instance names read
 again off the premise apply_rule returns.  p_dia is probed by one set
@@ -30,7 +39,6 @@ proof checker under NestedN.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
@@ -93,74 +101,130 @@ class _Abort(Exception):
     pass
 
 
-# a node of a proof the search found: its labeled conclusion, the
-# components the search read off it, the rule instance and the nodes
-# of its premises
-_Found = namedtuple("_Found", "seq parts rule params premises")
+class _Step:
+    """A rule instance a node's plan takes: the creations it spends, the
+    mark it adds to the branch's applied instances, and the nodes of its
+    premises once a round has taken it (none for a closure)."""
+    __slots__ = ("rule", "params", "spent", "mark", "premises")
+
+    def __init__(self, rule, params, spent=0, mark=None, premises=None):
+        self.rule, self.params, self.spent = rule, params, spent
+        self.mark, self.premises = mark, premises
+
+
+class _Node:
+    """A search node, kept by every round of one prove_sequent call.
+    Its plan is what _attack decides there apart from the cap: step, the
+    closure or the committed invertible step, else the creating step;
+    key, the shape the choice points add to the history, None when the
+    loop check prunes the node; choices, the d and s_ex2 steps.  The
+    s_ex2 side conditions are asked once the node is reached with a
+    creation to spend, and the steps whose condition fails dropped.
+    proved is the step by which the latest round proved the node."""
+    __slots__ = ("seq", "comps", "step", "key", "choices", "checked",
+                 "proved")
+
+    def __init__(self, seq, comps):
+        self.seq, self.comps = seq, comps
+        self.choices = None
+        self.checked = False
 
 
 class _Search:
-    def __init__(self, calc: CalculusSpec, budget: SearchBudget, cap: int):
+    def __init__(self, calc: CalculusSpec, budget: SearchBudget):
         self.calc = calc
         self.rules = rule_set(calc)
         self.propagation = propagation_system(calc.frame)
         self.budget = budget
-        self.cap = cap
-        self.nodes = 0
-        self.cut = False
 
-    def run(self, goal: NestedSequent) -> _Found | None:
-        seq = to_labeled(goal)
-        return self._attack(seq, components(seq, goal.label), self.cap, 0)
+    def run(self, root: _Node, cap: int) -> bool:
+        """One round of iterative deepening: at most cap creating steps
+        on a branch."""
+        self.nodes, self.cut = 0, False
+        return self._attack(root, cap, 0, frozenset(), frozenset())
 
-    def _attack(self, seq: LabeledSequent, comps, creations: int, depth: int,
-                history=frozenset(), applied=frozenset()) -> _Found | None:
+    def _attack(self, node: _Node, creations: int, depth: int, history,
+                applied) -> bool:
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             self.cut = True
             raise _Abort
         if depth > self.budget.max_depth:
             self.cut = True
-            return None
+            return False
+        if node.choices is None:
+            self._plan(node, history, applied)
 
+        step = node.step
+        if step is not None:
+            if step.spent <= creations:
+                return self._down(node, step, creations, depth, history,
+                                  applied)
+            self.cut = True
+        if node.key is None or not node.choices:
+            return False
+        if creations == 0:
+            self.cut = True
+            return False
+        if not node.checked:
+            node.choices = tuple(self._checked(node))
+            node.checked = True
+        # the choice points pass on the shape they add to the history
+        history = history | {node.key}
+        for step in node.choices:
+            if self._down(node, step, creations, depth, history, applied):
+                return True
+        return False
+
+    def _down(self, node: _Node, step: _Step, creations: int, depth: int,
+              history, applied) -> bool:
+        if step.premises is None:
+            labels = _named(step.params)
+            step.premises = tuple(
+                _Node(premise, update_components(node.comps, premise, labels))
+                for premise in apply_rule(self.calc, node.seq, step.rule,
+                                          step.params))
+        marked = applied if step.mark is None else applied | {step.mark}
+        for child in step.premises:
+            if not self._attack(child, creations - step.spent, depth + 1,
+                                history, marked):
+                return False
+        node.proved = step
+        return True
+
+    def _plan(self, node: _Node, history, applied) -> None:
+        node.step = self._first_step(node.seq, node.comps, applied)
+        node.key, node.choices = None, ()
+        if node.step is None or node.step.spent:
+            key = shape_key(node.comps)
+            if key not in history:
+                node.key = key
+                node.choices = tuple(self._choice_points(node.seq, node.comps,
+                                                         applied))
+
+    def _first_step(self, seq: LabeledSequent, comps, applied) -> _Step | None:
         # closure, on the components in preorder
         for comp in comps:
             for f in comp.left:
                 if isinstance(f, Bottom):
-                    return _Found(seq, comps, BOT_L,
-                                  RuleParams(label=comp.label), ())
+                    return _Step(BOT_L, RuleParams(label=comp.label),
+                                 premises=())
                 if isinstance(f, Pred) and f in comp.right:
-                    return _Found(seq, comps, AX,
-                                  RuleParams(label=comp.label, formula=f), ())
-
-        # reads history when called, so the choice points below pass on
-        # the shape they add to it
-        def down(rule, params, spent=0, mark=None):
-            marked = applied if mark is None else applied | {mark}
-            labels = _named(params)
-            subs = []
-            for premise in apply_rule(self.calc, seq, rule, params):
-                sub = self._attack(premise,
-                                   update_components(comps, premise, labels),
-                                   creations - spent, depth + 1, history,
-                                   marked)
-                if sub is None:
-                    return None
-                subs.append(sub)
-            return _Found(seq, comps, rule, params, tuple(subs))
+                    return _Step(AX, RuleParams(label=comp.label, formula=f),
+                                 premises=())
 
         # propositional decomposition, fully invertible
         for comp in comps:
             for f in comp.left:
                 if isinstance(f, Neg):
-                    return down(NEG_L, RuleParams(label=comp.label, formula=f))
+                    return _Step(NEG_L, RuleParams(label=comp.label, formula=f))
                 if isinstance(f, Or):
-                    return down(OR_L, RuleParams(label=comp.label, formula=f))
+                    return _Step(OR_L, RuleParams(label=comp.label, formula=f))
             for f in comp.right:
                 if isinstance(f, Neg):
-                    return down(NEG_R, RuleParams(label=comp.label, formula=f))
+                    return _Step(NEG_R, RuleParams(label=comp.label, formula=f))
                 if isinstance(f, Or):
-                    return down(OR_R, RuleParams(label=comp.label, formula=f))
+                    return _Step(OR_R, RuleParams(label=comp.label, formula=f))
 
         # reachability rules keep their principal: saturate, at most once
         # per instance on a branch since a second application is redundant
@@ -184,8 +248,8 @@ class _Search:
                     params = RuleParams(label=comp.label, formula=f,
                                         target=target.label)
                     cond = side_condition(self.calc, P_DIA, seq, params)
-                    return down(P_DIA, replace(params, witness=cond.witness),
-                                mark=akey)
+                    return _Step(P_DIA, replace(params, witness=cond.witness),
+                                 mark=akey)
 
         theta = sorted({x for comp in comps for x in comp.vars})
         for comp in comps:
@@ -201,49 +265,36 @@ class _Search:
                     params = RuleParams(label=comp.label, formula=f, variable=y)
                     cond = side_condition(self.calc, S_EX1, seq, params)
                     if cond.holds:
-                        return down(S_EX1, replace(params, target=cond.target,
-                                                   witness=cond.witness),
-                                    mark=akey)
+                        return _Step(S_EX1, replace(params, target=cond.target,
+                                                    witness=cond.witness),
+                                     mark=akey)
 
-        # creating but invertible: commit when the cap allows
+        # creating but invertible: committed to when the cap allows
         taken_labels = {comp.label for comp in comps}
         for comp in comps:
             for f in comp.left:
                 if isinstance(f, Dia):
-                    if creations == 0:
-                        self.cut = True
-                        break
-                    params = RuleParams(label=comp.label, formula=f,
-                                        target=fresh_label(taken_labels))
-                    return down(DIA_L, params, spent=1)
+                    return _Step(DIA_L, RuleParams(
+                        label=comp.label, formula=f,
+                        target=fresh_label(taken_labels)), spent=1)
                 if isinstance(f, Exists):
-                    if creations == 0:
-                        self.cut = True
-                        break
                     y = fresh_variable(f.bound, seq.variables())
-                    params = RuleParams(label=comp.label, formula=f, variable=y)
-                    return down(EXISTS_L, params, spent=1)
+                    return _Step(EXISTS_L, RuleParams(
+                        label=comp.label, formula=f, variable=y), spent=1)
+        return None
 
-        key = shape_key(comps)
-        if key in history:
-            return None
-        history = history | {key}
-
-        # genuine choice points, backtracking
+    def _choice_points(self, seq: LabeledSequent, comps, applied):
+        """The genuine choice points, tried with backtracking: d once per
+        component and s_ex2 once per (principal, target) on a branch,
+        s_ex2 before its side condition is asked."""
         if D in self.rules:
+            taken_labels = {comp.label for comp in comps}
             for comp in comps:
                 akey = ("d", comp.label)
-                if akey in applied:
-                    continue
-                if creations == 0:
-                    self.cut = True
-                    break
-                found = down(D, RuleParams(label=comp.label,
-                                           target=fresh_label(taken_labels)),
-                             spent=1, mark=akey)
-                if found is not None:
-                    return found
-
+                if akey not in applied:
+                    yield _Step(D, RuleParams(label=comp.label,
+                                              target=fresh_label(taken_labels)),
+                                spent=1, mark=akey)
         if S_EX2 in self.rules:
             for comp in comps:
                 for f in comp.right:
@@ -251,24 +302,22 @@ class _Search:
                         continue
                     for target in comps:
                         akey = ("s_ex2", comp.label, f, target.label)
-                        if akey in applied:
-                            continue
-                        if creations == 0:
-                            self.cut = True
-                            continue
-                        y = fresh_variable(f.bound, seq.variables())
-                        params = RuleParams(label=comp.label, formula=f,
-                                            variable=y, target=target.label)
-                        cond = side_condition(self.calc, S_EX2, seq, params)
-                        if not cond.holds:
-                            continue
-                        found = down(S_EX2, replace(params,
-                                                    witness=cond.witness),
-                                     spent=1, mark=akey)
-                        if found is not None:
-                            return found
+                        if akey not in applied:
+                            y = fresh_variable(f.bound, seq.variables())
+                            yield _Step(S_EX2, RuleParams(
+                                label=comp.label, formula=f, variable=y,
+                                target=target.label), spent=1, mark=akey)
 
-        return None
+    def _checked(self, node: _Node):
+        """The choice points of node whose side condition holds, s_ex2
+        with the witness it found."""
+        for step in node.choices:
+            if step.rule == S_EX2:
+                cond = side_condition(self.calc, S_EX2, node.seq, step.params)
+                if not cond.holds:
+                    continue
+                step.params = replace(step.params, witness=cond.witness)
+            yield step
 
 
 def _named(params: RuleParams) -> tuple[str, ...]:
@@ -283,18 +332,20 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
     """Search for a nested proof of the goal over the given frame."""
     budget = budget or SearchBudget()
     calc = CalculusSpec("RefinedL", frame)
+    search = _Search(calc, budget)
+    seq = to_labeled(goal)
+    root = _Node(seq, components(seq, goal.label))
     total = 0
     for cap in range(budget.max_creations + 1):
-        search = _Search(calc, budget, cap)
         aborted = False
         try:
-            found = search.run(goal)
+            proved = search.run(root, cap)
         except _Abort:
-            found = None
+            proved = False
             aborted = True
         total += search.nodes
-        if found is not None:
-            proof = _nested(found, goal)
+        if proved:
+            proof = _nested(root, goal)
             report = check(CalculusSpec("NestedN", frame), proof)
             if not report.ok:
                 raise ProverError(f"search produced a broken proof: "
@@ -308,11 +359,12 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
                      False, total)
 
 
-def _nested(found: _Found, goal: NestedSequent) -> ProofTree:
-    """The proof found written over the goal, each premise built from
-    the components the search read off it."""
-    proof = fold(found, lambda node, premises: ProofTree(
-        nested_of(node.parts, node.seq), node.rule, node.params, premises))
+def _nested(root: _Node, goal: NestedSequent) -> ProofTree:
+    """The proof the last round found written over the goal, each
+    premise built from the components the search read off it."""
+    proof = fold(root, lambda node, premises: ProofTree(
+        nested_of(node.comps, node.seq), node.proved.rule,
+        node.proved.params, premises), lambda node: node.proved.premises)
     return ProofTree(goal, proof.rule, proof.params, proof.premises)
 
 

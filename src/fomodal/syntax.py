@@ -481,6 +481,9 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        # the arities of the predicates read so far, over every formula
+        # of the text
+        self.arities = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -547,8 +550,8 @@ class _Parser:
     def checked_formula(self) -> Formula:
         """formula(), refused and renamed as parse_formula does: more
         than MAX_DEPTH connectives on one branch of the expanded tree is
-        a ParseError, a predicate of two arities an ArityError, and the
-        binders come back renamed apart."""
+        a ParseError, a predicate of two arities in the text an
+        ArityError, and the binders come back renamed apart."""
         start = self.pos
         phi = self.formula()
         # one token adds at most three connectives to a branch
@@ -556,7 +559,7 @@ class _Parser:
             raise ParseError(
                 f"formula nested more than {MAX_DEPTH} connectives deep",
                 self.tokens[start][2])
-        predicate_arities([phi])
+        predicate_arities([phi], self.arities)
         return rename_apart(phi)
 
 

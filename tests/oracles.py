@@ -8,19 +8,29 @@ definitions rather than the algorithms under test.
 import functools
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
+from fomodal.calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R,
+                             OR_L, OR_R, P_DIA, S_EX1, S_EX2, CalculusSpec,
+                             ProofTree, RuleParams, apply_rule, check, fold,
+                             propagation_system, rule_set, side_condition)
 from fomodal.grammar import ALPHABET, BDIA, DIA, check_string
+from fomodal.propagation import build_graph, reachable
+from fomodal.prover import Exhausted, Proved, SearchBudget, _Abort
 from fomodal.semantics import (_DIA, _EXISTS, _MASK_BITS, _NEG, _OR, _PRED,
                                MAX_ASSIGNMENTS, MAX_VALUATIONS,
                                InterpretationError, KripkeModel,
                                SemanticsError, _compile, _pick,
                                enumerate_structures)
-from fomodal.sequents import LabeledSequent, NestedSequent
+from fomodal.sequents import (LabeledSequent, NestedSequent, components,
+                              fresh_label, nested_of, shape_key, to_labeled,
+                              update_components)
 from fomodal.syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or,
-                            Pred, free_vars, predicate_arities)
+                            Pred, free_vars, fresh_variable, predicate_arities,
+                            substitute)
 
 
 # ===================================================================
@@ -536,3 +546,209 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
                                   if v >> i & 1)
             return KripkeModel(n, rel, domains, valuation), world
     return None
+
+
+# ===================================================================
+# Proof search restarted from the goal for every creation cap
+# ===================================================================
+
+# The search as it was before rounds shared their nodes: each round of
+# iterative deepening decides every node afresh.  A reference for
+# prover.prove_sequent, which must return the same proof, node count,
+# reason and completeness.
+
+# a node of the proof found: its conclusion, its components, the rule
+# instance and the nodes of its premises
+_Found = namedtuple("_Found", "seq parts rule params premises")
+
+
+class RestartingSearch:
+    def __init__(self, calc, budget, cap: int):
+        self.calc = calc
+        self.rules = rule_set(calc)
+        self.propagation = propagation_system(calc.frame)
+        self.budget = budget
+        self.cap = cap
+        self.nodes = 0
+        self.cut = False
+
+    def run(self, goal: NestedSequent):
+        seq = to_labeled(goal)
+        return self._attack(seq, components(seq, goal.label), self.cap, 0)
+
+    def _attack(self, seq, comps, creations, depth, history=frozenset(),
+                applied=frozenset()):
+        self.nodes += 1
+        if self.nodes > self.budget.max_nodes:
+            self.cut = True
+            raise _Abort
+        if depth > self.budget.max_depth:
+            self.cut = True
+            return None
+
+        for comp in comps:
+            for f in comp.left:
+                if isinstance(f, Bottom):
+                    return _Found(seq, comps, BOT_L,
+                                  RuleParams(label=comp.label), ())
+                if isinstance(f, Pred) and f in comp.right:
+                    return _Found(seq, comps, AX,
+                                  RuleParams(label=comp.label, formula=f), ())
+
+        def down(rule, params, spent=0, mark=None):
+            marked = applied if mark is None else applied | {mark}
+            labels = tuple(label for label in (params.label, params.target)
+                           if label is not None)
+            subs = []
+            for premise in apply_rule(self.calc, seq, rule, params):
+                sub = self._attack(premise,
+                                   update_components(comps, premise, labels),
+                                   creations - spent, depth + 1, history,
+                                   marked)
+                if sub is None:
+                    return None
+                subs.append(sub)
+            return _Found(seq, comps, rule, params, tuple(subs))
+
+        for comp in comps:
+            for f in comp.left:
+                if isinstance(f, Neg):
+                    return down(NEG_L, RuleParams(label=comp.label, formula=f))
+                if isinstance(f, Or):
+                    return down(OR_L, RuleParams(label=comp.label, formula=f))
+            for f in comp.right:
+                if isinstance(f, Neg):
+                    return down(NEG_R, RuleParams(label=comp.label, formula=f))
+                if isinstance(f, Or):
+                    return down(OR_R, RuleParams(label=comp.label, formula=f))
+
+        for comp in comps:
+            reach = None
+            for f in comp.right:
+                if not isinstance(f, Dia):
+                    continue
+                for target in comps:
+                    akey = ("p_dia", comp.label, f, target.label)
+                    if akey in applied or f.body in target.right:
+                        continue
+                    if reach is None:
+                        reach = reachable(build_graph(seq), self.propagation,
+                                          DIA, comp.label)
+                    if target.label not in reach:
+                        continue
+                    params = RuleParams(label=comp.label, formula=f,
+                                        target=target.label)
+                    cond = side_condition(self.calc, P_DIA, seq, params)
+                    return down(P_DIA, replace(params, witness=cond.witness),
+                                mark=akey)
+
+        theta = sorted({x for comp in comps for x in comp.vars})
+        for comp in comps:
+            for f in comp.right:
+                if not isinstance(f, Exists):
+                    continue
+                for y in theta:
+                    akey = ("s_ex1", comp.label, f, y)
+                    if akey in applied:
+                        continue
+                    if substitute(f.body, y, f.bound) in comp.right:
+                        continue
+                    params = RuleParams(label=comp.label, formula=f, variable=y)
+                    cond = side_condition(self.calc, S_EX1, seq, params)
+                    if cond.holds:
+                        return down(S_EX1, replace(params, target=cond.target,
+                                                   witness=cond.witness),
+                                    mark=akey)
+
+        taken_labels = {comp.label for comp in comps}
+        for comp in comps:
+            for f in comp.left:
+                if isinstance(f, Dia):
+                    if creations == 0:
+                        self.cut = True
+                        break
+                    params = RuleParams(label=comp.label, formula=f,
+                                        target=fresh_label(taken_labels))
+                    return down(DIA_L, params, spent=1)
+                if isinstance(f, Exists):
+                    if creations == 0:
+                        self.cut = True
+                        break
+                    y = fresh_variable(f.bound, seq.variables())
+                    params = RuleParams(label=comp.label, formula=f, variable=y)
+                    return down(EXISTS_L, params, spent=1)
+
+        key = shape_key(comps)
+        if key in history:
+            return None
+        history = history | {key}
+
+        if D in self.rules:
+            for comp in comps:
+                akey = ("d", comp.label)
+                if akey in applied:
+                    continue
+                if creations == 0:
+                    self.cut = True
+                    break
+                found = down(D, RuleParams(label=comp.label,
+                                           target=fresh_label(taken_labels)),
+                             spent=1, mark=akey)
+                if found is not None:
+                    return found
+
+        if S_EX2 in self.rules:
+            for comp in comps:
+                for f in comp.right:
+                    if not isinstance(f, Exists):
+                        continue
+                    for target in comps:
+                        akey = ("s_ex2", comp.label, f, target.label)
+                        if akey in applied:
+                            continue
+                        if creations == 0:
+                            self.cut = True
+                            continue
+                        y = fresh_variable(f.bound, seq.variables())
+                        params = RuleParams(label=comp.label, formula=f,
+                                            variable=y, target=target.label)
+                        cond = side_condition(self.calc, S_EX2, seq, params)
+                        if not cond.holds:
+                            continue
+                        found = down(S_EX2, replace(params,
+                                                    witness=cond.witness),
+                                     spent=1, mark=akey)
+                        if found is not None:
+                            return found
+
+        return None
+
+
+def prove_restarting(frame: FrameSpec, goal: NestedSequent, budget=None):
+    """prover.prove_sequent with a fresh search from the goal for each
+    creation cap; the proof found is replayed as prove_sequent does."""
+    budget = budget or SearchBudget()
+    calc = CalculusSpec("RefinedL", frame)
+    total = 0
+    for cap in range(budget.max_creations + 1):
+        search = RestartingSearch(calc, budget, cap)
+        aborted = False
+        try:
+            found = search.run(goal)
+        except _Abort:
+            found = None
+            aborted = True
+        total += search.nodes
+        if found is not None:
+            proof = fold(found, lambda node, premises: ProofTree(
+                nested_of(node.parts, node.seq), node.rule, node.params,
+                premises))
+            proof = ProofTree(goal, proof.rule, proof.params, proof.premises)
+            assert check(CalculusSpec("NestedN", frame), proof).ok
+            return Proved(proof, total)
+        if not search.cut:
+            return Exhausted("no proof exists for this goal", True, total)
+        if aborted:
+            return Exhausted("node limit reached", False, total)
+    return Exhausted(f"no proof within {budget.max_creations} creating steps",
+                     False, total)

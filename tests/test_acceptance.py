@@ -201,12 +201,12 @@ def test_criterion_4_elimination_regression():
 
 
 def test_criterion_5_translation_round_trips():
-    phi = parse_nested("exists x. p(x) ; |- q | r, "
-                       "[p ; y |- q(y), [<>p ; y, z |- <>q]@u]@v")
+    phi = parse_nested("exists x. p(x) ; |- t | r, "
+                       "[s ; y |- q(y), [<>s ; y, z |- <>t]@u]@v")
     lab = to_labeled(phi)
     assert lab == parse_labeled(
         "w0Rv, vRu, y in D(v), y in D(u), z in D(u), "
-        "w0: exists x. p(x), v: p, u: <>p |- w0: q | r, v: q(y), u: <>q")
+        "w0: exists x. p(x), v: s, u: <>s |- w0: t | r, v: q(y), u: <>t")
     assert to_nested(lab) == phi
 
     rng = random.Random(5)

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from fomodal.cli import main
-from fomodal.jsonio import proof_from_json, proof_to_json, sequent_from_json
+from fomodal.jsonio import (MAX_NESTING, proof_from_json, proof_to_json,
+                            sequent_from_json)
 from fomodal.prover import MAX_SEARCH_DEPTH
 from fomodal.refine import refine_proof
 from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
@@ -361,7 +362,8 @@ def test_over_deep_proof_json_is_an_input_error(capsys):
         code = main([command, text])
         captured = capsys.readouterr()
         assert code == 3
-        assert captured.err.startswith("error: JSON nested more than 500")
+        assert captured.err.startswith(
+            f"error: JSON nested more than {MAX_NESTING} deep")
 
 
 def test_check_takes_a_proof_near_the_prover_depth_limit(capsys):
@@ -374,13 +376,26 @@ def test_check_takes_a_proof_near_the_prover_depth_limit(capsys):
     assert _run(capsys, "check", "--calculus", "nested", proof)[0] == 0
 
 
-def _balanced(atoms: int) -> str:
+def test_check_reads_back_a_proof_at_the_prover_depth_limit(capsys):
+    # p0 -> <balanced disjunction of p1, ..., p259, p0>: or_r splits it
+    # down a branch 262 high, past 500 JSON levels at two per premise
+    goal = f"p0 -> {_balanced(260, first=1).replace('p260', 'p0')}"
+    code, out = _run(capsys, "prove", "--proof", "--max-depth",
+                     str(MAX_SEARCH_DEPTH), goal)
+    assert code == 0
+    proof = _json(out)["proof"]
+    assert proof_from_json(proof).height() == 262
+    assert _run(capsys, "check", "--calculus", "nested",
+                json.dumps(proof))[0] == 0
+
+
+def _balanced(atoms: int, first: int = 0) -> str:
     def part(lo, hi):
         if hi - lo == 1:
             return f"p{lo}"
         mid = (lo + hi) // 2
         return f"({part(lo, mid)} | {part(mid, hi)})"
-    return part(0, atoms)
+    return part(first, first + atoms)
 
 
 @pytest.mark.parametrize("argv", [
@@ -437,6 +452,10 @@ def test_output_file_and_stdin(capsys, tmp_path):
 
 def test_input_error_exit_codes(capsys):
     assert _run(capsys, "prove", "((p")[0] == 3
+    # a predicate of two arities across a sequent, as within a formula
+    assert _run(capsys, "prove", "p(x) | ~p")[0] == 3
+    assert _run(capsys, "prove", "--sequent", "p(x) ; x |- p")[0] == 3
+    assert _run(capsys, "translate", "--to-nested", "w0: p(x) |- w0: p")[0] == 3
     assert _run(capsys, "check", "{not json")[0] == 3
     assert _run(capsys, "no-such-command")[0] == 3
     assert _run(capsys, "grammar", "--start", "d", "--string", "d")[0] == 3

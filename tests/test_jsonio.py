@@ -1,11 +1,12 @@
 """Round trips and validation for the JSON codecs."""
 
 import json
+from itertools import accumulate
 
 import pytest
 
 from fomodal.calculi import RuleId, RuleParams
-from fomodal.jsonio import (MAX_NESTING, JsonError, frame_from_json,
+from fomodal.jsonio import (MAX_NESTING, JsonError, dumps, frame_from_json,
                             frame_to_json, loads, model_from_json,
                             model_to_json, params_from_json,
                             params_to_json, path_from_json, path_to_json,
@@ -15,8 +16,10 @@ from fomodal.jsonio import (MAX_NESTING, JsonError, frame_from_json,
 from fomodal.grammar import of_paths, s4, s5, union
 from fomodal.propagation import PropPath
 from fomodal.semantics import KripkeModel
-from fomodal.sequents import parse_labeled, parse_nested
-from fomodal.syntax import (FormulaError, frame_spec, parse_formula,
+from fomodal.prover import MAX_SEARCH_DEPTH
+from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
+                              to_labeled)
+from fomodal.syntax import (MAX_DEPTH, FormulaError, frame_spec, parse_formula,
                             render_formula)
 
 from fixtures import elimination_initial
@@ -58,7 +61,7 @@ def test_labeled_sequent_round_trip():
 
 
 def test_nested_sequent_round_trip():
-    seq = parse_nested("<>p ; x |- exists y. q(y), [p(x) ; |- ]@v @u")
+    seq = parse_nested("<>r ; x |- exists y. q(y), [p(x) ; |- ]@v @u")
     assert sequent_from_json(_via_json(sequent_to_json(seq))) == seq
 
 
@@ -145,6 +148,23 @@ def test_loads_limits_nesting_outside_strings():
     assert loads(text) == {"a": '"' + "[" * 3000, "b": ["{]"]}
     with pytest.raises(JsonError, match="not valid JSON"):
         loads("{not json")
+
+
+def test_sequents_as_deep_as_a_prover_conclusion_round_trip():
+    # a goal nested MAX_DEPTH levels, one more level per search step
+    depth = MAX_DEPTH + MAX_SEARCH_DEPTH
+    seq = NestedSequent(f"w{depth}", (), ("x",), (parse_formula("p(x)"),))
+    for n in reversed(range(depth)):
+        seq = NestedSequent(f"w{n}", (), (), (), (seq,))
+    text = dumps(sequent_to_json(seq))
+    assert max(accumulate(1 if c in "[{" else -1 if c in "]}" else 0
+                          for c in text)) == 2 * depth + 2
+    back = sequent_from_json(loads(text))
+    assert back.labels() == seq.labels()
+    assert to_labeled(back) == to_labeled(seq)
+    with pytest.raises(JsonError, match="children of a nested sequent"):
+        sequent_from_json({"kind": "nested", "children": [
+            {"kind": "nested", "children": [{"kind": "labeled"}]}]})
 
 
 def test_system_round_trip():

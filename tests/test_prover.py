@@ -15,7 +15,7 @@ from fomodal.sequents import (DuplicateLabelError, NestedSequent, components,
                               parse_labeled, parse_nested)
 from fomodal.syntax import (MAX_DEPTH, Dia, Neg, Or, frame_spec, parse_formula,
                             rename_apart)
-from oracles import random_formula, walk_pairs
+from oracles import prove_restarting, random_formula, walk_pairs
 from test_acceptance import THEOREMS
 from test_prover_output import NON_THEOREMS
 
@@ -190,25 +190,27 @@ def _goals():
             yield frame, parse_nested(sequent_text), None
     for formula_text, conditions in NON_THEOREMS:
         yield frame_spec(**conditions), goal(parse_formula(formula_text)), None
-    rng = random.Random(2024)
     small = SearchBudget(max_creations=3, max_nodes=300)
-    for conditions in FRAME_CLASSES:
-        for _ in range(8):
-            # an implication with a diamond in its consequent, so that
-            # both sides get decomposed and p_dia has work to do
-            phi = Or(Neg(random_formula(rng, 5)),
-                     Or(random_formula(rng, 5), Dia(random_formula(rng, 4))))
-            yield frame_spec(**conditions), goal(rename_apart(phi)), small
+    for seed in (2024, 2025):
+        rng = random.Random(seed)
+        for conditions in FRAME_CLASSES:
+            for _ in range(8):
+                # an implication with a diamond in its consequent, so that
+                # both sides get decomposed and p_dia has work to do
+                phi = Or(Neg(random_formula(rng, 5)),
+                         Or(random_formula(rng, 5),
+                            Dia(random_formula(rng, 4))))
+                yield frame_spec(**conditions), goal(rename_apart(phi)), small
 
 
 def test_search_carries_the_components_of_every_node(monkeypatch):
     attack = prover._Search._attack
     root, sizes = [None], []
 
-    def checked(self, seq, comps, *rest):
-        assert comps == components(seq, root[0])
-        sizes.append(len(comps))
-        return attack(self, seq, comps, *rest)
+    def checked(self, node, *rest):
+        assert node.comps == components(node.seq, root[0])
+        sizes.append(len(node.comps))
+        return attack(self, node, *rest)
 
     monkeypatch.setattr(prover._Search, "_attack", checked)
     for frame, goal, budget in _goals():
@@ -230,6 +232,54 @@ def test_every_p_dia_condition_the_search_asks_holds(monkeypatch):
     for frame, goal, budget in _goals():
         prove_sequent(frame, goal, budget)
     assert len(asked) > 200 and all(asked)
+
+
+def test_each_rule_instance_is_applied_once_per_search(monkeypatch):
+    """Rounds of one search share their nodes: a later round replays the
+    premises an earlier one built instead of applying the rule again."""
+    calls, apply_rule = [], prover.apply_rule
+
+    def recording(calc, seq, rule, params):
+        calls.append((seq, rule, params))
+        return apply_rule(calc, seq, rule, params)
+
+    monkeypatch.setattr(prover, "apply_rule", recording)
+    repeats = total = 0
+    for frame, goal, budget in _goals():
+        calls.clear()
+        prove_sequent(frame, goal, budget)
+        repeats += len(calls) - len(set(calls))
+        total += len(calls)
+    assert total > 1000 and repeats < 0.05 * total, (repeats, total)
+
+
+def test_search_matches_a_search_restarted_for_every_cap():
+    """Proofs, node counts, reasons and completeness are those of the
+    search that decides every node afresh in every round."""
+    def outcome(result):
+        if isinstance(result, Proved):
+            return proof_to_json(result.proof), result.nodes
+        return result.reason, result.complete, result.nodes
+
+    # the acceptance theorems over the bare frame too, and a node limit
+    bare = []
+    for formula_text, sequent_text, _, _ in THEOREMS:
+        bare.append((frame_spec(), NestedSequent(
+            "w0", (), (), (parse_formula(formula_text),), ()), None))
+        if sequent_text is not None:
+            bare.append((frame_spec(), parse_nested(sequent_text), None))
+    limited = (frame_spec(serial=True),
+               NestedSequent("w0", (), (),
+                             (parse_formula("<><><><> ~false"),), ()),
+               SearchBudget(max_nodes=5))
+    kinds = set()
+    for frame, goal, budget in [*_goals(), *bare, limited]:
+        result = prove_sequent(frame, goal, budget)
+        assert outcome(result) == outcome(prove_restarting(frame, goal,
+                                                            budget))
+        kinds.add(True if result else (result.complete, result.reason[:8]))
+    assert kinds == {True, (True, "no proof"), (False, "no proof"),
+                     (False, "node lim")}
 
 
 def _chain(length):

@@ -12,8 +12,8 @@ from fomodal.sequents import (DuplicateLabelError, LabeledSequent, NestedSequent
                               labeled_alpha_eq, nested_alpha_eq, parse_labeled,
                               parse_nested, render_labeled, render_nested,
                               shape_key, to_labeled, to_nested)
-from fomodal.syntax import (Dia, FormulaError, Or, ParseError, Pred,
-                            parse_formula, render_formula)
+from fomodal.syntax import (ArityError, Dia, FormulaError, Or, ParseError,
+                            Pred, parse_formula, render_formula)
 from oracles import random_labeled_tree, random_nested
 
 
@@ -188,6 +188,17 @@ def test_parse_nested_depth_limit():
 def test_parse_labeled_refuses_labels_that_are_no_identifiers(text):
     with pytest.raises((SequentError, FormulaError)):
         parse_labeled(text)
+
+
+@pytest.mark.parametrize("read, text", [
+    (parse_nested, "p(x) ; x |- p"), (parse_nested, "; |- p, [ ; |- p(x, y)]"),
+    (parse_labeled, "w0: p(x) |- w0: p"),
+    (parse_labeled, "w0Rw1, w1: q |- w0: q(y)")])
+def test_sequent_readers_check_arities_across_the_sequent(read, text):
+    with pytest.raises(ArityError, match="used with arity"):
+        read(text)
+    # each predicate with one arity throughout is read
+    read(text.replace("(x)", "").replace("(x, y)", "").replace("(y)", ""))
 
 
 @pytest.mark.parametrize("text", ["; 0 |- ", "; x y |- ", "; |- [ ; |- ]@",
