@@ -26,7 +26,8 @@ from .jsonio import (JsonError, frame_from_json, frame_to_json,
                      proof_to_json, sequent_from_json, sequent_to_json,
                      system_from_json, system_to_json)
 from .propagation import (PropagationError, PropagationGraph, PropPath,
-                          build_graph, path_in, reachable, witness_path)
+                          build_graph, graph_of, path_in, reachable,
+                          witness_path)
 from .prover import (Exhausted, Proved, ProverError, SearchBudget,
                      prove_formula, prove_sequent)
 from .refine import (RefineError, RefineResult, RefineStep, labelize, nestify,

@@ -43,6 +43,9 @@ start letter govern availability depends on the domain conditions:
 
 Rule parameters carry any witness path, checked on the conclusion's
 own atoms; only a rule that lacks one searches the propagation graph.
+The conclusion keeps that graph, as it keeps its labels and a nested
+sequent its view (propagation.graph_of): it is built once per sequent
+and freed with it, and no process-wide cache of graphs grows.
 The two system builders are cached per frame, in bounded caches.
 """
 
@@ -53,8 +56,9 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
-from .propagation import (PropPath, build_graph, path_in, reachable,
-                          witness_path)
+from .propagation import PropPath, graph_of, path_in, reachable, witness_path
+# not used here: kept so that fomodal.calculi.build_graph still resolves
+from .propagation import build_graph  # noqa: F401
 from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
                        labeled_alpha_eq, to_labeled, to_nested)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
@@ -289,7 +293,7 @@ def side_condition(calc: CalculusSpec, rule: RuleId, seq, params: RuleParams) ->
             return _path_condition(seq, system, char, params.label,
                                    params.target, params.witness)
         # search every label that knows the variable
-        graph = build_graph(seq)
+        graph = graph_of(seq)
         for target in sorted(reachable(graph, system, char, params.label)):
             if params.variable in graph.vertices[target]:
                 path = witness_path(graph, system, char, params.label, target)
@@ -325,7 +329,7 @@ def _path_condition(seq: LabeledSequent, system: ThueSystem, char: str,
             return Condition(False, None, None,
                              f"witness string {stored.string() or 'eps'} not derivable")
         return Condition(True, stored, target)
-    path = witness_path(build_graph(seq), system, char, source, target)
+    path = witness_path(graph_of(seq), system, char, source, target)
     if path is None:
         return Condition(False, None, None,
                          f"no admissible path from {source} to {target}")
@@ -342,15 +346,16 @@ def apply_rule(calc: CalculusSpec, seq, rule: RuleId,
 
     A NestedN rule is applied to the labeled view of its conclusion,
     and each premise is read back as a tree under the same root."""
-    premises = _premises(calc, seq, rule, params)
+    premises = _premises(calc, rule_set(calc), seq, rule, params)
     return premises if calc.kind != "NestedN" else tuple(
         to_nested(premise, root=seq.label) for premise in premises)
 
 
-def _premises(calc: CalculusSpec, seq, rule: RuleId,
+def _premises(calc: CalculusSpec, rules: frozenset[RuleId], seq, rule: RuleId,
               params: RuleParams) -> tuple[LabeledSequent, ...]:
-    """apply_rule with the premises left as labeled sequents."""
-    if rule not in rule_set(calc):
+    """apply_rule with the premises left as labeled sequents; rules is
+    rule_set(calc)."""
+    if rule not in rules:
         raise RuleNotInCalculus(f"{rule} is not a rule of {calc.kind} "
                                 f"over this frame")
     if calc.kind != "NestedN":
@@ -361,7 +366,8 @@ def _premises(calc: CalculusSpec, seq, rule: RuleId,
         raise MalformedParams("NestedN proofs use nested sequents")
     _need(params.label is not None, MalformedParams, "missing component label")
     # only a lone empty root is missing from its view
-    _need(params.label in (seq.label, *to_labeled(seq).labels()),
+    _need(params.label == seq.label
+          or params.label in to_labeled(seq).labels(),
           SideConditionViolation, f"no component labeled {params.label}")
     return _apply_labeled(calc, to_labeled(seq), rule, params)
 
@@ -588,9 +594,11 @@ def _sequents_match(wanted: LabeledSequent, given, root: str | None) -> bool:
 def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
     """Replay every node; ok when each node's stored premises agree
     with the recomputed ones and every leaf is an axiom."""
+    rules = rule_set(calc)
     for path, node in proof.walk():
         try:
-            premises = _premises(calc, node.conclusion, node.rule, node.params)
+            premises = _premises(calc, rules, node.conclusion, node.rule,
+                                 node.params)
         except (RuleApplicationError, DuplicateLabelError) as err:
             return CheckReport(False, path, f"{node.rule}: {err}")
         if len(premises) != len(node.premises):

@@ -26,7 +26,7 @@ from .grammar import (ALPHABET, GrammarError, check_string, derives,
 from .jsonio import (JsonError, dumps, loads, model_to_json, path_to_json,
                      proof_from_json, proof_to_json, sequent_from_json,
                      sequent_to_json, system_to_json)
-from .propagation import (PropagationError, build_graph, reachable,
+from .propagation import (PropagationError, graph_of, reachable,
                           witness_path)
 from .prover import ProverError, SearchBudget, prove_formula, prove_sequent
 from .refine import RefineError, nestify, refine_proof
@@ -308,7 +308,7 @@ def _cmd_graph(args) -> int:
     seq = _parse_sequent(_read_input(args.sequent))
     if isinstance(seq, NestedSequent):
         seq = to_labeled(seq)
-    graph = build_graph(seq)
+    graph = graph_of(seq)
     payload = {"vertices": {label: sorted(vars_)
                             for label, vars_ in sorted(graph.vertices.items())},
                "edges": sorted([a, c, b] for a, c, b in graph.edges)}

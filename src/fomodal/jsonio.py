@@ -37,7 +37,7 @@ from .prover import MAX_SEARCH_DEPTH
 from .semantics import KripkeModel
 from .sequents import LabeledSequent, NestedSequent, _rel_label, is_name
 from .syntax import (MAX_DEPTH, Formula, FormulaError, FrameSpec,
-                     parse_formula, render_formula)
+                     parse_formula, predicate_arities, render_formula)
 
 
 class JsonError(Exception):
@@ -174,7 +174,15 @@ def _labeled_pairs(obj, what: str, parsed: dict[str, Formula]):
 
 
 def sequent_from_json(obj):
-    return _sequent(obj, {})
+    """The sequent obj encodes.  Raises ArityError when a predicate is
+    used with two arities across it, as the text readers do."""
+    seq = _sequent(obj, {})
+    if isinstance(seq, LabeledSequent):
+        predicate_arities(seq.formulas())
+    else:
+        predicate_arities(chain.from_iterable(node.left + node.right
+                                              for node in seq.walk()))
+    return seq
 
 
 def _sequent(obj, parsed: dict[str, Formula]):

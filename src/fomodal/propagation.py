@@ -9,6 +9,10 @@ language of a start letter.  Reachability under that constraint is what
 licenses the propagation and availability side conditions of the
 refined calculi.  A path already found is checked without a graph,
 on the sequent's relational atoms by path_in: graphs serve searches.
+A sequent keeps its graph as a nested sequent keeps its labeled view:
+graph_of builds it on first use and stores it on the sequent, so it
+lives exactly as long as the sequent.  build_graph keeps a
+process-wide cache of graphs, and remains only for API callers.
 
 Reachability is decided by grammar.saturate, the CFL-reachability
 engine that also decides grammar membership: it reads S as a binarized
@@ -84,7 +88,7 @@ def join_paths(first: PropPath, second: PropPath) -> PropPath:
 
 
 def path_in(seq: LabeledSequent, path: PropPath) -> bool:
-    """Is path a walk of build_graph(seq), read off seq: each d step along
+    """Is path a walk of graph_of(seq), read off seq: each d step along
     a relational atom, each b step against one, an empty path at a label?"""
     if not path.chars:
         return path.source in seq.labels()
@@ -111,8 +115,17 @@ class PropagationGraph:
 _NO_VARIABLES: frozenset[str] = frozenset()
 
 
-@lru_cache(maxsize=None)
-def build_graph(seq: LabeledSequent) -> PropagationGraph:
+def graph_of(seq: LabeledSequent) -> PropagationGraph:
+    """The graph of seq, built on first use and kept on seq, as
+    to_labeled keeps a nested sequent's view."""
+    graph = getattr(seq, "_graph", None)
+    if graph is None:
+        graph = _graph(seq)
+        object.__setattr__(seq, "_graph", graph)
+    return graph
+
+
+def _graph(seq: LabeledSequent) -> PropagationGraph:
     """Graph of a labeled sequent: one vertex per label occurring
     anywhere in it, so reachability questions make sense even at labels
     that carry only formulas."""
@@ -128,6 +141,10 @@ def build_graph(seq: LabeledSequent) -> PropagationGraph:
         edges.add((w, DIA, u))
         edges.add((u, BDIA, w))
     return PropagationGraph(vertices, edges)
+
+
+# graph_of with a process-wide cache, for API callers that keep no sequent
+build_graph = lru_cache(maxsize=None)(_graph)
 
 
 @lru_cache(maxsize=1024)

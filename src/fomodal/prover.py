@@ -46,7 +46,7 @@ from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
                       apply_rule, check, fold, propagation_system, rule_set,
                       side_condition)
 from .grammar import DIA
-from .propagation import build_graph, reachable
+from .propagation import graph_of, reachable
 from .sequents import (LabeledSequent, NestedSequent, components, fresh_label,
                        nested_of, shape_key, to_labeled, update_components)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
@@ -241,7 +241,7 @@ class _Search:
                     if akey in applied or f.body in target.right:
                         continue
                     if reach is None:
-                        reach = reachable(build_graph(seq), self.propagation,
+                        reach = reachable(graph_of(seq), self.propagation,
                                           DIA, comp.label)
                     if target.label not in reach:
                         continue

@@ -16,7 +16,10 @@ components and to_labeled flattens a tree; the two are inverse on
 tree sequents.  update_components reads a premise's components from
 its conclusion's, reading again only the labels a rule changed.  A
 nested sequent keeps its labeled view: to_labeled stores the
-flattened sequent on it, and to_nested its input on its result.
+flattened sequent on it, and to_nested its input on its result.  A
+labeled sequent keeps its labels the same way, read on first use, and
+propagation.graph_of keeps its graph; replace starts a copy without
+either.
 labeled_alpha_eq, equality up to bound variable names, compares
 structurally first and renders alpha-canonical keys only on a
 mismatch; nested_alpha_eq compares the root labels and the views.
@@ -105,10 +108,15 @@ class LabeledSequent:
                                                         key=key)))
 
     def labels(self) -> frozenset[str]:
-        out = set(map(_first, self.rel))
-        out.update(map(_second, self.rel), map(_second, self.dom),
-                   map(_first, self.left), map(_first, self.right))
-        return frozenset(out)
+        """Every label in the sequent, read once and kept on it."""
+        labels = self.__dict__.get("_labels")
+        if labels is None:
+            out = set(map(_first, self.rel))
+            out.update(map(_second, self.rel), map(_second, self.dom),
+                       map(_first, self.left), map(_first, self.right))
+            labels = frozenset(out)
+            object.__setattr__(self, "_labels", labels)
+        return labels
 
     def variables(self) -> frozenset[str]:
         """Every variable occurring in the sequent, bound or free."""

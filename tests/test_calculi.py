@@ -1,5 +1,7 @@
 """Rule sets, rule application, side conditions and the proof checker."""
 
+from dataclasses import replace
+
 import pytest
 
 from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
@@ -9,9 +11,10 @@ from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
                              RuleId, RuleNotInCalculus, RuleParams,
                              SideConditionViolation, apply_rule,
                              _sequents_match, availability_system, check,
-                             g_rule, propagation_system, rule_set,
+                             fold, g_rule, propagation_system, rule_set,
                              side_condition)
 from fomodal.grammar import s4, s5, of_paths, union
+from fomodal.jsonio import proof_from_json, proof_to_json
 from fomodal.propagation import PropPath, build_graph
 from fomodal.prover import prove_formula
 from fomodal.refine import labelize, nestify, refine_proof
@@ -560,21 +563,81 @@ def test_an_empty_witness_needs_its_label_in_the_sequent():
     assert side_condition(calc, P_DIA, seq, at_w).holds
 
 
-def test_replaying_stored_witnesses_builds_no_graph():
+def _fresh(proof: ProofTree) -> ProofTree:
+    """proof read back from JSON: its sequents keep no graph yet."""
+    return proof_from_json(proof_to_json(proof))
+
+
+def test_replaying_stored_witnesses_builds_no_graph(graph_builds):
     goals = [(frame_spec(paths=[(0, 2)], inc=True),
               "(exists x. []p(x)) -> [][]exists x. p(x)"),
              (frame_spec(paths=[(0, 2)], inc=True, dec=True),
               "(exists x. <>p(x)) -> <>exists x. p(x)")]
-    proofs = [(frame, prove_formula(frame, parse_formula(text)).proof)
+    proofs = [(frame, _fresh(prove_formula(frame, parse_formula(text)).proof))
               for frame, text in goals]
     rules = {node.rule for _, proof in proofs for _, node in proof.walk()
              if node.params.witness is not None}
     assert rules == {P_DIA, S_EX1}
     build_graph.cache_clear()
+    graph_builds.clear()
     for frame, proof in proofs:
         assert check(CalculusSpec("NestedN", frame), proof).ok
         labeled = labelize(frame, proof)
         assert check(CalculusSpec("RefinedL", frame), labeled).ok
         nestify(frame, labeled)
     refine_proof(EX_FRAME, elimination_initial())
+    assert graph_builds == []
     assert build_graph.cache_info().misses == 0
+
+
+# goals whose search and replay apply p_dia, s_ex1 and s_ex2
+SEQUENT_SCOPED_GOALS = [
+    (frame_spec(paths=[(0, 0), (0, 2)]), "[]p -> [][]p"),
+    (frame_spec(serial=True, paths=[(0, 2), (1, 1)]), "<>p -> []<>p"),
+    (frame_spec(inc=True), "[](forall x. p(x)) -> (forall x. []p(x))"),
+    (frame_spec(dec=True), "(forall x. []p(x)) -> [](forall x. p(x))"),
+    (frame_spec(nonempty=True), "exists x. (p(x) | ~p(x))"),
+]
+
+
+def _without_witnesses(proof: ProofTree) -> ProofTree:
+    """proof with the stored witness of every p_dia node dropped."""
+    return fold(proof, lambda node, premises: ProofTree(
+        node.conclusion, node.rule,
+        replace(node.params, witness=None) if node.rule == P_DIA
+        else node.params, premises))
+
+
+def test_search_and_replay_keep_graphs_on_the_sequents(graph_builds):
+    info = build_graph.cache_info()
+    rules = set()
+    for frame, text in SEQUENT_SCOPED_GOALS:
+        result = prove_formula(frame, parse_formula(text))
+        assert result.proof is not None, text
+        rules |= {node.rule for _, node in result.proof.walk()}
+        bare = _fresh(_without_witnesses(result.proof))
+        searched = len(graph_builds)
+        assert check(CalculusSpec("NestedN", frame), bare).ok
+        if any(node.rule == P_DIA for _, node in bare.walk()):
+            # a p_dia without a witness searches its conclusion's graph
+            assert len(graph_builds) > searched
+    assert {P_DIA, S_EX1, S_EX2} <= rules
+    assert graph_builds
+    assert build_graph.cache_info() == info
+
+
+def test_side_condition_builds_one_graph_per_sequent(graph_builds):
+    calc = CalculusSpec("RefinedL", frame_spec(paths=[(0, 2)], inc=True))
+    text = "wRv, vRu, y in D(u) |- w: <>p, u: exists x. q(x)"
+    reach = RuleParams(label="w", formula=parse_formula("<>p"), target="u")
+    avail = RuleParams(label="u", formula=parse_formula("exists x. q(x)"),
+                       variable="y")
+    seq = LS(text)
+    for _ in range(2):
+        assert side_condition(calc, P_DIA, seq, reach).holds
+        assert side_condition(calc, S_EX1, seq, avail).holds
+    assert len(graph_builds) == 1 and graph_builds[0] is seq
+    # an equal but distinct sequent builds its own
+    twin = LS(text)
+    assert side_condition(calc, P_DIA, twin, reach).holds
+    assert len(graph_builds) == 2 and graph_builds[1] is twin

@@ -456,6 +456,13 @@ def test_input_error_exit_codes(capsys):
     assert _run(capsys, "prove", "p(x) | ~p")[0] == 3
     assert _run(capsys, "prove", "--sequent", "p(x) ; x |- p")[0] == 3
     assert _run(capsys, "translate", "--to-nested", "w0: p(x) |- w0: p")[0] == 3
+    labeled = {"kind": "labeled", "left": [["w0", "p(x)"]], "right": [["w0", "p"]]}
+    nested = {"kind": "nested", "left": ["p(x)"], "vars": ["x"], "right": ["p"]}
+    for flag, obj in (("--to-nested", labeled), ("--to-labeled", nested)):
+        assert main(["translate", flag, json.dumps(obj)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: predicate p used with arity 0 and 1\n"
     assert _run(capsys, "check", "{not json")[0] == 3
     assert _run(capsys, "no-such-command")[0] == 3
     assert _run(capsys, "grammar", "--start", "d", "--string", "d")[0] == 3

@@ -19,8 +19,8 @@ from fomodal.semantics import KripkeModel
 from fomodal.prover import MAX_SEARCH_DEPTH
 from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
                               to_labeled)
-from fomodal.syntax import (MAX_DEPTH, FormulaError, frame_spec, parse_formula,
-                            render_formula)
+from fomodal.syntax import (MAX_DEPTH, ArityError, FormulaError, frame_spec,
+                            parse_formula, render_formula)
 
 from fixtures import elimination_initial
 
@@ -77,6 +77,23 @@ def test_sequent_rejects_malformed_input():
     with pytest.raises(JsonError, match="must be nested"):
         sequent_from_json({"kind": "nested",
                            "children": [{"kind": "labeled"}]})
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "labeled", "left": [["w0", "p(x)"]], "right": [["w0", "p"]]},
+    {"kind": "labeled", "rel": [["w0", "w1"]], "left": [["w1", "q"]],
+     "right": [["w0", "q(y)"]]},
+    {"kind": "nested", "left": ["p(x)"], "vars": ["x"], "right": ["p"]},
+    {"kind": "nested", "right": ["p"],
+     "children": [{"kind": "nested", "label": "w1", "right": ["p(x, y)"]}]}])
+def test_sequent_arities_agree_across_the_sequent(obj):
+    # as the text readers check, and with the same error
+    with pytest.raises(ArityError, match="used with arity"):
+        sequent_from_json(obj)
+    text = json.dumps(obj)
+    for clash in ("(x)", "(y)", "(x, y)"):
+        text = text.replace(clash, "")
+    assert sequent_from_json(json.loads(text)) is not None
 
 
 def test_rule_round_trip():

@@ -6,7 +6,7 @@ import pytest
 
 from fomodal.grammar import of_paths, s4, s5, union
 from fomodal.propagation import (PropagationError, PropagationGraph, PropPath,
-                                 build_graph, edge_path, empty_path,
+                                 build_graph, edge_path, empty_path, graph_of,
                                  join_paths, path_in, reachable, witness_path)
 from fomodal.sequents import LabeledSequent, parse_labeled
 from fomodal.syntax import parse_formula
@@ -50,6 +50,26 @@ def test_validate_path():
     assert not path_in(seq, PropPath(("w", "v"), ("dd",)))
     assert not path_in(seq, PropPath(("t",), ()))
     assert path_in(seq, PropPath(("u",), ()))
+
+
+def test_a_sequent_keeps_its_graph(graph_builds):
+    text = "wRv, vRu, y in D(u), w: p |- u: q"
+    seq = parse_labeled(text)
+    info = build_graph.cache_info()
+    assert graph_of(seq) is graph_of(seq)
+    assert graph_builds == [seq]
+    # an equal sequent builds its own graph, with the same vertices and edges
+    twin = parse_labeled(text)
+    assert twin == seq and twin is not seq
+    assert graph_of(twin) is not graph_of(seq)
+    assert len(graph_builds) == 2
+    assert graph_of(twin).vertices == graph_of(seq).vertices
+    assert graph_of(twin).edges == graph_of(seq).edges
+    # build_graph caches the same graph process-wide; graph_of leaves it
+    assert build_graph.cache_info() == info
+    assert build_graph(seq).edges == graph_of(seq).edges
+    with pytest.raises(TypeError):
+        graph_of("wRv |- ")
 
 
 def test_path_in_agrees_with_the_graph():

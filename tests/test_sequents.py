@@ -123,6 +123,21 @@ def test_to_labeled_shape():
         "w0Rv, x in D(w0), y in D(v), w0: p, v: <>r |- w0: q")
 
 
+def test_a_labeled_sequent_keeps_its_labels():
+    seq = parse_labeled("wRv, y in D(u), w: p |- t: q")
+    assert seq.labels() is seq.labels()
+    assert seq.labels() == {"w", "v", "u", "t"}
+    # a copy reads its own labels, not the ones kept on seq
+    copy = seq.replace(("right", ("t", parse_formula("q"))), rel=(("v", "s"),))
+    assert copy.labels() is not seq.labels()
+    assert copy.labels() == {"w", "v", "u", "s"}
+    assert seq.replace().labels() == seq.labels()
+    assert seq.replace().labels() is not seq.labels()
+    # labels kept on a sequent are not part of its value
+    assert parse_labeled("wRv, y in D(u), w: p |- t: q") == seq
+    assert "_labels" not in repr(seq)
+
+
 def test_to_nested_requires_tree():
     with pytest.raises(NotATreeError):
         to_nested(parse_labeled("wRv, uRv |- "))
