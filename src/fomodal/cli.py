@@ -304,6 +304,11 @@ def _cmd_grammar(args) -> int:
 # graph
 # ===================================================================
 
+# reachability saturates the graph in time growing about cubically with
+# its labels: labels times edges past this bound are refused first
+MAX_SATURATION = 100_000
+
+
 def _cmd_graph(args) -> int:
     seq = _parse_sequent(_read_input(args.sequent))
     if isinstance(seq, NestedSequent):
@@ -316,6 +321,10 @@ def _cmd_graph(args) -> int:
              for label, vars_ in sorted(graph.vertices.items())]
     lines += [f"edge {a} -{c}-> {b}" for a, c, b in sorted(graph.edges)]
     if args.source is not None:
+        if len(graph.vertices) * len(graph.edges) > MAX_SATURATION:
+            raise CliError(
+                f"graph out of reach: {len(graph.vertices)} labels times "
+                f"{len(graph.edges)} edges is more than {MAX_SATURATION}")
         frame = _frame(args)
         sys_ = propagation_system(frame)
         targets = reachable(graph, sys_, args.char, args.source)

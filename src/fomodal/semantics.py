@@ -55,6 +55,14 @@ of its free variables and block; both are counted per run, before its
 atoms and assignments are listed.  The structure table of each pair of
 bounds, and its runs and columns for each frame class, are cached per
 process in bounded caches.
+
+A formula's program is compiled in one walk, each node's free
+variables read off its children's, and kept in a bounded cache that
+the search and the Evaluator share; its signature, the arity of each
+predicate, is read off the program's predicate nodes, and a closed
+formula is one whose root has no names.  Per run, the search lists the
+atoms once and the assignments once for each number of free variables
+a node has.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from itertools import (chain, combinations_with_replacement, groupby,
 
 from .sequents import LabeledSequent
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
-                     free_vars, predicate_arities)
+                     free_vars, note_arity)
 
 
 class SemanticsError(Exception):
@@ -152,14 +160,15 @@ class Evaluator:
         """The root's table of phi over individuals 0..p-1."""
         n = self.model.worlds
         program = _compile(phi)
-        atoms = _atoms(predicate_arities([phi]), n, range(p))
+        atoms = _atoms(_signature(program), n, range(p))
         if len(atoms) + sum(p ** len(names)
                             for _, names, _ in program) > MAX_ASSIGNMENTS:
             raise SemanticsError(
                 f"evaluation out of reach: more than {MAX_ASSIGNMENTS} "
                 f"atoms and assignments")
         rel, dom = _columns(n, p, [(n, self.model.rel, self._domains)])
-        return _root_table(program, n, rel, dom, _envs(program, p),
+        scopes = {len(names) for _, names, _ in program}
+        return _root_table(program, n, rel, dom, _envs(scopes, p),
                            {atom: i for i, atom in enumerate(atoms)},
                            [int(atom in self._true) for atom in atoms], 1)
 
@@ -451,7 +460,8 @@ MAX_ASSIGNMENTS = 1 << 18  # and before evaluating more assignments
 _BOTTOM, _PRED, _NEG, _OR, _DIA, _EXISTS = range(6)
 
 
-def _compile(phi: Formula) -> list[tuple]:
+@lru_cache(maxsize=32)
+def _compile(phi: Formula) -> tuple[tuple, ...]:
     """phi as nodes (op, names, arg) in post-order, equal subformulas
     shared, the root last.  names are the node's free variables in
     sorted order; an assignment to them is a tuple of individuals in
@@ -459,34 +469,43 @@ def _compile(phi: Formula) -> list[tuple]:
     predicate and a (child, projection) pair per child otherwise, where
     the projection picks the child's assignment out of the node's, or of
     the node's extended by the bound individual for exists; None means
-    the child's assignment is the node's own."""
+    the child's assignment is the node's own.  Each node's names are
+    read off its children's, so phi is walked once."""
     nodes: list[tuple] = []
     ids: dict[Formula, int] = {}
 
-    def child(body, names):
+    def child(body):
         i = visit(body)
-        inner = nodes[i][1]
-        return i, (None if inner == names
-                   else tuple(names.index(x) for x in inner))
+        return i, nodes[i][1]
+
+    def projection(inner, names):
+        return None if inner == names else tuple(names.index(x) for x in inner)
 
     def visit(psi):
         got = ids.get(psi)
         if got is not None:
             return got
-        names = tuple(sorted(free_vars(psi)))
         match psi:
             case Bottom():
-                node = (_BOTTOM, names, None)
+                node = (_BOTTOM, (), None)
             case Pred(name=name, args=args):
+                names = tuple(sorted(set(args)))
                 node = (_PRED, names, (name, tuple(names.index(a) for a in args)))
             case Neg(body=body):
-                node = (_NEG, names, child(body, names))
+                i, names = child(body)
+                node = (_NEG, names, (i, None))
             case Or(left=left, right=right):
-                node = (_OR, names, child(left, names) + child(right, names))
+                (i, a), (j, b) = child(left), child(right)
+                names = a if a == b else tuple(sorted({*a, *b}))
+                node = (_OR, names,
+                        (i, projection(a, names), j, projection(b, names)))
             case Dia(body=body):
-                node = (_DIA, names, child(body, names))
+                i, names = child(body)
+                node = (_DIA, names, (i, None))
             case Exists(bound=bound, body=body):
-                node = (_EXISTS, names, child(body, names + (bound,)))
+                i, inner = child(body)
+                names = tuple(x for x in inner if x != bound)
+                node = (_EXISTS, names, (i, projection(inner, names + (bound,))))
             case _:
                 raise TypeError(f"not a formula: {psi!r}")
         ids[psi] = len(nodes)
@@ -494,18 +513,28 @@ def _compile(phi: Formula) -> list[tuple]:
         return ids[psi]
 
     visit(phi)
-    return nodes
+    return tuple(nodes)
+
+
+def _signature(program) -> dict[str, int]:
+    """The arity of each predicate of the program, read off its _PRED
+    nodes.  Post-order meets the leaves left to right, so a clash
+    raises the ArityError predicate_arities raises on the formula."""
+    signature: dict[str, int] = {}
+    for op, _, arg in program:
+        if op == _PRED:
+            note_arity(signature, arg[0], len(arg[1]))
+    return signature
 
 
 def _pick(env: tuple, projection) -> tuple:
     return env if projection is None else tuple(env[j] for j in projection)
 
 
-def _envs(program, p: int) -> dict[int, list[tuple]]:
-    """The assignments of k individuals of 0..p-1, for each number k of
-    free variables of a node."""
-    return {len(names): list(product(range(p), repeat=len(names)))
-            for _, names, _ in program}
+def _envs(scopes, p: int) -> dict[int, list[tuple]]:
+    """The assignments of k individuals of 0..p-1, one list for each
+    number k of free variables of a node, k taken from scopes."""
+    return {k: list(product(range(p), repeat=k)) for k in scopes}
 
 
 def _root_table(program, worlds, rel, dom, envs, atom_index, masks,
@@ -553,11 +582,12 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
     search past MAX_VALUATIONS valuations or MAX_ASSIGNMENTS
     assignments, once the structures before it are searched."""
     _check_bounds(max_worlds, max_individuals)
-    if free_vars(phi):
-        raise SemanticsError(
-            f"countermodel search needs a closed formula, free: {sorted(free_vars(phi))}")
-    signature = predicate_arities([phi])
     program = _compile(phi)
+    free = program[-1][1]  # the root's free variables, sorted
+    if free:
+        raise SemanticsError(
+            f"countermodel search needs a closed formula, free: {list(free)}")
+    signature = _signature(program)
     ops = {op for op, _, _ in program}
     # how many nodes have k free variables, for each k
     scopes = Counter(len(names) for _, names, _ in program)
@@ -581,7 +611,7 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
         if count:
             atoms = _atoms(signature, n, range(p))
             atom_index = {atom: i for i, atom in enumerate(atoms)}
-            envs = _envs(program, p)
+            envs = _envs(scopes, p)
         for start in range(0, count, step):
             size = min(step, count - start)
             ones, full = (1 << size) - 1, (1 << (size << bits)) - 1

@@ -29,7 +29,12 @@ proof search, never recurse.
 Terms are variables only; there are no constants or function symbols.
 Predicates may be nullary.  Parsing renames bound variables apart, so
 in any formula produced here each `exists` binds a distinct name that
-never shadows a free variable.
+never shadows a free variable.  The parser reads each predicate's
+arity as it reads the atom, and renames binders apart only when the
+formula's text has a quantifier, so a formula is walked once more only
+for its depth and only when it may be too deep.  The result, and the
+ArityError of a clash, are those of rename_apart and predicate_arities
+over the parsed tree.
 """
 
 from __future__ import annotations
@@ -305,15 +310,19 @@ def predicate_arities(formulas, arities: dict[str, int] | None = None) -> dict[s
     return arities
 
 
+def note_arity(arities: dict[str, int], name: str, arity: int) -> None:
+    """Record a predicate's arity, raising ArityError on a clash with
+    the arity recorded first."""
+    known = arities.setdefault(name, arity)
+    if known != arity:
+        raise ArityError(
+            f"predicate {name} used with arity {arity} and {known}")
+
+
 def _collect_arities(phi: Formula, arities: dict[str, int]) -> None:
     match phi:
         case Pred(name=name, args=args):
-            known = arities.get(name)
-            if known is None:
-                arities[name] = len(args)
-            elif known != len(args):
-                raise ArityError(
-                    f"predicate {name} used with arity {len(args)} and {known}")
+            note_arity(arities, name, len(args))
         case Bottom():
             pass
         case Neg(body=body) | Dia(body=body):
@@ -484,6 +493,10 @@ class _Parser:
         # the arities of the predicates read so far, over every formula
         # of the text
         self.arities = {}
+        # the (name, arity) of each atom of the formula being read, in
+        # text order, and whether it has a quantifier
+        self.preds: list[tuple[str, int]] = []
+        self.binders = False
 
     def peek(self):
         return self.tokens[self.pos]
@@ -508,6 +521,7 @@ class _Parser:
                 group.prefixes.append((kind, None))
                 continue
             if kind in ("exists", "forall"):
+                self.binders = True
                 var = self.expect("ident")[1]
                 self.expect("dot")
                 group.prefixes.append((kind, var))
@@ -537,6 +551,7 @@ class _Parser:
             return Bottom()
         if kind == "ident":
             if self.peek()[0] != "lparen":
+                self.preds.append((value, 0))
                 return Pred(value)
             self.next()
             args = [self.expect("ident")[1]]
@@ -544,6 +559,7 @@ class _Parser:
                 self.next()
                 args.append(self.expect("ident")[1])
             self.expect("rparen")
+            self.preds.append((value, len(args)))
             return Pred(value, tuple(args))
         raise ParseError(f"expected a formula, found {value!r}", pos)
 
@@ -551,16 +567,22 @@ class _Parser:
         """formula(), refused and renamed as parse_formula does: more
         than MAX_DEPTH connectives on one branch of the expanded tree is
         a ParseError, a predicate of two arities in the text an
-        ArityError, and the binders come back renamed apart."""
+        ArityError, and the binders come back renamed apart.  The
+        arities are those of the atoms as they were read, in text
+        order, which is the order predicate_arities walks; a formula
+        without a quantifier has nothing to rename."""
         start = self.pos
+        self.preds.clear()
+        self.binders = False
         phi = self.formula()
         # one token adds at most three connectives to a branch
         if 3 * (self.pos - start) > MAX_DEPTH and _depth(phi) > MAX_DEPTH:
             raise ParseError(
                 f"formula nested more than {MAX_DEPTH} connectives deep",
                 self.tokens[start][2])
-        predicate_arities([phi], self.arities)
-        return rename_apart(phi)
+        for name, arity in self.preds:
+            note_arity(self.arities, name, arity)
+        return rename_apart(phi) if self.binders else phi
 
 
 def _depth(phi: Formula) -> int:

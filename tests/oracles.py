@@ -20,7 +20,8 @@ from fomodal.calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R,
 from fomodal.grammar import ALPHABET, BDIA, DIA, check_string
 from fomodal.propagation import build_graph, reachable
 from fomodal.prover import Exhausted, Proved, SearchBudget, _Abort
-from fomodal.semantics import (_DIA, _EXISTS, _MASK_BITS, _NEG, _OR, _PRED,
+from fomodal.semantics import (_BOTTOM, _DIA, _EXISTS, _MASK_BITS, _NEG, _OR,
+                               _PRED,
                                MAX_ASSIGNMENTS, MAX_VALUATIONS,
                                InterpretationError, KripkeModel,
                                SemanticsError, _compile, _pick,
@@ -402,6 +403,44 @@ def random_edges(rng: random.Random, max_vertices: int = 5):
 # ===================================================================
 # Countermodel search, one structure at a time
 # ===================================================================
+
+def compile_program(phi: Formula) -> tuple:
+    """semantics._compile as it was before names were read off the
+    children: each node's names are the sorted free_vars of its
+    subformula."""
+    nodes: list[tuple] = []
+    ids: dict[Formula, int] = {}
+
+    def child(body, names):
+        i = visit(body)
+        inner = nodes[i][1]
+        return i, (None if inner == names
+                   else tuple(names.index(x) for x in inner))
+
+    def visit(psi):
+        if psi in ids:
+            return ids[psi]
+        names = tuple(sorted(free_vars(psi)))
+        if isinstance(psi, Bottom):
+            node = (_BOTTOM, names, None)
+        elif isinstance(psi, Pred):
+            node = (_PRED, names,
+                    (psi.name, tuple(names.index(a) for a in psi.args)))
+        elif isinstance(psi, Or):
+            node = (_OR, names,
+                    child(psi.left, names) + child(psi.right, names))
+        elif isinstance(psi, Exists):
+            node = (_EXISTS, names, child(psi.body, names + (psi.bound,)))
+        else:
+            node = (_NEG if isinstance(psi, Neg) else _DIA, names,
+                    child(psi.body, names))
+        ids[psi] = len(nodes)
+        nodes.append(node)
+        return ids[psi]
+
+    visit(phi)
+    return tuple(nodes)
+
 
 # The search as it was before structures shared a mask: each structure
 # of enumerate_structures is evaluated on its own, block by block.  A

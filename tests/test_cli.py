@@ -247,6 +247,27 @@ def test_graph_lists_edges_and_reachability(capsys):
     assert payload["witnesses"]["v"]["chars"] == ["b", "d"]
 
 
+def _chain(atoms: int) -> str:
+    return ", ".join(f"w{i}Rw{i + 1}" for i in range(atoms)) + " |- "
+
+
+def test_graph_refuses_a_graph_too_large_to_saturate(capsys):
+    # 401 labels times 800 edges: refused before the saturation, which
+    # took several seconds
+    start = time.perf_counter()
+    code = main(["graph", "--source", "w0", "--path", "0:2", _chain(400)])
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "401 labels times 800 edges is more than 100000" in err
+    # the graph alone is listed without saturating
+    code, out = _run(capsys, "graph", _chain(400))
+    assert code == 0 and len(_json(out)["edges"]) == 800
+    code, out = _run(capsys, "graph", "--source", "w0", "--path", "0:2",
+                     _chain(100))
+    assert code == 0 and len(_json(out)["reachable"]) == 100
+
+
 def test_countermodel_found_and_absent(capsys):
     code, out = _run(capsys, "countermodel", "exists x. (p(x) | ~p(x))")
     assert code == 2

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,8 @@ from fomodal.semantics import (InterpretationError, KripkeModel,
                                enumerate_structures, eval_formula,
                                find_countermodel, labeled_sequent_valid)
 from fomodal.sequents import parse_labeled
-from fomodal.syntax import (Bottom, Dia, Exists, Neg, Or, Pred, box, conj,
-                            frame_spec, implies, parse_formula,
+from fomodal.syntax import (ArityError, Bottom, Dia, Exists, Neg, Or, Pred,
+                            box, conj, frame_spec, implies, parse_formula,
                             predicate_arities)
 
 import oracles
@@ -316,6 +317,61 @@ def test_find_countermodel_barcan():
 def test_find_countermodel_requires_closed_formula():
     with pytest.raises(SemanticsError):
         find_countermodel(parse_formula("p(x)"), frame_spec())
+
+
+@pytest.mark.parametrize("phi", [
+    Exists("x", Or(Pred("p", ("x",)), Pred("p"))),
+    # shared subformulas: the repeated q(x) is compiled once
+    Exists("x", Or(Or(Pred("q", ("x",)), Pred("p")),
+                   Or(Pred("q", ("x",)), Dia(Pred("q", ("x", "x"))))))])
+def test_find_countermodel_reports_an_arity_clash_of_a_built_formula(phi):
+    with pytest.raises(ArityError) as error:
+        predicate_arities([phi])
+    with pytest.raises(ArityError) as found:
+        find_countermodel(phi, frame_spec())
+    assert str(found.value) == str(error.value)
+    with pytest.raises(ArityError, match=str(error.value)):
+        oracles.find_countermodel(phi, frame_spec())
+    # an open formula is refused as open first
+    with pytest.raises(SemanticsError, match=r"free: \['x'\]"):
+        find_countermodel(phi.body, frame_spec())
+
+
+def test_eval_formula_compiles_each_formula_once():
+    phi = parse_formula("(forall x. []p(x)) -> [](forall x. p(x))")
+    model, world = find_countermodel(phi, frame_spec())
+    semantics._compile.cache_clear()
+    assert not eval_formula(model, world, phi)
+    assert not eval_formula(model, world, phi)
+    info = semantics._compile.cache_info()
+    assert info.misses == 1 and info.hits == 1
+    assert info.maxsize is not None
+    assert isinstance(semantics._compile(phi), tuple)
+
+
+def test_compile_matches_the_free_variable_reference():
+    rng = random.Random(18)
+    x, y = Pred("p", ("x", "y")), Pred("q", ("y",))
+    formulas = [Exists("z", x), Exists("x", Exists("x", x)),
+                Or(Exists("y", x), Exists("y", Or(x, y))), Or(y, Neg(y)),
+                Exists("a", Or(Pred("r", ("a", "a", "b")),
+                               Dia(Pred("r", ("b", "a", "a")))))]
+    formulas += [oracles.random_formula(rng, rng.randint(0, 6),
+                                        rng.choice([(), ("y",), ("x0", "z")]))
+                 for _ in range(1500)]
+    for phi in formulas:
+        assert semantics._compile(phi) == oracles.compile_program(phi), phi
+
+
+def test_envs_lists_one_assignment_list_per_arity():
+    program = semantics._compile(parse_formula(
+        "exists x. exists y. (p(x, y) | q(x) | q(y) | r | <>r)"))
+    scopes = Counter(len(names) for _, names, _ in program)
+    assert set(scopes) == {0, 1, 2} and len(program) > len(scopes)
+    envs = semantics._envs(scopes, 3)
+    assert set(envs) == {0, 1, 2}
+    for k, assignments in envs.items():
+        assert assignments == list(itertools.product(range(3), repeat=k))
 
 
 @pytest.mark.parametrize("bounds", [(0, 2), (-1, 2), (3, -1)])

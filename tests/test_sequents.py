@@ -216,6 +216,22 @@ def test_sequent_readers_check_arities_across_the_sequent(read, text):
     read(text.replace("(x)", "").replace("(x, y)", "").replace("(y)", ""))
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (parse_labeled, "w0: p(x), w1: q |- w0: q(x, y), w1: p",
+     "predicate q used with arity 2 and 0"),
+    (parse_labeled, "w0Rw1, w1: p(x) | r |- w0: r(x) | p(x, x)",
+     "predicate r used with arity 1 and 0"),
+    (parse_nested, "p(x), q ; x |- [ ; |- q(x) ], p",
+     "predicate q used with arity 1 and 0"),
+    (parse_nested, "; |- r, [ p ; |- [ ; |- p(x, y) ]@v, r(x)]",
+     "predicate p used with arity 2 and 0")])
+def test_sequent_readers_report_the_first_arity_clash(read, text, message):
+    # formulas are read left to right, sharing one table of arities
+    with pytest.raises(ArityError) as error:
+        read(text)
+    assert str(error.value) == message
+
+
 @pytest.mark.parametrize("text", ["; 0 |- ", "; x y |- ", "; |- [ ; |- ]@",
                                   "; |- [ ; |- ]@~v", "; |- p @5", "p |- q",
                                   "; |- p q", "; |- [ ; |- p", "; |- p]",

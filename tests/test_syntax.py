@@ -1,12 +1,17 @@
 """Formula construction, substitution and the concrete syntax."""
 
+import random
+
 import pytest
 
+from fomodal import syntax
 from fomodal.syntax import (ArityError, Bottom, Dia, Exists, Neg, Or, ParseError,
-                            Pred, all_vars, alpha_eq, box, conj, forall,
-                            frame_spec, free_vars, fresh_variable, implies,
-                            parse_formula, rename_apart, render_formula,
-                            substitute)
+                            Pred, _Parser, all_vars, alpha_eq, box, conj,
+                            forall, frame_spec, free_vars, fresh_variable,
+                            implies, parse_formula, predicate_arities,
+                            rename_apart, render_formula, substitute)
+
+from oracles import random_formula
 
 
 def test_connective_shapes():
@@ -104,6 +109,87 @@ def test_parse_precedence():
 def test_parse_rejects_arity_clash():
     with pytest.raises(ArityError):
         parse_formula("p(x) | p(x, y)")
+
+
+def _raw_parse(text):
+    """The parse before renaming and arity checks, and what the two
+    walks over it give: rename_apart's formula and predicate_arities'
+    signature, or the ArityError message."""
+    raw = _Parser(text).formula()
+    try:
+        return raw, rename_apart(raw), predicate_arities([raw])
+    except ArityError as error:
+        return raw, None, str(error)
+
+
+def test_parse_matches_the_walks_over_the_raw_parse():
+    rng = random.Random(18)
+    clashes = binder_free = 0
+    for i in range(600):
+        phi = random_formula(rng, rng.randint(0, 5),
+                             rng.choice([(), ("y",), ("x0", "y")]))
+        text = render_formula(phi)
+        if i % 2:
+            # one name for predicates of every arity, so that they clash
+            for name in ("p1", "p2", "q1", "q2"):
+                text = text.replace(name + "(", "p(")
+        raw, renamed, arities = _raw_parse(text)
+        parser = _Parser(text)
+        if renamed is None:
+            clashes += 1
+            with pytest.raises(ArityError) as error:
+                parser.checked_formula()
+            assert str(error.value) == arities, text
+            continue
+        got = parser.checked_formula()
+        assert got == renamed and parser.arities == arities, text
+        assert render_formula(got) == render_formula(renamed)
+        assert parse_formula(text) == renamed
+        if "exists" not in text:
+            binder_free += 1
+            assert renamed is raw and rename_apart(got) is got
+    print(clashes, binder_free)
+    assert clashes > 20 and binder_free > 100
+
+
+def test_parse_renames_only_formulas_with_binders(monkeypatch):
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return rename_apart(phi)
+
+    monkeypatch.setattr(syntax, "rename_apart", counted)
+    for text in ["p", "[]p(x) -> <>(q & ~r(x, y))", "false | ~<>false"]:
+        parse_formula(text)
+    assert calls == []
+    assert render_formula(parse_formula("forall x. p(x) | exists x. q(x)")) \
+        == "~(exists x. ~(p(x) | (exists x'. q(x'))))"
+    assert render_formula(parse_formula("(forall x. p(x)) | forall x. q(x)")) \
+        == "~(exists x. ~p(x)) | ~(exists x'. ~q(x'))"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p(x) | p(x, y)", "predicate p used with arity 2 and 1"),
+    # the first clash in text order, through the expanded connectives
+    ("q(x) | p | q | p(x)", "predicate q used with arity 0 and 1"),
+    ("p(x) & (q -> p)", "predicate p used with arity 0 and 1"),
+    ("[]p(x, y) | forall z. <>p(z)", "predicate p used with arity 1 and 2"),
+    ("exists x. (r(x) & exists x. r) | r(x, x)",
+     "predicate r used with arity 0 and 1")])
+def test_parse_reports_the_first_arity_clash_in_text_order(text, message):
+    with pytest.raises(ArityError) as error:
+        parse_formula(text)
+    assert str(error.value) == message
+    assert _raw_parse(text)[2] == message
+
+
+def test_parse_reports_depth_and_syntax_before_arity():
+    with pytest.raises(ParseError, match="more than 200"):
+        parse_formula("p(x) | " + "<>" * 201 + "p")
+    with pytest.raises(ParseError, match="expected a formula"):
+        parse_formula("p(x) | p |")
 
 
 def test_parse_rejects_garbage():
