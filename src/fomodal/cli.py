@@ -89,6 +89,9 @@ def _print(args, payload: dict, pretty_lines) -> None:
 
 _PATH_RE = re.compile(r"^(\d+):(\d+)$")
 
+# check_frame's step sets for a path condition n:k grow with n + k
+MAX_PATH_TOTAL = 400
+
 
 def _parse_paths(entries) -> list[tuple[int, int]]:
     pairs = []
@@ -101,6 +104,8 @@ def _parse_paths(entries) -> list[tuple[int, int]]:
             if not matched:
                 raise CliError(f"bad path condition {part!r}, expected N:K")
             pairs.append((int(matched.group(1)), int(matched.group(2))))
+    if sum(n + k for n, k in pairs) > MAX_PATH_TOTAL:
+        raise CliError(f"path conditions add n + k up to more than {MAX_PATH_TOTAL}")
     return pairs
 
 

@@ -180,14 +180,13 @@ def to_cfg(sys: ThueSystem) -> Cfg:
             continue
         # chain the right side into binary pieces
         head = lhs
-        while len(symbols) > 2:
-            helper = next_nt
+        for symbol in symbols[:-2]:
+            binary_rules.append((head, symbol, next_nt))
+            head = next_nt
             next_nt += 1
-            binary_rules.append((head, symbols[0], helper))
-            head = helper
-            symbols = symbols[1:]
-        binary_rules.append((head, symbols[0], symbols[1]))
+        binary_rules.append((head, symbols[-2], symbols[-1]))
 
+    # a helper's rule follows its user's, so a reverse pass marks a chain
     changed = True
     while changed:
         changed = False
@@ -195,7 +194,7 @@ def to_cfg(sys: ThueSystem) -> Cfg:
             if c in nullable and a not in nullable:
                 nullable.add(a)
                 changed = True
-        for a, c1, c2 in binary_rules:
+        for a, c1, c2 in reversed(binary_rules):
             if c1 in nullable and c2 in nullable and a not in nullable:
                 nullable.add(a)
                 changed = True

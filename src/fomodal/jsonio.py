@@ -1,10 +1,10 @@
 """JSON encoding of formulas, sequents, proofs, frames and models.
 
 Formulas travel as their ASCII rendering and are parsed back on read,
-so the schemas stay readable and independent of the AST layout.  One
-decode parses each distinct formula text once: proof_from_json keeps a
-dict from text to formula for the length of the call, so repeated
-texts share one formula object.  Labels and variables must be names
+so the schemas stay readable and independent of the AST layout.  Equal
+texts give one formula, as formulas are interned, and one decode parses
+each distinct text once: proof_from_json keeps a dict from text to
+formula for the length of the call.  Labels and variables must be names
 the text readers take back, with no R in a relational atom.  Every
 from_json function validates its input and raises JsonError with a
 message naming the offending key.
@@ -14,7 +14,8 @@ read by calculi.fold, without recursion; proof_from_json checks a node
 on entering it and decodes it on leaving, so errors come in a
 recursion's order.  JSON text from outside is read with loads, which
 refuses arrays and objects nested more than MAX_NESTING deep, and
-written with dumps.  MAX_NESTING is the deepest JSON a prover proof
+written with dumps on one line, since indentation grows with the
+depth of a proof.  MAX_NESTING is the deepest JSON a prover proof
 takes, so every proof prove_sequent emits is read back.  The json
 module recurses once per level and counts its levels against Python's
 recursion limit, so loads and dumps raise that limit by MAX_NESTING for
@@ -82,9 +83,9 @@ def loads(text: str):
 
 
 def dumps(obj) -> str:
-    """json.dumps, indented, for values nested up to MAX_NESTING deep."""
+    """json.dumps on one line, for values nested up to MAX_NESTING deep."""
     with _nesting_room():
-        return json.dumps(obj, indent=2)
+        return json.dumps(obj)
 
 
 def _expect(obj, kind, what: str):

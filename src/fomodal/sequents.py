@@ -60,11 +60,6 @@ _first = itemgetter(0)
 _second = itemgetter(1)
 
 
-@lru_cache(maxsize=4096)
-def formula_key(phi: Formula) -> str:
-    return render_formula(phi)
-
-
 def fresh_label(taken, base: str = "w") -> str:
     """Next unused label of the form base<number>: one past the largest
     number in use."""
@@ -78,12 +73,12 @@ def fresh_label(taken, base: str = "w") -> str:
 # ===================================================================
 
 def _labeled_formula_key(item):
-    return (len(item[0]), item[0], formula_key(item[1]))
+    return (len(item[0]), item[0], render_formula(item[1]))
 
 
 # the canonical order of each slot of a labeled sequent; labels sort
 # short-before-long, which keeps w2 ahead of w10.  Within one label,
-# formulas sort by formula_key and variables by name, as in the
+# formulas sort by their text and variables by name, as in the
 # components of a NestedSequent, so to_nested need not sort again.
 _SLOT_KEYS = {
     "rel": lambda atom: (len(atom[0]), atom[0], len(atom[1]), atom[1]),
@@ -300,9 +295,9 @@ class NestedSequent:
     children: tuple[NestedSequent, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "left", tuple(sorted(self.left, key=formula_key)))
+        object.__setattr__(self, "left", tuple(sorted(self.left, key=render_formula)))
         object.__setattr__(self, "vars", tuple(sorted(self.vars)))
-        object.__setattr__(self, "right", tuple(sorted(self.right, key=formula_key)))
+        object.__setattr__(self, "right", tuple(sorted(self.right, key=render_formula)))
         object.__setattr__(self, "children", tuple(self.children))
 
     def walk(self):
@@ -334,11 +329,11 @@ def nested_alpha_eq(a: NestedSequent, b: NestedSequent) -> bool:
 def shape_key(parts: tuple[Component, ...]):
     """Canonical value of a tree read by components, invariant under
     relabeling of its components; used for loop checking during proof
-    search.  Formulas are already in formula_key order."""
+    search.  Formulas are already in the order of their texts."""
     keys = {}
     for comp in reversed(parts):
-        keys[comp.label] = (tuple(map(formula_key, comp.left)), comp.vars,
-                            tuple(map(formula_key, comp.right)),
+        keys[comp.label] = (tuple(map(render_formula, comp.left)), comp.vars,
+                            tuple(map(render_formula, comp.right)),
                             tuple(sorted(map(keys.pop, comp.children))))
     return keys[parts[0].label]
 

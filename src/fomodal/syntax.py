@@ -22,9 +22,10 @@ sequents reads its notations with this parser.
 A parsed formula has at most MAX_DEPTH (200) connectives on any branch
 of its expanded tree; deeper input is a ParseError, so the recursive
 functions over formulas never meet a tree deeper than Python's
-recursion limit allows.  The parser keeps its open groups on a stack,
-and hashing and equality, which formulas of any depth meet deep in a
-proof search, never recurse.
+recursion limit allows.  The parser keeps its open groups on a stack.
+There is one object per formula, interned as it is built in a weak
+table (hash-consing: Filliatre and Conchon, 2006), so hashing and
+equality never walk a formula.  Build formulas in one thread at a time.
 
 Terms are variables only; there are no constants or function symbols.
 Predicates may be nullary.  Parsing renames bound variables apart, so
@@ -39,6 +40,7 @@ over the parsed tree.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -61,85 +63,82 @@ class ArityError(FormulaError):
 # Abstract syntax
 # ===================================================================
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+    def drop(self) -> None:
+        live = _table.pop(self.key, self)
+        if live is not self:  # built after the collector cleared self
+            _table[self.key] = live
+
+
+# (class, *fields) of each live formula, to a weak reference to it
+_table: dict[tuple, _Entry] = {}
+_set = object.__setattr__
+
+
 class Formula:
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", self._fields_hash())
+    """Building a formula equal to a live one returns that one, so == is
+    identity.  Formulas hash as their fields and are immutable."""
+
+    __slots__ = ("_hash", "_text", "__weakref__")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _table.get(key)
+        if entry is not None and (phi := entry()) is not None:
+            return phi
+        if len(fields) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} has fields {cls.__match_args__}")
+        phi = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            _set(phi, name, value)
+        _set(phi, "_hash", hash(fields))
+        _table[key] = entry = _Entry(phi, _Entry.drop)
+        entry.key = key
+        return phi
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"formulas are immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-def _hashed(cls):
-    """Hash each formula once, as it is built, by the generated hash over
-    its fields, whose own hashes are remembered: hashing never walks."""
-    cls._fields_hash = cls.__hash__
-    cls.__hash__ = lambda self: self._hash
-    return cls
-
-
-def _walked_eq(self, other):
-    """Equality of connectives: hashes first, then the pairs with equal
-    hashes walked on a stack, so comparing never recurses."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        a, b = stack.pop()
-        cls = a.__class__
-        if a is b:
-            continue
-        if cls is not b.__class__ or a._hash != b._hash:
-            return False
-        if cls is Or:
-            stack += ((a.right, b.right), (a.left, b.left))
-        elif cls is Exists and a.bound != b.bound:
-            return False
-        elif cls is Neg or cls is Dia or cls is Exists:
-            stack.append((a.body, b.body))
-        elif a != b:  # Pred and Bottom keep the generated comparison
-            return False
-    return True
-
-
-@_hashed
-@dataclass(frozen=True)
 class Pred(Formula):
-    name: str
-    args: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple[str, ...] = ()):
+        return Formula.__new__(cls, name, args)
 
 
-@_hashed
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_hashed
-@dataclass(frozen=True)
 class Neg(Formula):
-    body: Formula
-    __eq__ = _walked_eq
+    __slots__ = __match_args__ = ("body",)
 
 
-@_hashed
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
-    __eq__ = _walked_eq
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_hashed
-@dataclass(frozen=True)
 class Dia(Formula):
-    body: Formula
-    __eq__ = _walked_eq
+    __slots__ = __match_args__ = ("body",)
 
 
-@_hashed
-@dataclass(frozen=True)
 class Exists(Formula):
-    bound: str
-    body: Formula
-    __eq__ = _walked_eq
+    __slots__ = __match_args__ = ("bound", "body")
 
 
 def box(body: Formula) -> Formula:
@@ -162,6 +161,7 @@ def implies(left: Formula, right: Formula) -> Formula:
 # Variables and substitution
 # ===================================================================
 
+# functools caches, not slots on formulas: the benchmark reads cache_info()
 @lru_cache(maxsize=8192)
 def free_vars(phi: Formula) -> frozenset[str]:
     match phi:
@@ -235,22 +235,17 @@ def substitute(phi: Formula, new: str, old: str) -> Formula:
 
 def rename_apart(phi: Formula) -> Formula:
     """Rename binders so each exists binds a distinct, non-shadowing name.
-    A subformula in which nothing is renamed comes back as it is."""
+    A subformula in which nothing is renamed is rebuilt as itself."""
     def walk(psi: Formula, taken: set[str]) -> Formula:
         match psi:
             case Pred() | Bottom():
                 return psi
             case Neg(body=body):
-                new = walk(body, taken)
-                return psi if new is body else Neg(new)
+                return Neg(walk(body, taken))
             case Dia(body=body):
-                new = walk(body, taken)
-                return psi if new is body else Dia(new)
+                return Dia(walk(body, taken))
             case Or(left=left, right=right):
-                new_left, new_right = walk(left, taken), walk(right, taken)
-                if new_left is left and new_right is right:
-                    return psi
-                return Or(new_left, new_right)
+                return Or(walk(left, taken), walk(right, taken))
             case Exists(bound=bound, body=body):
                 if bound in taken:
                     fresh = fresh_variable(bound, taken | all_vars(body))
@@ -258,8 +253,7 @@ def rename_apart(phi: Formula) -> Formula:
                     return Exists(fresh, walk(substitute(body, fresh, bound),
                                               taken))
                 taken.add(bound)
-                new = walk(body, taken)
-                return psi if new is body else Exists(bound, new)
+                return Exists(bound, walk(body, taken))
         raise TypeError(f"not a formula: {psi!r}")
 
     return walk(phi, set(free_vars(phi)))
@@ -617,7 +611,12 @@ def parse_formula(text: str) -> Formula:
 
 # precedence levels: quantifier scope 0, -> between, | 1, & 2, prefix 3, atom 4
 def render_formula(phi: Formula) -> str:
-    return _render(phi, 0)
+    """The text of phi, rendered on first use and kept on phi."""
+    text = getattr(phi, "_text", None)
+    if text is None:
+        text = _render(phi, 0)
+        _set(phi, "_text", text)
+    return text
 
 
 def _render(phi: Formula, ctx: int) -> str:

@@ -268,6 +268,22 @@ def test_graph_refuses_a_graph_too_large_to_saturate(capsys):
     assert code == 0 and len(_json(out)["reachable"]) == 100
 
 
+def test_path_conditions_too_long_are_refused(capsys):
+    # check_frame's step sets for --path 2000:2000 took about 20 s
+    for argv in (["countermodel", "--path", "201:200", "p"],
+                 ["countermodel", "--path", "0:2,100:100", "--path", "99:100",
+                  "p"],
+                 ["grammar", "--system", "sg", "--path", "200000:200000",
+                  "--start", "d", "--string", "d"]):
+        start = time.perf_counter()
+        assert main(argv) == 3, argv
+        assert time.perf_counter() - start < 5
+        assert "more than 400" in capsys.readouterr().err
+    code, out = _run(capsys, "grammar", "--system", "sg", "--path", "200:200",
+                     "--start", "d", "--string", "d")
+    assert code == 0 and _json(out)["member"]
+
+
 def test_countermodel_found_and_absent(capsys):
     code, out = _run(capsys, "countermodel", "exists x. (p(x) | ~p(x))")
     assert code == 2

@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import fomodal
+from fomodal import grammar
 from fomodal.calculi import availability_system, propagation_system
-from fomodal.grammar import (BDIA, DIA, GrammarError, Production, converse_string,
-                             derives, empty_system, of_paths, parse_production,
-                             s4, s5, system, union)
+from fomodal.grammar import (BDIA, DIA, GrammarError, Production, ThueSystem,
+                             converse_string, derives, empty_system, of_paths,
+                             parse_production, s4, s5, system, to_cfg, union)
 from fomodal.syntax import frame_spec
 from oracles import all_strings, earley_member, one_step, saturated_members
 
@@ -52,6 +53,34 @@ def test_canonical_systems():
 def test_union_joins_productions():
     joined = union(s4(), of_paths([(0, 2)]))
     assert joined.productions == s4().productions | of_paths([(0, 2)]).productions
+
+
+def _to_cfg_lines(sys_: ThueSystem) -> int:
+    """Lines of the grammar module executed by to_cfg(sys_), uncached."""
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == grammar.__file__ else None
+
+    before = sys.gettrace()
+    sys.settrace(call)
+    try:
+        to_cfg.__wrapped__(sys_)
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_to_cfg_work_is_linear_in_the_right_sides():
+    # marking a long nullable right side one helper per pass would make
+    # the count grow with the square of its length
+    for n in (50, 200):
+        assert _to_cfg_lines(union(s4(), of_paths([(n, n)]))) <= 60 * n, n
 
 
 def test_one_step():

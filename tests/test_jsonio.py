@@ -174,6 +174,7 @@ def test_sequents_as_deep_as_a_prover_conclusion_round_trip():
     for n in reversed(range(depth)):
         seq = NestedSequent(f"w{n}", (), (), (), (seq,))
     text = dumps(sequent_to_json(seq))
+    assert "\n" not in text  # compact: indentation grows with the depth
     assert max(accumulate(1 if c in "[{" else -1 if c in "]}" else 0
                           for c in text)) == 2 * depth + 2
     back = sequent_from_json(loads(text))

@@ -1,10 +1,13 @@
 """Formula construction, substitution and the concrete syntax."""
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
-from fomodal import syntax
+from fomodal import semantics, syntax
 from fomodal.syntax import (ArityError, Bottom, Dia, Exists, Neg, Or, ParseError,
                             Pred, _Parser, all_vars, alpha_eq, box, conj,
                             forall, frame_spec, free_vars, fresh_variable,
@@ -29,7 +32,7 @@ def _neg_chain(depth: int, atom: str):
 
 def test_deep_formulas_hash_and_compare_without_recursion():
     a, b, c = _neg_chain(5000, "p"), _neg_chain(5000, "p"), _neg_chain(5000, "q")
-    assert a is not b
+    assert a is b
     assert hash(a) == hash(b) and a == b and not a != b
     assert a != c and not a == c
     assert {a: 1}[b] == 1
@@ -42,6 +45,44 @@ def test_formula_hashes_are_the_hashes_of_their_fields():
     assert hash(phi) == hash((phi.left, phi.right))
     assert hash(phi.left) == hash(("x", Dia(p)))
     assert Exists("x", p) != Exists("y", p) and Neg(p) != Dia(p)
+
+
+def test_equal_formulas_are_one_object():
+    text = "forall x. (p(x) -> <>q(x, y)) & ~false"
+    assert parse_formula(text) is parse_formula(text)
+    assert Pred("p") is Pred("p", ()) is parse_formula("p")
+    assert Exists("x", Pred("p", ("x",))) is not Exists("y", Pred("p", ("x",)))
+
+
+def test_formulas_are_immutable_and_copy_to_themselves():
+    phi = parse_formula("exists x. p(x) | <>~q")
+    with pytest.raises(AttributeError):
+        phi.bound = "y"
+    with pytest.raises(AttributeError):
+        del phi.body
+    with pytest.raises(TypeError):
+        Or(phi)
+    assert phi.bound == "x" and free_vars(phi) == frozenset()
+    assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert repr(Pred("p", ("x",))) == "Pred(name='p', args=('x',))"
+
+
+def test_dead_formulas_leave_the_table():
+    def live():
+        return sum(1 for key in syntax._table if key[1:2] == ("marker",))
+
+    for i in range(500):
+        phi = Neg(Or(Pred("marker", (f"x{i}",)), Dia(Bottom())))
+        assert free_vars(phi) == {f"x{i}"} and all_vars(phi) == {f"x{i}"}
+        render_formula(phi)
+    assert live() > 0
+    del phi
+    free_vars.cache_clear()
+    all_vars.cache_clear()
+    semantics._compile.cache_clear()
+    gc.collect()
+    assert live() == 0
 
 
 def test_box_and_forall_are_abbreviations():
