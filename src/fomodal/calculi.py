@@ -30,6 +30,14 @@ does not hold.  The checker replays every node of a proof tree this
 way and compares the stored premises against the recomputed ones up to
 multiset equality and renaming of bound variables; the comparison is
 structural first and renders alpha-canonical keys only on a mismatch.
+A node that replays leaves a mark on its conclusion's labeled view
+(a labeled sequent is its own): the frame, rule, params and premise
+views.  Every value in it is immutable, so a later check, of this
+proof or of another reading of it, skips the replay when the mark
+holds the same objects, compared by identity, and asks again only what
+the mark does not stand for: that the rule is in the calculus, and
+under NestedN that the sequents are nested, share the root label and
+hold the principal label.  A miss replays the node.
 
 Side conditions of the reachability rules ask for a path in the
 conclusion whose string a rewriting system derives.  Which system and
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, is_
 
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
 from .propagation import PropPath, graph_of, path_in, reachable, witness_path
@@ -591,28 +599,92 @@ def _sequents_match(wanted: LabeledSequent, given, root: str | None) -> bool:
     return isinstance(given, LabeledSequent) and labeled_alpha_eq(wanted, given)
 
 
+def _views(calc: CalculusSpec, rules: frozenset[RuleId], node: ProofTree):
+    """(view, premise views) of a node, on which check replays it and
+    keeps its replay mark; None unless the checks the mark does not
+    stand for pass: the rule is in the calculus, each sequent is of the
+    calculus's kind, and under NestedN each premise has the conclusion's
+    root label and the principal label is present.  A labeled sequent
+    is its own view."""
+    seq = node.conclusion
+    given = [premise.conclusion for premise in node.premises]
+    if node.rule not in rules:
+        return None
+    if calc.kind != "NestedN":
+        labeled = isinstance(seq, LabeledSequent) and all(
+            isinstance(premise, LabeledSequent) for premise in given)
+        return (seq, given) if labeled else None
+    label = node.params.label
+    if label is None or not isinstance(seq, NestedSequent):
+        return None
+    root = seq.label
+    try:
+        for i, premise in enumerate(given):
+            if not isinstance(premise, NestedSequent) or premise.label != root:
+                return None
+            given[i] = to_labeled(premise)
+        view = to_labeled(seq)
+    except DuplicateLabelError:
+        return None
+    return (view, given) if label == root or label in view.labels() else None
+
+
 def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
     """Replay every node; ok when each node's stored premises agree
-    with the recomputed ones and every leaf is an axiom."""
+    with the recomputed ones and every leaf is an axiom.  A node that
+    replays leaves a mark on its view, and a node whose view is marked
+    with the same frame, rule, params and premise views, all compared by
+    identity, is not replayed again."""
     rules = rule_set(calc)
+    frame = calc.frame
     for path, node in proof.walk():
-        try:
-            premises = _premises(calc, rules, node.conclusion, node.rule,
-                                 node.params)
-        except (RuleApplicationError, DuplicateLabelError) as err:
-            return CheckReport(False, path, f"{node.rule}: {err}")
-        if len(premises) != len(node.premises):
+        views = _views(calc, rules, node)
+        if views is not None:
+            view, given = views
+            mark = view.__dict__.get("_replayed")
+            if (mark is not None and mark[0] is frame
+                    and mark[1] is node.rule and mark[2] is node.params
+                    and len(mark[3]) == len(given)
+                    and all(map(is_, mark[3], given))):
+                continue
+            try:
+                premises = _apply_labeled(calc, view, node.rule, node.params)
+            except RuleApplicationError:
+                premises = None
+            if (premises is not None and len(premises) == len(given)
+                    and all(map(labeled_alpha_eq, premises, given))):
+                view.__dict__["_replayed"] = (frame, node.rule, node.params,
+                                              tuple(given))
+                continue
+        report = _replay(calc, rules, path, node)
+        if not report.ok:
+            return report
+    return CheckReport(True)
+
+
+def _replay(calc: CalculusSpec, rules: frozenset[RuleId], path,
+            node: ProofTree) -> CheckReport:
+    """Replay one node through the checks apply_rule makes and compare
+    its premises one by one: the report naming the first fault, ok when
+    there is none.  check asks it for each node that its replay on the
+    views did not pass, so every fault is reported this one way."""
+    try:
+        premises = _premises(calc, rules, node.conclusion, node.rule,
+                             node.params)
+    except (RuleApplicationError, DuplicateLabelError) as err:
+        return CheckReport(False, path, f"{node.rule}: {err}")
+    if len(premises) != len(node.premises):
+        return CheckReport(
+            False, path,
+            f"{node.rule}: expected {len(premises)} premises, "
+            f"proof has {len(node.premises)}")
+    root = node.conclusion.label if calc.kind == "NestedN" else None
+    for i, (wanted, given) in enumerate(zip(premises, node.premises)):
+        if not _sequents_match(wanted, given.conclusion, root):
+            if root is not None:
+                wanted = to_nested(wanted, root=root)
             return CheckReport(
-                False, path,
-                f"{node.rule}: expected {len(premises)} premises, "
-                f"proof has {len(node.premises)}")
-        root = node.conclusion.label if calc.kind == "NestedN" else None
-        for i, (wanted, given) in enumerate(zip(premises, node.premises)):
-            if not _sequents_match(wanted, given.conclusion, root):
-                if root is not None:
-                    wanted = to_nested(wanted, root=root)
-                return CheckReport(
-                    False, path + (i,),
-                    f"premise {i} of {node.rule} does not match the rule: "
-                    f"wanted {wanted}, found {given.conclusion}")
+                False, path + (i,),
+                f"premise {i} of {node.rule} does not match the rule: "
+                f"wanted {wanted}, found {given.conclusion}")
     return CheckReport(True)

@@ -362,10 +362,10 @@ def prove_sequent(frame: FrameSpec, goal: NestedSequent,
 def _nested(root: _Node, goal: NestedSequent) -> ProofTree:
     """The proof the last round found written over the goal, each
     premise built from the components the search read off it."""
-    proof = fold(root, lambda node, premises: ProofTree(
-        nested_of(node.comps, node.seq), node.proved.rule,
-        node.proved.params, premises), lambda node: node.proved.premises)
-    return ProofTree(goal, proof.rule, proof.params, proof.premises)
+    return fold(root, lambda node, premises: ProofTree(
+        goal if node is root else nested_of(node.comps, node.seq),
+        node.proved.rule, node.proved.params, premises),
+        lambda node: node.proved.premises)
 
 
 def prove_formula(frame: FrameSpec, phi: Formula,

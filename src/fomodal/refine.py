@@ -289,7 +289,9 @@ def refine_proof(frame: FrameSpec, proof: ProofTree,
 def nestify(frame: FrameSpec, proof: ProofTree) -> ProofTree:
     """Read a refined labeled proof as a nested proof.  Every sequent
     in it must be a tree over the same root; the rules carry over with
-    their parameters unchanged."""
+    their parameters unchanged.  A sequent that is the view of a live
+    nested sequent is read back as that sequent (to_nested), so the
+    reading of labelize(frame, p) is made of p's own sequents."""
     ok, root = is_labeled_tree(proof.conclusion)
     if not ok:
         raise RefineError("end sequent is not a tree")

@@ -33,9 +33,9 @@ rank of each domain choice's least image; a structure is kept when no
 permutation fixing its relation gives its domains a smaller rank.
 Bounds with more than MAX_CANDIDATES candidates, 2**(n*n) relations
 times (2**n - 1)**p domain choices summed over n worlds and p
-individuals (at one world, each counting max(p, 1)), are refused
+individuals (at one world, each counting 2p + 1), are refused
 before anything is enumerated: five worlds, four worlds with two
-individuals, or one world with 2000 individuals.
+individuals, or one world with 1024 individuals.
 
 The search takes the structures in runs of equal worlds and pool, and
 evaluates the goal once per chunk of a run for all its valuations
@@ -268,9 +268,11 @@ def _check_bounds(max_worlds: int, max_individuals: int) -> None:
     """Refuse bounds below one world or zero individuals, and bounds
     with more than MAX_CANDIDATES candidate structures: 2**(n*n)
     relations times (2**n - 1)**p domain choices for each world count
-    n and pool size p.  At one world a domain of p individuals counts
-    max(p, 1) times, since the table there grows with the square of
-    the pool."""
+    n and pool size p.  At one world a structure is weighed by the
+    individuals it holds: over p individuals it counts 2p + 1, so the
+    table, which grows with the square of the pool, counts
+    (pool + 1)**2 per relation and one world takes at most 1023
+    individuals."""
     if max_worlds < 1 or max_individuals < 0:
         raise SemanticsError(
             f"bounds need max_worlds >= 1 and max_individuals >= 0, "
@@ -279,8 +281,8 @@ def _check_bounds(max_worlds: int, max_individuals: int) -> None:
     for n in range(1, max_worlds + 1):
         columns = (1 << n) - 1  # the nonempty sets of worlds
         if columns == 1:
-            # sum of max(p, 1) for p up to the pool
-            choices = 1 + max_individuals * (max_individuals + 1) // 2
+            # sum of 2p + 1 for p up to the pool
+            choices = (max_individuals + 1) ** 2
         else:
             # sum of columns**p; past this many individuals the sum
             # exceeds MAX_CANDIDATES anyway

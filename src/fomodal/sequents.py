@@ -16,10 +16,16 @@ components and to_labeled flattens a tree; the two are inverse on
 tree sequents.  update_components reads a premise's components from
 its conclusion's, reading again only the labels a rule changed.  A
 nested sequent keeps its labeled view: to_labeled stores the
-flattened sequent on it, and to_nested its input on its result.  A
-labeled sequent keeps its labels the same way, read on first use, and
-propagation.graph_of keeps its graph; replace starts a copy without
-either.
+flattened sequent on it, and to_nested (through nested_of) its input
+on its result.  The view keeps the nested sequent only by a weak
+reference, which would otherwise close a cycle that only the garbage
+collector frees; while that nested sequent lives, to_nested of the
+view under the same root returns it.  to_labeled leaves the reference
+only on a tree whose children are in label order, as to_nested writes
+them.  A labeled sequent keeps its labels the same way, read on first
+use, propagation.graph_of keeps its graph and calculi.check its replay
+mark; replace starts a copy without any of them, and copies and
+pickles carry the four slots only.
 labeled_alpha_eq, equality up to bound variable names, compares
 structurally first and renders alpha-canonical keys only on a
 mismatch; nested_alpha_eq compares the root labels and the views.
@@ -39,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
+from weakref import ref
 
 from .syntax import (MAX_DEPTH, Formula, ParseError, _Parser, _tokenize,
                      alpha_canonical, all_vars, render_formula)
@@ -144,6 +151,11 @@ class LabeledSequent:
         out = object.__new__(LabeledSequent)
         out.__dict__.update(slots)
         return out
+
+    def __getstate__(self):
+        """Copies and pickles carry the four slots, not what is kept on
+        the sequent: a weak reference cannot be pickled."""
+        return {slot: getattr(self, slot) for slot in _SLOT_KEYS}
 
     def __str__(self):
         return render_labeled(self)
@@ -382,20 +394,27 @@ def components(seq: LabeledSequent,
 def to_labeled(phi: NestedSequent) -> LabeledSequent:
     """Flatten a nested sequent into a labeled sequent; each component
     contributes its formulas and variables at its own label and one
-    relational atom per child.  The result is kept on phi as its view."""
+    relational atom per child.  The result is kept on phi as its view,
+    and phi on the view by a weak reference when its children are in
+    label order, so that to_nested gives phi back."""
     view = getattr(phi, "_view", None)
     if view is not None:
         return view
     check_unique_labels(phi)
     rel, dom, left, right = [], [], [], []
+    in_order = True
     for node in phi.walk():
         dom.extend((x, node.label) for x in node.vars)
         left.extend((node.label, f) for f in node.left)
         right.extend((node.label, f) for f in node.right)
+        kids = [(len(child.label), child.label) for child in node.children]
+        in_order = in_order and kids == sorted(kids)
         rel.extend((node.label, child.label) for child in node.children)
     view = LabeledSequent(rel=tuple(rel), dom=tuple(dom),
                           left=tuple(left), right=tuple(right))
     object.__setattr__(phi, "_view", view)
+    if in_order:
+        view.__dict__["_nested"] = ref(phi)
     return view
 
 
@@ -426,14 +445,23 @@ def update_components(parts: tuple[Component, ...], seq: LabeledSequent,
 def to_nested(seq: LabeledSequent, root: str | None = None) -> NestedSequent:
     """The nested sequent that components reads off a labeled tree
     sequent, with seq kept as its view; children come out sorted by
-    label.  Raises NotATreeError as components does."""
+    label.  While the nested sequent whose view seq last became is
+    alive and has that root, that one is returned.  Raises
+    NotATreeError as components does."""
+    kept = seq.__dict__.get("_nested")
+    phi = None if kept is None else kept()
+    # only a sequent without labels takes its root from the argument
+    if phi is not None and (seq.labels() or phi.label == (root or "w0")):
+        return phi
     return nested_of(components(seq, root), seq)
 
 
 def nested_of(parts: tuple[Component, ...],
               seq: LabeledSequent) -> NestedSequent:
     """The nested sequent whose components are parts, the components of
-    seq, with seq kept as its view."""
+    seq, with seq kept as its view.  seq keeps it by a weak reference,
+    which to_nested reads; a strong one would make a cycle with the
+    view that only the garbage collector frees."""
     built = {}
     # reversed preorder builds every child before its parent; the parts
     # already are in the order NestedSequent keeps, so its fields are
@@ -444,6 +472,7 @@ def nested_of(parts: tuple[Component, ...],
                              children=tuple(map(built.pop, children)))
     phi = built[parts[0].label]
     object.__setattr__(phi, "_view", seq)
+    seq.__dict__["_nested"] = ref(phi)
     return phi
 
 

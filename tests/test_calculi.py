@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from fomodal import calculi
 from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
                              ID, ND, NEG_L, NEG_R, OR_L, OR_R, P_DIA, S_EX1,
                              S_EX2, CalculusSpec, FreshnessViolation,
@@ -530,7 +531,9 @@ def test_check_accepts_a_premise_equal_up_to_bound_names():
         return ProofTree(seq, NEG_R, principal,
                          (ProofTree(LS(premise), BOT_L, RuleParams(label="w")),))
 
-    # a renamed binder: not equal, so the alpha keys decide
+    assert check(calc, proof(str(wanted))).ok
+    # a renamed binder: not equal, so the alpha keys decide, though the
+    # replay mark on seq holds another premise
     variant = "w: false, w: exists y. p(y) |- "
     assert LS(variant) != wanted
     assert check(calc, proof(variant)).ok
@@ -641,3 +644,96 @@ def test_side_condition_builds_one_graph_per_sequent(graph_builds):
     twin = LS(text)
     assert side_condition(calc, P_DIA, twin, reach).holds
     assert len(graph_builds) == 2 and graph_builds[1] is twin
+
+
+S4 = frame_spec(paths=[(0, 0), (0, 2)])
+
+
+def _checked_prover_proof(frame, text):
+    """A prover proof, which the prover has checked: every view in it
+    carries a replay mark."""
+    proof = prove_formula(frame, parse_formula(text)).proof
+    assert check(CalculusSpec("NestedN", frame), proof).ok
+    return proof
+
+
+def _at(proof: ProofTree, path, change) -> ProofTree:
+    """proof with change(node) in place of the node at path; every
+    other node keeps its conclusion, rule and params objects."""
+    if not path:
+        return change(proof)
+    i = path[0]
+    premises = list(proof.premises)
+    premises[i] = _at(premises[i], path[1:], change)
+    return replace(proof, premises=tuple(premises))
+
+
+def _report_as_on_a_fresh_copy(calc, proof):
+    """check's report on proof, which must equal the report of a full
+    replay of a copy read from JSON, whose sequents carry no mark."""
+    report = check(calc, proof)
+    assert report == check(calc, _fresh(proof))
+    return report
+
+
+def test_a_replay_mark_does_not_pass_a_changed_node():
+    calc = CalculusSpec("NestedN", S4)
+    proof = _checked_prover_proof(S4, "[]p -> [][]p")
+    path, node = next((path, node) for path, node in proof.walk()
+                      if node.rule == P_DIA
+                      and len(node.params.witness.chars) == 2)
+    # the same conclusion object with a witness one step short
+    witness = node.params.witness
+    short = PropPath(witness.labels[:1] + witness.labels[2:],
+                     witness.chars[1:])
+    report = _report_as_on_a_fresh_copy(calc, _at(
+        proof, path, lambda n: replace(n, params=replace(n.params,
+                                                         witness=short))))
+    assert not report.ok and report.node == path
+    assert report.message == "p_dia: witness uses a missing edge"
+    # a premise swapped for the sequent above it
+    report = _report_as_on_a_fresh_copy(calc, _at(
+        proof, (0,), lambda n: replace(n, conclusion=n.premises[0].conclusion)))
+    assert not report.ok and report.node == (0,)
+    assert report.message.startswith("premise 0 of ")
+    # another rule on the same conclusion and params
+    path = next(path for path, node in proof.walk() if node.rule == NEG_R)
+    report = _report_as_on_a_fresh_copy(calc, _at(
+        proof, path, lambda n: replace(n, rule=NEG_L)))
+    assert not report.ok and report.node == path
+    assert report.message == "neg_l: principal negation not present"
+    # the checks below mark the nodes they replay with their own frames:
+    # another frame object, over which the witness string is not derivable
+    report = _report_as_on_a_fresh_copy(CalculusSpec("NestedN", frame_spec()),
+                                        proof)
+    assert not report.ok
+    assert report.message == "p_dia: witness string eps not derivable"
+    # an equal frame in another object replays and passes
+    assert check(CalculusSpec("NestedN", frame_spec(paths=[(0, 0), (0, 2)])),
+                 proof).ok
+
+
+def test_a_replay_mark_still_asks_the_rule():
+    proof = _checked_prover_proof(S4, "[]p -> [][]p")
+    labeled = labelize(S4, proof)
+    # the labeled reading shares the marked views; G3 has no p_dia
+    report = _report_as_on_a_fresh_copy(CalculusSpec("G3", S4), labeled)
+    assert not report.ok
+    assert report.message == "p_dia: p_dia is not a rule of G3 over this frame"
+
+
+def test_labelize_and_nestify_replay_no_node_of_a_checked_proof(monkeypatch):
+    replayed = []
+    apply_labeled = calculi._apply_labeled
+
+    def counted(calc, seq, rule, params):
+        replayed.append(rule)
+        return apply_labeled(calc, seq, rule, params)
+
+    monkeypatch.setattr(calculi, "_apply_labeled", counted)
+    for frame, text in SEQUENT_SCOPED_GOALS:
+        proof = prove_formula(frame, parse_formula(text)).proof
+        assert len(replayed) >= proof.size()  # the prover's own check
+        replayed.clear()
+        nested = nestify(frame, labelize(frame, proof))
+        assert replayed == [] and nested == proof, text

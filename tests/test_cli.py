@@ -317,7 +317,9 @@ def test_countermodel_rejects_bad_bounds(capsys, bounds):
                                     ("--max-worlds", "1",
                                      "--max-individuals", "1000000"),
                                     ("--max-worlds", "1",
-                                     "--max-individuals", "2000")])
+                                     "--max-individuals", "2000"),
+                                    ("--max-worlds", "1",
+                                     "--max-individuals", "1447")])
 def test_countermodel_refuses_out_of_reach_bounds(capsys, bounds):
     code = main(["countermodel", "p -> p", *bounds])
     captured = capsys.readouterr()

@@ -1,5 +1,9 @@
 """Relational-rule elimination and the nested reading of refined proofs."""
 
+import copy
+import gc
+import pickle
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -10,7 +14,9 @@ from fomodal.calculi import (AX, DIA_R, ID, OR_R, P_DIA, RELATIONAL,
                              check, g_rule)
 from fomodal.propagation import PropPath
 from fomodal.refine import (RefineError, labelize, nestify, refine_proof)
-from fomodal.sequents import LabeledSequent, labeled_alpha_eq, parse_labeled
+from fomodal.prover import prove_formula
+from fomodal.sequents import (LabeledSequent, NestedSequent, labeled_alpha_eq,
+                              parse_labeled, to_labeled, to_nested)
 from fomodal.syntax import Or, frame_spec, parse_formula
 from fixtures import (EX_FRAME, elimination_display_2, elimination_display_3,
                       elimination_display_4, elimination_initial)
@@ -288,3 +294,46 @@ def test_refine_fills_in_a_missing_p_dia_witness():
     refined = refine_proof(frame, proof).proof
     assert refined.params.witness == PropPath(("w", "u", "v"), ("d", "d"))
     assert check(CalculusSpec("RefinedL", frame), refined).ok
+
+
+def test_nested_reading_of_a_labelized_proof_is_the_proof_itself():
+    frame = frame_spec(paths=[(0, 0), (0, 2)])
+    proof = prove_formula(frame, parse_formula("[]p -> [][]p")).proof
+    labeled = labelize(frame, proof)
+    nested = nestify(frame, labeled)
+    assert nested.conclusion is proof.conclusion
+    assert all(a.conclusion is b.conclusion
+               for (_, a), (_, b) in zip(nested.walk(), proof.walk()))
+    assert pickle.loads(pickle.dumps(nested)) == proof
+    premise = proof.premises[0].conclusion
+    view, alive = to_labeled(premise), weakref.ref(premise)
+    # views keep their nested sequents weakly and replay marks hold no
+    # nested sequent, so the proofs go without the garbage collector
+    gc.disable()
+    try:
+        del proof, labeled, nested, premise
+        assert alive() is None
+    finally:
+        gc.enable()
+    # a copy keeps no reference, so its reading is built afresh
+    again = to_nested(view)
+    assert again == to_nested(copy.copy(view)) and again.label == "w0"
+    assert to_nested(view) is again
+
+
+def test_to_nested_rebuilds_an_empty_root_once_it_died():
+    empty = LabeledSequent()
+    root = to_nested(empty, root="v")
+    assert to_nested(empty, root="v") is root
+    alive = weakref.ref(root)
+    gc.disable()
+    try:
+        del root
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert to_nested(empty, root="v") == NestedSequent("v")
+    # a live reading under another root is not returned
+    kept = to_nested(empty, root="v")
+    assert to_nested(empty, root="u") == NestedSequent("u")
+    assert to_nested(empty) == NestedSequent("w0") != kept

@@ -151,7 +151,8 @@ def test_structure_table_is_isomorph_free_at_four_worlds():
 
 
 @pytest.mark.parametrize("bounds", [(5, 0), (4, 2), (3, 5), (2, 11),
-                                    (1, 10 ** 9), (1, 10 ** 6), (1, 2000)])
+                                    (1, 10 ** 9), (1, 10 ** 6), (1, 2000),
+                                    (1, 1447), (1, 1024)])
 def test_enumerate_structures_refuses_out_of_reach_bounds(bounds):
     with pytest.raises(SemanticsError, match="out of reach"):
         enumerate_structures(*bounds)
@@ -162,9 +163,9 @@ def test_enumerate_structures_refuses_out_of_reach_bounds(bounds):
 def test_bounds_in_reach_stay_accepted():
     # the corpus bounds, four worlds with one individual, ten and four
     # individuals at two and three worlds, and one world with a
-    # thousand individuals
+    # thousand individuals and with the most it takes
     for bounds in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 0), (4, 1), (2, 10),
-                   (3, 4), (1, 1000)]:
+                   (3, 4), (1, 1000), (1, 1023)]:
         _check_bounds(*bounds)
 
 
