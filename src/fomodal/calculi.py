@@ -31,13 +31,15 @@ way and compares the stored premises against the recomputed ones up to
 multiset equality and renaming of bound variables; the comparison is
 structural first and renders alpha-canonical keys only on a mismatch.
 A node that replays leaves a mark on its conclusion's labeled view
-(a labeled sequent is its own): the frame, rule, params and premise
-views.  Every value in it is immutable, so a later check, of this
-proof or of another reading of it, skips the replay when the mark
-holds the same objects, compared by identity, and asks again only what
-the mark does not stand for: that the rule is in the calculus, and
-under NestedN that the sequents are nested, share the root label and
-hold the principal label.  A miss replays the node.
+(a labeled sequent is its own): the frame, rule, params and weak
+references to the premise views, so a mark keeps no premise alive.
+Every value in it is immutable, so a later check, of this proof or of
+another reading of it, skips the replay when the mark holds the same
+objects, compared by identity.  It asks again what the mark does not
+stand for, in _view and _premise_view, which a replay goes through
+too: that the rule is in the calculus, and under NestedN that the
+sequents are nested, share the root label and hold the principal
+label.  A miss replays the node.
 
 Side conditions of the reachability rules ask for a path in the
 conclusion whose string a rewriting system derives.  Which system and
@@ -61,7 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter, is_
+from operator import attrgetter
+from weakref import ref
 
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
 from .propagation import PropPath, graph_of, path_in, reachable, witness_path
@@ -354,30 +357,33 @@ def apply_rule(calc: CalculusSpec, seq, rule: RuleId,
 
     A NestedN rule is applied to the labeled view of its conclusion,
     and each premise is read back as a tree under the same root."""
-    premises = _premises(calc, rule_set(calc), seq, rule, params)
+    view = _view(calc, rule_set(calc), seq, rule, params)
+    premises = _apply_labeled(calc, view, rule, params)
     return premises if calc.kind != "NestedN" else tuple(
         to_nested(premise, root=seq.label) for premise in premises)
 
 
-def _premises(calc: CalculusSpec, rules: frozenset[RuleId], seq, rule: RuleId,
-              params: RuleParams) -> tuple[LabeledSequent, ...]:
-    """apply_rule with the premises left as labeled sequents; rules is
-    rule_set(calc)."""
+def _view(calc: CalculusSpec, rules: frozenset[RuleId], seq, rule: RuleId,
+          params: RuleParams) -> LabeledSequent:
+    """The labeled sequent a rule instance is applied to, after the
+    checks that come before the rule's own: seq itself, or under NestedN
+    its view; rules is rule_set(calc).  check asks these of every node,
+    marked or not."""
     if rule not in rules:
         raise RuleNotInCalculus(f"{rule} is not a rule of {calc.kind} "
                                 f"over this frame")
     if calc.kind != "NestedN":
         if not isinstance(seq, LabeledSequent):
             raise MalformedParams(f"{calc.kind} proofs use labeled sequents")
-        return _apply_labeled(calc, seq, rule, params)
+        return seq
     if not isinstance(seq, NestedSequent):
         raise MalformedParams("NestedN proofs use nested sequents")
     _need(params.label is not None, MalformedParams, "missing component label")
+    view = to_labeled(seq)
     # only a lone empty root is missing from its view
-    _need(params.label == seq.label
-          or params.label in to_labeled(seq).labels(),
+    _need(params.label == seq.label or params.label in view.labels(),
           SideConditionViolation, f"no component labeled {params.label}")
-    return _apply_labeled(calc, to_labeled(seq), rule, params)
+    return view
 
 
 def _need(condition: bool, error, message: str):
@@ -588,45 +594,28 @@ class CheckReport:
         return self.ok
 
 
-def _sequents_match(wanted: LabeledSequent, given, root: str | None) -> bool:
-    if root is not None:  # NestedN: a tree under the root, and its view
-        if not isinstance(given, NestedSequent) or given.label != root:
-            return False
-        try:
-            given = to_labeled(given)
-        except DuplicateLabelError:
-            return False
-    return isinstance(given, LabeledSequent) and labeled_alpha_eq(wanted, given)
-
-
-def _views(calc: CalculusSpec, rules: frozenset[RuleId], node: ProofTree):
-    """(view, premise views) of a node, on which check replays it and
-    keeps its replay mark; None unless the checks the mark does not
-    stand for pass: the rule is in the calculus, each sequent is of the
-    calculus's kind, and under NestedN each premise has the conclusion's
-    root label and the principal label is present.  A labeled sequent
-    is its own view."""
-    seq = node.conclusion
-    given = [premise.conclusion for premise in node.premises]
-    if node.rule not in rules:
+def _premise_view(given, root: str | None) -> LabeledSequent | None:
+    """The labeled sequent a stored premise stands for: itself, or
+    under NestedN (root not None) the view of a tree under the root.
+    None when it is neither."""
+    if root is None:
+        return given if isinstance(given, LabeledSequent) else None
+    if not isinstance(given, NestedSequent) or given.label != root:
         return None
-    if calc.kind != "NestedN":
-        labeled = isinstance(seq, LabeledSequent) and all(
-            isinstance(premise, LabeledSequent) for premise in given)
-        return (seq, given) if labeled else None
-    label = node.params.label
-    if label is None or not isinstance(seq, NestedSequent):
-        return None
-    root = seq.label
     try:
-        for i, premise in enumerate(given):
-            if not isinstance(premise, NestedSequent) or premise.label != root:
-                return None
-            given[i] = to_labeled(premise)
-        view = to_labeled(seq)
+        return to_labeled(given)
     except DuplicateLabelError:
         return None
-    return (view, given) if label == root or label in view.labels() else None
+
+
+def _marked(mark, frame: FrameSpec, node: ProofTree, given) -> bool:
+    """Whether a replay mark was left by this very node: the same
+    frame, rule, params and premise views, all compared by identity."""
+    return (mark is not None and mark[0] is frame and mark[1] is node.rule
+            and mark[2] is node.params and len(mark[3]) == len(given)
+            # a dead reference reads None, as _premise_view of a misfit
+            and all(view is not None and premise() is view
+                    for premise, view in zip(mark[3], given)))
 
 
 def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
@@ -637,54 +626,33 @@ def check(calc: CalculusSpec, proof: ProofTree) -> CheckReport:
     identity, is not replayed again."""
     rules = rule_set(calc)
     frame = calc.frame
+    root = None
     for path, node in proof.walk():
-        views = _views(calc, rules, node)
-        if views is not None:
-            view, given = views
-            mark = view.__dict__.get("_replayed")
-            if (mark is not None and mark[0] is frame
-                    and mark[1] is node.rule and mark[2] is node.params
-                    and len(mark[3]) == len(given)
-                    and all(map(is_, mark[3], given))):
+        try:
+            view = _view(calc, rules, node.conclusion, node.rule, node.params)
+            if calc.kind == "NestedN":
+                root = node.conclusion.label
+            given = [_premise_view(premise.conclusion, root)
+                     for premise in node.premises]
+            if _marked(view.__dict__.get("_replayed"), frame, node, given):
                 continue
-            try:
-                premises = _apply_labeled(calc, view, node.rule, node.params)
-            except RuleApplicationError:
-                premises = None
-            if (premises is not None and len(premises) == len(given)
-                    and all(map(labeled_alpha_eq, premises, given))):
-                view.__dict__["_replayed"] = (frame, node.rule, node.params,
-                                              tuple(given))
-                continue
-        report = _replay(calc, rules, path, node)
-        if not report.ok:
-            return report
-    return CheckReport(True)
-
-
-def _replay(calc: CalculusSpec, rules: frozenset[RuleId], path,
-            node: ProofTree) -> CheckReport:
-    """Replay one node through the checks apply_rule makes and compare
-    its premises one by one: the report naming the first fault, ok when
-    there is none.  check asks it for each node that its replay on the
-    views did not pass, so every fault is reported this one way."""
-    try:
-        premises = _premises(calc, rules, node.conclusion, node.rule,
-                             node.params)
-    except (RuleApplicationError, DuplicateLabelError) as err:
-        return CheckReport(False, path, f"{node.rule}: {err}")
-    if len(premises) != len(node.premises):
-        return CheckReport(
-            False, path,
-            f"{node.rule}: expected {len(premises)} premises, "
-            f"proof has {len(node.premises)}")
-    root = node.conclusion.label if calc.kind == "NestedN" else None
-    for i, (wanted, given) in enumerate(zip(premises, node.premises)):
-        if not _sequents_match(wanted, given.conclusion, root):
-            if root is not None:
-                wanted = to_nested(wanted, root=root)
+            premises = _apply_labeled(calc, view, node.rule, node.params)
+        except (RuleApplicationError, DuplicateLabelError) as err:
+            return CheckReport(False, path, f"{node.rule}: {err}")
+        if len(premises) != len(node.premises):
             return CheckReport(
-                False, path + (i,),
-                f"premise {i} of {node.rule} does not match the rule: "
-                f"wanted {wanted}, found {given.conclusion}")
+                False, path,
+                f"{node.rule}: expected {len(premises)} premises, "
+                f"proof has {len(node.premises)}")
+        for i, (wanted, found) in enumerate(zip(premises, given)):
+            if found is None or not labeled_alpha_eq(wanted, found):
+                if root is not None:
+                    wanted = to_nested(wanted, root=root)
+                return CheckReport(
+                    False, path + (i,),
+                    f"premise {i} of {node.rule} does not match the rule: "
+                    f"wanted {wanted}, found {node.premises[i].conclusion}")
+        # weakly: a mark must not keep the proof above it alive
+        view.__dict__["_replayed"] = (frame, node.rule, node.params,
+                                      tuple(map(ref, given)))
     return CheckReport(True)

@@ -1,5 +1,7 @@
 """Rule sets, rule application, side conditions and the proof checker."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -11,16 +13,16 @@ from fomodal.calculi import (AX, BOT_L, D, DD, DIA_L, DIA_R, EXISTS_L, EXISTS_R,
                              MalformedParams, PrincipalMissing, ProofTree,
                              RuleId, RuleNotInCalculus, RuleParams,
                              SideConditionViolation, apply_rule,
-                             _sequents_match, availability_system, check,
+                             _premise_view, availability_system, check,
                              fold, g_rule, propagation_system, rule_set,
                              side_condition)
 from fomodal.grammar import s4, s5, of_paths, union
 from fomodal.jsonio import proof_from_json, proof_to_json
 from fomodal.propagation import PropPath, build_graph
-from fomodal.prover import prove_formula
+from fomodal.prover import prove_formula, prove_sequent
 from fomodal.refine import labelize, nestify, refine_proof
 from fomodal.sequents import (LabeledSequent, NestedSequent, parse_labeled,
-                              parse_nested, render_nested)
+                              parse_nested, render_nested, to_labeled)
 from fomodal.syntax import frame_spec, parse_formula
 from fixtures import EX_FRAME, elimination_initial
 
@@ -475,13 +477,13 @@ def test_nested_check_reads_stored_premises_by_root_and_view():
     moved = parse_nested("p ;  |- p, [ ;  |- r]@w10, [ ;  |- q]@w2 @v")
     assert check(calc, _neg_l_proof(moved)).node == (0,)
     # a lone empty root has an empty view, so only its label tells two
-    # such premises apart; no rule yields one, so the match is asked
+    # such premises apart; no rule yields one, so the reading is asked
     # directly
     empty = LabeledSequent()
-    assert _sequents_match(empty, NestedSequent("w0"), "w0")
-    assert not _sequents_match(empty, NestedSequent("v"), "w0")
-    assert not _sequents_match(empty, empty, "w0")
-    assert not _sequents_match(empty, NestedSequent("w0"), None)
+    assert _premise_view(NestedSequent("w0"), "w0") == empty
+    assert _premise_view(NestedSequent("v"), "w0") is None
+    assert _premise_view(empty, "w0") is None
+    assert _premise_view(NestedSequent("w0"), None) is None
 
 
 def test_failing_nested_check_renders_both_sequents_nested():
@@ -737,3 +739,41 @@ def test_labelize_and_nestify_replay_no_node_of_a_checked_proof(monkeypatch):
         replayed.clear()
         nested = nestify(frame, labelize(frame, proof))
         assert replayed == [] and nested == proof, text
+
+
+def test_a_replay_mark_keeps_no_premise_alive():
+    goal = NestedSequent("w0", (), (), (parse_formula("~[]p | [][]p"),), ())
+    proof = prove_sequent(S4, goal).proof
+    assert proof.conclusion is goal and proof.size() > 1
+    views = [weakref.ref(to_labeled(node.conclusion))
+             for _, node in proof.walk()]
+    # marks hold their premise views weakly, so the proof's sequents go
+    # with it, without the garbage collector, while the goal stays
+    gc.disable()
+    try:
+        del proof
+        assert [view() for view in views[1:]] == [None] * (len(views) - 1)
+        assert views[0]() is to_labeled(goal)
+    finally:
+        gc.enable()
+    assert "_replayed" in to_labeled(goal).__dict__
+
+
+def test_a_replay_mark_whose_premise_died_passes_no_misfit():
+    calc = CalculusSpec("NestedN", S4)
+    goal = NestedSequent("w0", (), (), (parse_formula("[]p -> [][]p"),), ())
+    proof = prove_sequent(S4, goal).proof
+    rule, params, above = proof.rule, proof.params, proof.premises[0]
+    # a premise under another root has no view, and the goal's mark
+    # holds a reference to a view that died with the proof
+    misfit = ProofTree(NestedSequent("v"), above.rule, above.params)
+    premise = weakref.ref(to_labeled(above.conclusion))
+    gc.disable()
+    try:
+        del proof, above
+        assert premise() is None
+        report = check(calc, ProofTree(goal, rule, params, (misfit,)))
+    finally:
+        gc.enable()
+    assert not report.ok and report.node == (0,)
+    assert report.message.startswith(f"premise 0 of {rule} ")
