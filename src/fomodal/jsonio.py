@@ -2,9 +2,11 @@
 
 Formulas travel as their ASCII rendering and are parsed back on read,
 so the schemas stay readable and independent of the AST layout.  Equal
-texts give one formula, as formulas are interned, and one decode parses
-each distinct text once: proof_from_json keeps a dict from text to
-formula for the length of the call.  Labels and variables must be names
+texts give one formula, as formulas are interned, and one decode (of a
+sequent, parameters or a whole proof) parses each distinct text once
+and notes its predicates' arities in one table, so a predicate used
+with two arities anywhere in the decode is an ArityError, as across a
+sequent read from text.  Labels and variables must be names
 the text readers take back, with no R in a relational atom.  Every
 from_json function validates its input and raises JsonError with a
 message naming the offending key.
@@ -103,17 +105,27 @@ def _names(words, what: str, fits=is_name):
         raise JsonError(f"{what}: cannot read {word!r} as a name")
 
 
-def _formula(text, what: str, parsed: dict[str, Formula]) -> Formula:
-    """The formula of text, parsed once per decode: parsed maps each
-    text read so far in this decode to its formula."""
-    _expect(text, str, what)
-    phi = parsed.get(text)
-    if phi is None:
-        try:
-            phi = parsed[text] = parse_formula(text)
-        except FormulaError as err:
-            raise JsonError(f"{what}: {err}") from None
-    return phi
+class _Decode:
+    """The formulas of one decode: each distinct text is parsed once,
+    and the arity of each predicate it uses is noted in one table for
+    the decode, so a predicate used with two arities anywhere in it
+    raises ArityError, as the text readers raise across a sequent."""
+
+    def __init__(self):
+        self.parsed: dict[str, Formula] = {}
+        self.arities: dict[str, int] = {}
+
+    def formula(self, text, what: str) -> Formula:
+        _expect(text, str, what)
+        phi = self.parsed.get(text)
+        if phi is None:
+            try:
+                phi = parse_formula(text)
+            except FormulaError as err:
+                raise JsonError(f"{what}: {err}") from None
+            predicate_arities([phi], self.arities)
+            self.parsed[text] = phi
+        return phi
 
 
 # ===================================================================
@@ -161,7 +173,7 @@ def sequent_to_json(seq) -> dict:
     raise JsonError(f"not a sequent: {type(seq).__name__}")
 
 
-def _labeled_pairs(obj, what: str, parsed: dict[str, Formula]):
+def _labeled_pairs(obj, what: str, decode: _Decode):
     _expect(obj, list, what)
     out = []
     for entry in obj:
@@ -169,7 +181,7 @@ def _labeled_pairs(obj, what: str, parsed: dict[str, Formula]):
         if len(entry) != 2:
             raise JsonError(f"{what} entry {entry!r} is not a pair")
         out.append((_expect(entry[0], str, f"{what} label"),
-                    _formula(entry[1], f"{what} formula", parsed)))
+                    decode.formula(entry[1], f"{what} formula")))
     _names([w for w, _ in out], f"{what} label")
     return tuple(out)
 
@@ -177,16 +189,10 @@ def _labeled_pairs(obj, what: str, parsed: dict[str, Formula]):
 def sequent_from_json(obj):
     """The sequent obj encodes.  Raises ArityError when a predicate is
     used with two arities across it, as the text readers do."""
-    seq = _sequent(obj, {})
-    if isinstance(seq, LabeledSequent):
-        predicate_arities(seq.formulas())
-    else:
-        predicate_arities(chain.from_iterable(node.left + node.right
-                                              for node in seq.walk()))
-    return seq
+    return _sequent(obj, _Decode())
 
 
-def _sequent(obj, parsed: dict[str, Formula]):
+def _sequent(obj, decode: _Decode):
     _expect(obj, dict, "sequent")
     kind = obj.get("kind")
     if kind == "labeled":
@@ -203,12 +209,12 @@ def _sequent(obj, parsed: dict[str, Formula]):
             atoms.append(tuple(pairs))
         return LabeledSequent(rel=atoms[0], dom=atoms[1],
                               left=_labeled_pairs(obj.get("left", []), "left",
-                                                  parsed),
+                                                  decode),
                               right=_labeled_pairs(obj.get("right", []), "right",
-                                                   parsed))
+                                                   decode))
     if kind == "nested":
         return fold(obj, lambda node, children: _component(node, children,
-                                                           parsed),
+                                                           decode),
                     _children)
     raise JsonError(f"sequent.kind must be 'labeled' or 'nested', got {kind!r}")
 
@@ -227,11 +233,11 @@ def _children(obj) -> list:
     return children
 
 
-def _component(obj, children, parsed: dict[str, Formula]) -> NestedSequent:
+def _component(obj, children, decode: _Decode) -> NestedSequent:
     label = _expect(obj.get("label", "w0"), str, "label")
-    left = tuple(_formula(t, "left formula", parsed)
+    left = tuple(decode.formula(t, "left formula")
                  for t in _expect(obj.get("left", []), list, "left"))
-    right = tuple(_formula(t, "right formula", parsed)
+    right = tuple(decode.formula(t, "right formula")
                   for t in _expect(obj.get("right", []), list, "right"))
     vars_ = tuple(_expect(v, str, "vars entry")
                   for v in _expect(obj.get("vars", []), list, "vars"))
@@ -289,10 +295,10 @@ def params_to_json(params: RuleParams) -> dict:
 
 
 def params_from_json(obj) -> RuleParams:
-    return _params(obj, {})
+    return _params(obj, _Decode())
 
 
-def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
+def _params(obj, decode: _Decode) -> RuleParams:
     _expect(obj, dict, "params")
     known = {"label", "target", "variable", "formula", "chain_u", "chain_v",
              "witness"}
@@ -308,7 +314,7 @@ def _params(obj, parsed: dict[str, Formula]) -> RuleParams:
     for key, value in names.items():
         _names((value,) if isinstance(value, str) else value, f"params.{key}")
     return RuleParams(
-        formula=(_formula(obj["formula"], "params.formula", parsed)
+        formula=(decode.formula(obj["formula"], "params.formula")
                  if "formula" in obj else None),
         witness=path_from_json(obj["witness"]) if "witness" in obj else None,
         **names)
@@ -323,7 +329,9 @@ def proof_to_json(tree: ProofTree) -> dict:
 
 
 def proof_from_json(obj) -> ProofTree:
-    parsed: dict[str, Formula] = {}
+    """The proof obj encodes.  Raises ArityError when a predicate is
+    used with two arities anywhere in it."""
+    decode = _Decode()
 
     def enter(node) -> list:
         _expect(node, dict, "proof node")
@@ -332,9 +340,9 @@ def proof_from_json(obj) -> ProofTree:
         return _expect(node.get("premises", []), list, "premises")
 
     def build(node, premises) -> ProofTree:
-        return ProofTree(_sequent(node["conclusion"], parsed),
+        return ProofTree(_sequent(node["conclusion"], decode),
                          rule_from_json(node["rule"]),
-                         _params(node.get("params", {}), parsed),
+                         _params(node.get("params", {}), decode),
                          premises)
 
     return fold(obj, build, enter)

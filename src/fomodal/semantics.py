@@ -52,26 +52,37 @@ falsifying the goal at some world, and the least such world.  It is
 refused at the structure where that walk would pass MAX_VALUATIONS
 valuations or MAX_ASSIGNMENTS table entries, one per node, assignment
 of its free variables and block; both are counted per run, before its
-atoms and assignments are listed.  The structure table of each pair of
-bounds, and its runs and columns for each frame class, are cached per
-process in bounded caches.
+assignments are listed.  The structure table of each pair of bounds,
+and its runs for each frame class, are cached per process in bounded
+caches; a run's structures are checked against the frame, and its
+columns built, when a search first reaches it.
 
 A formula's program is compiled in one walk, each node's free
 variables read off its children's, and kept in a bounded cache that
 the search and the Evaluator share; its signature, the arity of each
 predicate, is read off the program's predicate nodes, and a closed
-formula is one whose root has no names.  Per run, the search lists the
-atoms once and the assignments once for each number of free variables
-a node has.
+formula is one whose root has no names.  Atoms are numbered by
+arithmetic, as _atoms lists them: over n worlds and p individuals,
+(name, w, args) is number offset + w * p**a + args read as digits in
+base p, where a is the predicate's arity and offset sums n * p**b over
+the predicates before it in name order.  So a search lists the atoms
+only to spell out the valuation of a model it returns, and what a run
+needs, the places of the atoms, the block and chunk sizes and each
+chunk's columns and valuation masks, depends on the arities of the
+goal's predicates in name order but not on their names.  Each run has
+a plan per arity tuple, made when a search first reaches the run and
+kept, within LANE_BYTES for each table and frame, for every later goal
+with those arities; plans with as many atoms in a block share the
+run's chunks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
-from itertools import (chain, combinations_with_replacement, groupby,
+from itertools import (chain, combinations_with_replacement, groupby, islice,
                        permutations, product)
 
 from .sequents import LabeledSequent
@@ -160,17 +171,20 @@ class Evaluator:
         """The root's table of phi over individuals 0..p-1."""
         n = self.model.worlds
         program = _compile(phi)
-        atoms = _atoms(_signature(program), n, range(p))
-        if len(atoms) + sum(p ** len(names)
-                            for _, names, _ in program) > MAX_ASSIGNMENTS:
+        signature = _signature(program)
+        predicates = sorted(signature)
+        places, width = _places([signature[x] for x in predicates], n, p)
+        if width + sum(p ** len(names)
+                       for _, names, _ in program) > MAX_ASSIGNMENTS:
             raise SemanticsError(
                 f"evaluation out of reach: more than {MAX_ASSIGNMENTS} "
                 f"atoms and assignments")
         rel, dom = _columns(n, p, [(n, self.model.rel, self._domains)])
         scopes = {len(names) for _, names, _ in program}
         return _root_table(program, n, rel, dom, _envs(scopes, p),
-                           {atom: i for i, atom in enumerate(atoms)},
-                           [int(atom in self._true) for atom in atoms], 1)
+                           dict(zip(predicates, places)), p,
+                           [int(atom in self._true)
+                            for atom in _atoms(signature, n, range(p))], 1)
 
 
 def eval_formula(model: KripkeModel, world: int, phi: Formula,
@@ -379,20 +393,103 @@ def _all_structures(max_worlds: int, max_individuals: int) -> tuple:
                  for s in _structure_block(n, p))
 
 
+class _Run:
+    """The structures of the table with n worlds over the pool 0..p-1
+    that satisfy a frame, in table order, span being where the table
+    holds those worlds and pool.  The frame is checked, and the columns
+    built, on first use: rel[w][u] has bit s set when structure s of
+    the run has wRu, and dom[w][d] when d is in its domain at w."""
+
+    def __init__(self, n: int, p: int, table: tuple, span: tuple[int, int],
+                 frame: FrameSpec):
+        self.n, self.p = n, p
+        self._table, self._span, self._frame = table, span, frame
+
+    @cached_property
+    def structures(self) -> list[tuple]:
+        return [s for s in islice(self._table, *self._span)
+                if check_frame(KripkeModel(*s, frozenset()), self._frame)]
+
+    @cached_property
+    def columns(self) -> tuple[list, list]:
+        return _columns(self.n, self.p, self.structures)
+
+
+LANE_BYTES = 1 << 15  # the most the plans of one table and frame keep
+
+
+class _Runs:
+    """The runs of one table and frame, with their plans.  Run i's plan
+    for goals whose predicates have given arities in name order is (n,
+    p, structures, places, width, bits, step, valuations, chunks): the
+    places of the predicates' atoms (_places), width atoms of which the
+    first bits vary within a block, chunks of step structures
+    (_chunks), and the valuations per structure.  A plan is made when a
+    search first reaches its run, and plans with as many atoms in a
+    block share the run's chunks.  They are kept while what the table
+    and frame keep totals at most LANE_BYTES, counting 64 bytes for
+    each int of the chunks, 256 for each plan and 8 for each run per
+    arity tuple."""
+
+    def __init__(self, runs: tuple[_Run, ...]):
+        self.runs = runs
+        self._plans: dict[tuple, list] = {}
+        self._chunks: dict[tuple, list] = {}
+        self._room = LANE_BYTES
+
+    def _take(self, cost: int) -> bool:
+        if cost > self._room:
+            return False
+        self._room -= cost
+        return True
+
+    def plans(self, arities: tuple[int, ...], chunk_bits: int) -> list:
+        """One slot per run, holding its plan once one is kept."""
+        got = self._plans.get((arities, chunk_bits))
+        if got is None:
+            got = [None] * len(self.runs)
+            if self._take(8 * len(got)):
+                self._plans[arities, chunk_bits] = got
+        return got
+
+    def plan(self, plans: list, i: int, arities: tuple[int, ...],
+             chunk_bits: int) -> tuple:
+        """Run i's plan, kept in plans[i] when there is room."""
+        run = self.runs[i]
+        n, p, structures = run.n, run.p, run.structures
+        places, width = _places(arities, n, p)
+        bits = min(width, _MASK_BITS)
+        step = max(1, (1 << chunk_bits) >> bits)
+        chunks = self._chunks.get((i, bits, step))
+        kept = chunks is not None
+        if not kept:
+            total = len(structures)
+            chunks = _chunks(run, bits, step, total)
+            # each chunk holds this many ints of at most step << bits bits
+            ints = n * (n + p) + bits
+            kept = self._take(ints * (64 * -(-total // step)
+                                      + (total << bits) // 8))
+            if kept:
+                chunks = self._chunks[i, bits, step] = list(chunks)
+        plan = (n, p, structures, places, width, bits, step,
+                1 << min(width, MAX_VALUATIONS.bit_length()), chunks)
+        if kept and self._take(256):
+            plans[i] = plan
+        return plan
+
+
 @lru_cache(maxsize=64)
-def _runs(max_worlds: int, max_individuals: int, frame: FrameSpec) -> tuple:
-    """The structures of the table satisfying the frame, in runs of
-    equal worlds n and pool size p, as (n, p, structures, rel, dom):
-    column rel[w][u] has bit s set when structure s of the run has wRu,
-    and column dom[w][d] when d is in its domain at w."""
-    runs = []
-    for (n, p), group in groupby(
-            _all_structures(max_worlds, max_individuals),
-            key=lambda s: (s[0], len(frozenset().union(*s[2])))):
-        structures = [s for s in group
-                      if check_frame(KripkeModel(*s, frozenset()), frame)]
-        runs.append((n, p, structures, *_columns(n, p, structures)))
-    return tuple(runs)
+def _runs(max_worlds: int, max_individuals: int, frame: FrameSpec) -> _Runs:
+    """The table's structures for the frame, in runs of equal worlds n
+    and pool size p."""
+    table = _all_structures(max_worlds, max_individuals)
+    runs, start = [], 0
+    for (n, p), group in groupby(table, key=lambda s: (
+            s[0], len(frozenset().union(*s[2])))):
+        stop = start + sum(1 for _ in group)
+        runs.append(_Run(n, p, table, (start, stop), frame))
+        start = stop
+    return _Runs(tuple(runs))
 
 
 def _columns(n: int, p: int, structures) -> tuple[list, list]:
@@ -419,8 +516,8 @@ def enumerate_structures(max_worlds: int, max_individuals: int,
     _check_bounds(max_worlds, max_individuals)
     if frame is None:
         return iter(_all_structures(max_worlds, max_individuals))
-    return chain.from_iterable(structures for _, _, structures, _, _
-                               in _runs(max_worlds, max_individuals, frame))
+    runs = _runs(max_worlds, max_individuals, frame).runs
+    return chain.from_iterable(run.structures for run in runs)
 
 
 def _atoms(signature: dict[str, int], worlds: int, pool) -> list[tuple]:
@@ -539,19 +636,37 @@ def _envs(scopes, p: int) -> dict[int, list[tuple]]:
     return {k: list(product(range(p), repeat=k)) for k in scopes}
 
 
-def _root_table(program, worlds, rel, dom, envs, atom_index, masks,
+def _places(arities, worlds: int, p: int) -> tuple[list, int]:
+    """The place (offset, stride) of each predicate's atoms over the
+    worlds and individuals 0..p-1, for the arities of the predicates in
+    the order of their names, and the number of atoms.  Atom (name, w,
+    args) is number offset + w * stride + args read as digits in base
+    p, stride being p**arity, as _atoms numbers it."""
+    places, width = [], 0
+    for arity in arities:
+        places.append((width, p ** arity))
+        width += worlds * p ** arity
+    return places, width
+
+
+def _root_table(program, worlds, rel, dom, envs, places, p, masks,
                 full) -> dict:
     """The root's table, from the assignments of its free variables to
     its mask at each world.  Every node gets such a table, built after
-    its children's; rel and dom hold the chunk's columns."""
+    its children's; rel and dom hold the chunk's columns, places maps
+    each predicate to its place and masks[i] is atom i's mask."""
     tables: list[dict] = []
     for op, names, arg in program:
         table = {}
         for env in envs[len(names)]:
             if op == _PRED:
                 name, positions = arg
-                args = tuple(env[j] for j in positions)
-                row = [masks[atom_index[name, w, args]] for w in range(worlds)]
+                start, stride = places[name]
+                weight = stride
+                for j in positions:
+                    weight //= p
+                    start += env[j] * weight
+                row = masks[start:start + worlds * stride:stride]
             elif op == _NEG:
                 row = [full ^ m for m in tables[arg[0]][_pick(env, arg[1])]]
             elif op == _OR:
@@ -564,7 +679,7 @@ def _root_table(program, worlds, rel, dom, envs, atom_index, masks,
                        for columns in rel]
             elif op == _EXISTS:
                 body = [tables[arg[0]][_pick(env + (d,), arg[1])]
-                        for d in range(len(dom[0]))]
+                        for d in range(p)]
                 row = [reduce(or_, map(and_, [b[w] for b in body], columns), 0)
                        for w, columns in enumerate(dom)]
             else:  # _BOTTOM
@@ -572,6 +687,25 @@ def _root_table(program, worlds, rel, dom, envs, atom_index, masks,
             table[env] = row
         tables.append(table)
     return tables[-1]
+
+
+def _chunks(run: _Run, bits: int, step: int, count: int):
+    """(start, size, full, rep, rel, dom, low) for each chunk of step
+    structures of the run's first count, in order.  The chunk's size
+    structures span size << bits lanes, all set in full; rep has ones
+    at the lanes of its structure 0, rel and dom hold its part of the
+    run's columns repeated at the lanes of every valuation, and low[i]
+    the lanes of the valuations with atom i true."""
+    columns = run.columns
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        ones, full = (1 << size) - 1, (1 << (size << bits)) - 1
+        rep = full // ones
+        rel, dom = ([[(c >> start & ones) * rep for c in row] for row in part]
+                    for part in columns)
+        low = [((1 << (size << i)) - 1 << (size << i))
+               * (full // ((1 << (size << i + 1)) - 1)) for i in range(bits)]
+        yield start, size, full, rep, rel, dom, low
 
 
 def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
@@ -590,50 +724,38 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
         raise SemanticsError(
             f"countermodel search needs a closed formula, free: {list(free)}")
     signature = _signature(program)
-    ops = {op for op, _, _ in program}
+    predicates = sorted(signature)
+    arities = tuple(signature[name] for name in predicates)
     # how many nodes have k free variables, for each k
     scopes = Counter(len(names) for _, names, _ in program)
     searched = evaluated = 0
-    for n, p, structures, rel, dom in _runs(max_worlds, max_individuals,
-                                            frame):
-        width = sum(n * p ** a for a in signature.values())
-        valuations = 1 << min(width, MAX_VALUATIONS.bit_length())
+    runs = _runs(max_worlds, max_individuals, frame)
+    plans = runs.plans(arities, _CHUNK_BITS)
+    for i, plan in enumerate(plans):
+        n, p, structures, places, width, bits, step, valuations, chunks = (
+            plan or runs.plan(plans, i, arities, _CHUNK_BITS))
         # a table entry per node and assignment, for each block
         assignments = (sum(nodes * p ** k for k, nodes in scopes.items())
                        << max(width - _MASK_BITS, 0))
         # the run's structures within the limits, counted first: past the
-        # limits the atoms and assignments may be too many to list
+        # limits the assignments may be too many to list
         by_valuations = (MAX_VALUATIONS - searched) // valuations
         by_assignments = (MAX_ASSIGNMENTS - evaluated) // assignments
         count = min(len(structures), by_valuations, by_assignments)
         searched += count * valuations
         evaluated += count * assignments
-        bits = min(width, _MASK_BITS)
-        step = max(1, (1 << _CHUNK_BITS) >> bits)
+        if count < len(structures):
+            chunks = _chunks(runs.runs[i], bits, step, count)
         if count:
-            atoms = _atoms(signature, n, range(p))
-            atom_index = {atom: i for i, atom in enumerate(atoms)}
+            at = dict(zip(predicates, places))
             envs = _envs(scopes, p)
-        for start in range(0, count, step):
-            size = min(step, count - start)
-            ones, full = (1 << size) - 1, (1 << (size << bits)) - 1
-            # rep: ones at the lanes of structure 0; the chunk's part of
-            # each column is repeated at the lanes of every valuation
-            rep = full // ones
-            rel_lanes, dom_lanes = (
-                [[(c >> start & ones) * rep for c in row] for row in columns]
-                if op in ops else ()
-                for op, columns in ((_DIA, rel), (_EXISTS, dom)))
-            # atom i < bits: the lanes of the valuations with bit i set
-            low = [((1 << (size << i)) - 1 << (size << i))
-                   * (full // ((1 << (size << i + 1)) - 1)) for i in range(bits)]
+        for start, size, full, rep, rel, dom, low in chunks:
             best = None
             for block in range(1 << width - bits):
                 masks = low + [full if block >> j & 1 else 0
                                for j in range(width - bits)]
                 falsified = [full ^ m for m in _root_table(
-                    program, n, rel_lanes, dom_lanes, envs, atom_index,
-                    masks, full)[()]]
+                    program, n, rel, dom, envs, at, p, masks, full)[()]]
                 first = reduce(or_, falsified)
                 # fold the valuations: bit s is set when structure s is
                 # falsified here, and kept below a structure found before
@@ -653,8 +775,9 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
             if best is not None:
                 s, v, world = best
                 _, pairs, domains = structures[start + s]
-                valuation = frozenset(atoms[i] for i in range(width)
-                                      if v >> i & 1)
+                atoms = _atoms(signature, n, range(p))
+                valuation = frozenset(atoms[k] for k in range(width)
+                                      if v >> k & 1)
                 return KripkeModel(n, pairs, domains, valuation), world
         if count < len(structures):
             limit, what = ((MAX_VALUATIONS, "valuations")

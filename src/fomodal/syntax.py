@@ -609,30 +609,36 @@ def parse_formula(text: str) -> Formula:
 # Rendering
 # ===================================================================
 
-# precedence levels: quantifier scope 0, -> between, | 1, & 2, prefix 3, atom 4
 def render_formula(phi: Formula) -> str:
-    """The text of phi, rendered on first use and kept on phi."""
-    text = getattr(phi, "_text", None)
-    if text is None:
-        text = _render(phi, 0)
-        _set(phi, "_text", text)
-    return text
-
-
-def _render(phi: Formula, ctx: int) -> str:
+    """The text of phi, kept on phi and built from its children's kept
+    text, a child without one rendered first.  An operand is put in
+    parentheses where its own connective binds more loosely: a
+    quantifier, whose scope reaches as far right as it can, everywhere,
+    and a disjunction under a prefix or on the right of |."""
+    try:
+        return phi._text
+    except AttributeError:
+        pass
     match phi:
         case Bottom():
-            return "false"
+            text = "false"
         case Pred(name=name, args=args):
-            return name if not args else f"{name}({','.join(args)})"
-        case Neg(body=body):
-            return "~" + _render(body, 3)
-        case Dia(body=body):
-            return "<>" + _render(body, 3)
+            text = name if not args else f"{name}({','.join(args)})"
+        case Neg(body=body) | Dia(body=body):
+            inner = render_formula(body)
+            if isinstance(body, (Or, Exists)):
+                inner = f"({inner})"
+            text = ("~" if isinstance(phi, Neg) else "<>") + inner
         case Or(left=left, right=right):
-            text = f"{_render(left, 1)} | {_render(right, 2)}"
-            return f"({text})" if ctx > 1 else text
+            first, second = render_formula(left), render_formula(right)
+            if isinstance(left, Exists):
+                first = f"({first})"
+            if isinstance(right, (Or, Exists)):
+                second = f"({second})"
+            text = f"{first} | {second}"
         case Exists(bound=bound, body=body):
-            text = f"exists {bound}. {_render(body, 0)}"
-            return f"({text})" if ctx > 0 else text
-    raise TypeError(f"not a formula: {phi!r}")
+            text = f"exists {bound}. {render_formula(body)}"
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
+    _set(phi, "_text", text)
+    return text

@@ -311,6 +311,32 @@ def labeled_sequent_valid(model: KripkeModel, seq: LabeledSequent) -> bool:
 
 
 # ===================================================================
+# Rendering by direct recursion
+# ===================================================================
+
+def render(phi: Formula, ctx: int = 0) -> str:
+    """The text of phi, every child rendered afresh at its parent's
+    precedence level: quantifier scope 0, | 1, & 2, prefix 3.  A
+    reference for syntax.render_formula."""
+    match phi:
+        case Bottom():
+            return "false"
+        case Pred(name=name, args=args):
+            return name if not args else f"{name}({','.join(args)})"
+        case Neg(body=body):
+            return "~" + render(body, 3)
+        case Dia(body=body):
+            return "<>" + render(body, 3)
+        case Or(left=left, right=right):
+            text = f"{render(left, 1)} | {render(right, 2)}"
+            return f"({text})" if ctx > 1 else text
+        case Exists(bound=bound, body=body):
+            text = f"exists {bound}. {render(body, 0)}"
+            return f"({text})" if ctx > 0 else text
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+# ===================================================================
 # Proof trees
 # ===================================================================
 

@@ -507,6 +507,33 @@ def test_input_error_exit_codes(capsys):
     assert _run(capsys, "grammar", "--start", "d", "--string", "d")[0] == 3
 
 
+def _labeled_node(left, right, premises=()):
+    return {"conclusion": {"kind": "labeled",
+                           "left": [["w0", text] for text in left],
+                           "right": [["w0", text] for text in right]},
+            "rule": "ax", "params": {"label": "w0", "formula": left[0]},
+            "premises": list(premises)}
+
+
+def test_proof_input_arities_agree_across_the_proof(capsys):
+    # each text is well formed on its own: p(x) and p clash within one
+    # conclusion, q(x) and q across a node and its premise
+    within = _labeled_node(["p(x)"], ["p(x)", "p"])
+    across = _labeled_node(["q(x)"], ["q(x)"],
+                           [_labeled_node(["q"], ["q"])])
+    for proof, clash in ((within, "p used with arity 0 and 1"),
+                         (across, "q used with arity 1 and 0")):
+        for argv in (["check", "--calculus", "refined"], ["refine"]):
+            assert main([*argv, json.dumps(proof)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: predicate {clash}\n"
+    # without the clash the proof is read and checked
+    fine = _labeled_node(["p(x)"], ["p(x)", "r"])
+    assert main(["check", "--calculus", "refined", json.dumps(fine)]) == 0
+    assert _json(capsys.readouterr().out)["ok"]
+
+
 def test_prove_pretty_prints_proof_tree(capsys):
     code, out = _run(capsys, "prove", "--serial", "--proof", "--pretty",
                      "<> ~false")

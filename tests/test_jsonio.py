@@ -96,6 +96,22 @@ def test_sequent_arities_agree_across_the_sequent(obj):
     assert sequent_from_json(json.loads(text)) is not None
 
 
+def test_proof_arities_agree_across_the_proof():
+    # the parameter's formula against the conclusion's, and a premise's
+    # conclusion against its parent's
+    ax = {"conclusion": {"kind": "labeled", "left": [["w0", "p"]],
+                         "right": [["w0", "p"]]},
+          "rule": "ax", "params": {"label": "w0", "formula": "p(x)"}}
+    with pytest.raises(ArityError, match="p used with arity 1 and 0"):
+        proof_from_json(ax)
+    fine = dict(ax, params={"label": "w0", "formula": "p"})
+    parent = {"conclusion": {"kind": "nested", "right": ["p(y)"]},
+              "rule": "wk", "premises": [fine]}
+    with pytest.raises(ArityError, match="p used with arity 1 and 0"):
+        proof_from_json(parent)
+    assert proof_from_json(fine).params.formula == parse_formula("p")
+
+
 def test_rule_round_trip():
     for rule in (RuleId("ax"), RuleId("p_dia"), RuleId("g", (0, 2)),
                  RuleId("g", (1, 1))):

@@ -556,3 +556,191 @@ def test_find_countermodel_matches_the_per_structure_search(chunk_bits,
     model, _ = outcomes[-4]
     assert model.worlds == 3
     assert all("valuations" in outcome for outcome in outcomes[-3:])
+
+
+# -- plans shared by goals with the same arities ---------------------------
+
+def _profile_formula(rng, arities, depth):
+    """A closed formula over predicates of the given arities, each of
+    them occurring, their arguments drawn from the bound variables."""
+    names = list(arities)
+
+    def draw(depth, bound):
+        if depth == 0 or rng.random() < 0.25:
+            name = rng.choice(names)
+            if arities[name] and not bound:
+                return Exists("v", Pred(name, ("v",) * arities[name]))
+            return Pred(name, tuple(rng.choice(bound)
+                                    for _ in range(arities[name])))
+        pick = rng.randrange(4)
+        if pick == 0:
+            return Neg(draw(depth - 1, bound))
+        if pick == 1:
+            return Or(draw(depth - 1, bound), draw(depth - 1, bound))
+        if pick == 2:
+            return Dia(draw(depth - 1, bound))
+        var = f"x{len(bound)}"
+        return Exists(var, draw(depth - 1, bound + (var,)))
+
+    phi = draw(depth, ())
+    for name in names:
+        atom = Pred(name, ("u",) * arities[name])
+        phi = Or(phi, Exists("u", conj(atom, Neg(atom))))
+    return phi
+
+
+# 0-ary, unary and binary predicates, with names in several sort orders
+PROFILES = [{"p": 0}, {"q": 1}, {"r": 2}, {"a": 0, "b": 1}, {"a": 1, "b": 0},
+            {"z": 0, "m": 1, "c": 2}, {"c": 0, "m": 2, "z": 1},
+            {"b1": 1, "b0": 1}, {"m": 2, "a": 0, "n": 0}]
+
+
+def _profile_cases():
+    rng = random.Random(20261021)
+    for i in range(60):
+        arities = PROFILES[i % len(PROFILES)]
+        phi = _profile_formula(rng, arities, 3)
+        if i % 3 == 1:  # valid: every structure is searched
+            phi = implies(phi, phi)
+        binary = [name for name, arity in arities.items() if arity == 2]
+        if i % 3 == 2 and binary:
+            # falsified only where some binary atom holds one way only
+            x, y = Pred(binary[0], ("x", "y")), Pred(binary[0], ("y", "x"))
+            phi = Neg(Exists("x", Exists("y", conj(conj(x, Neg(y)), phi))))
+        bounds = rng.choice([(2, 1), (2, 2)] if 2 in arities.values()
+                            else [(2, 1), (2, 2), (3, 1)])
+        yield phi, FRAMES[i % 4], bounds
+    # where the order of a binary atom's arguments decides the answer
+    for text in ["~exists x. exists y. (r(x, y) & ~r(y, x) & <>r(x, x))",
+                 "~exists x. (q(x) & exists y. (r(x, y) & ~r(y, x)))",
+                 "~exists x. exists y. (r(y, x) & ~q(y) & <>(q(x) & "
+                 "~r(x, y)))"]:
+        yield parse_formula(text), frame_spec(), (2, 2)
+
+
+def test_find_countermodel_over_arity_profiles_matches_the_reference():
+    # four frame classes, so that goals of other arities meet the plans
+    # kept for one run
+    semantics._runs.cache_clear()
+    outcomes = []
+    for case in _profile_cases():
+        expected = _outcome(oracles.find_countermodel, *case)
+        assert _outcome(find_countermodel, *case) == expected, case
+        assert _outcome(find_countermodel, *case) == expected, case
+        outcomes.append(expected)
+    assert None in outcomes
+    found = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
+    assert len(found) > 10
+    assert {len(args) for model, _ in found
+            for _, _, args in model.valuation} == {0, 1, 2}
+
+
+def _renamed(phi, names: dict):
+    match phi:
+        case Pred(name=name, args=args):
+            return Pred(names.get(name, name), args)
+        case Neg(body=body):
+            return Neg(_renamed(body, names))
+        case Dia(body=body):
+            return Dia(_renamed(body, names))
+        case Or(left=left, right=right):
+            return Or(_renamed(left, names), _renamed(right, names))
+        case Exists(bound=bound, body=body):
+            return Exists(bound, _renamed(body, names))
+    return phi
+
+
+def _counting(monkeypatch, name):
+    """The argument tuples of the calls of semantics.<name>."""
+    calls = []
+    original = getattr(semantics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
+def test_a_renamed_goal_is_searched_with_the_kept_plan(monkeypatch):
+    phi = parse_formula("~(q0 & exists x. (p1(x) & <>~p1(x) & <><>q0))")
+    frame = frame_spec()
+    semantics._runs.cache_clear()
+    places = _counting(monkeypatch, "_places")
+    chunks = _counting(monkeypatch, "_chunks")
+    first = find_countermodel(phi, frame, 3, 2)
+    assert first == oracles.find_countermodel(phi, frame, 3, 2)
+    model, world = first
+    assert {name for name, _, _ in model.valuation} == {"p1", "q0"}
+    made = len(places)
+    assert made and chunks
+    # the same arities in name order, under other names: no plan is made
+    for names in ({"p1": "a", "q0": "b"}, {"p1": "x_s1j7", "q0": "y_s1j7"}):
+        renamed = _renamed(phi, names)
+        assert find_countermodel(renamed, frame, 3, 2) == (KripkeModel(
+            model.worlds, model.rel, model.domains,
+            frozenset((names[name], w, args)
+                      for name, w, args in model.valuation)), world)
+        assert find_countermodel(renamed, frame, 3, 2) == \
+            oracles.find_countermodel(renamed, frame, 3, 2)
+        assert len(places) == made
+    # the arities in the other order: plans of its own
+    swapped = _renamed(phi, {"p1": "b", "q0": "a"})
+    assert find_countermodel(swapped, frame, 3, 2) == \
+        oracles.find_countermodel(swapped, frame, 3, 2)
+    assert len(places) > made
+
+
+def test_the_limits_stop_at_the_same_structure_with_a_kept_plan():
+    # the limit cases of the differential sweep, searched twice, then
+    # under other names with the same arities
+    for phi, frame, bounds in list(_differential_cases())[-4:]:
+        renamed = _renamed(phi, {f"a{i}": f"z{i}" for i in range(22)})
+        for goal in (phi, phi, renamed):
+            assert _outcome(find_countermodel, goal, frame, bounds) == \
+                _outcome(oracles.find_countermodel, goal, frame, bounds)
+    six = parse_formula(SIX_VARIABLES)
+    for _ in range(2):
+        with pytest.raises(SemanticsError, match="assignments"):
+            find_countermodel(six, frame_spec(), 1, 6)
+
+
+def test_eval_formula_ignores_atoms_of_other_arities():
+    # p holds as a unary predicate, q as a binary one, at both worlds
+    model = KripkeModel(2, frozenset({(0, 1)}),
+                        (frozenset({0}), frozenset({0, 1})),
+                        frozenset({("p", 0, (0,)), ("p", 1, (1,)),
+                                   ("q", 1, (1, 0)), ("r", 0, ())}))
+    for text in ["p", "<>p", "exists x. p(x)", "<>exists x. p(x)",
+                 "r & ~p", "<>exists x. exists y. q(x, y)",
+                 "exists x. (p(x) | <>q(x, x))", "q"]:
+        phi = parse_formula(text)
+        for w in range(2):
+            assert eval_formula(model, w, phi) == \
+                oracles.eval_formula(model, w, phi), (text, w)
+
+
+# -- runs checked against the frame when first searched --------------------
+
+def test_runs_are_checked_against_the_frame_when_first_searched(monkeypatch):
+    checks = _counting(monkeypatch, "check_frame")
+    frame = frame_spec()
+    _all_structures(1, 1000)  # the table is built once per process
+    semantics._runs.cache_clear()
+    # p is false at the first structure: only the first run is checked
+    found = find_countermodel(parse_formula("p"), frame, 1, 1000)
+    assert found == (KripkeModel(1, frozenset(), (frozenset(),),
+                                 frozenset()), 0)
+    runs = semantics._runs(1, 1000, frame).runs
+    assert len(runs) == 1001 and len(checks) == len(runs[0].structures) == 2
+    # a search that reaches further checks the runs it reaches
+    assert find_countermodel(parse_formula("~exists x. p(x)"), frame,
+                             1, 1000)[0].domains == (frozenset({0}),)
+    assert len(checks) == 4
+    # and enumeration still yields every run in order
+    serial = frame_spec(serial=True)
+    find_countermodel(parse_formula("<>~false -> p"), serial, 3, 2)
+    lazy = list(enumerate_structures(3, 2, serial))
+    assert lazy == [s for s in _all_structures(3, 2)
+                    if check_frame(KripkeModel(*s, frozenset()), serial)]
+    assert list(enumerate_structures(3, 2, serial)) == lazy

@@ -14,6 +14,7 @@ from fomodal.syntax import (ArityError, Bottom, Dia, Exists, Neg, Or, ParseError
                             implies, parse_formula, predicate_arities,
                             rename_apart, render_formula, substitute)
 
+import oracles
 from oracles import random_formula
 
 
@@ -129,6 +130,41 @@ def test_alpha_eq():
     b = Exists("y", Pred("p", ("y",)))
     assert alpha_eq(a, b)
     assert not alpha_eq(a, Exists("y", Pred("p", ("x",))))
+
+
+def _deep_formula(rng, depth, seed):
+    """A formula with a branch of depth connectives, each drawn at
+    random, and random subformulas beside it; seed names its atoms, so
+    that no part of it has been rendered before."""
+    phi = Pred(f"a{seed}", ("x0",))
+    for level in range(depth):
+        side = random_formula(rng, 2, ("x0",))
+        pick = rng.randrange(4)
+        if pick == 0:
+            phi = Neg(phi)
+        elif pick == 1:
+            phi = Dia(phi)
+        elif pick == 2:
+            phi = Or(phi, side) if rng.random() < 0.5 else Or(side, phi)
+        else:
+            phi = Exists(f"x{level % 3}", phi)
+    return phi
+
+
+def test_render_matches_the_recursive_reference():
+    rng = random.Random(20261020)
+    formulas = [random_formula(rng, rng.randint(0, 7), ("x", "y"))
+                for _ in range(600)]
+    formulas += [_deep_formula(rng, depth, seed) for seed, depth
+                 in enumerate([200, 200, 200, 150, 60, 20, 1])]
+    # a new formula over children rendered before, and one sharing a child
+    formulas += [Or(formulas[-1], Neg(formulas[-2])),
+                 Or(_deep_formula(rng, 30, 99), _deep_formula(rng, 30, 99))]
+    for phi in formulas:
+        expected = oracles.render(phi)
+        assert render_formula(phi) == expected
+        assert render_formula(phi) is render_formula(phi)
+    assert max(map(syntax._depth, formulas)) >= 200
 
 
 def test_parse_render_round_trip():
