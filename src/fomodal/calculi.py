@@ -29,7 +29,7 @@ formula is absent, a freshness condition fails, or a side condition
 does not hold.  The checker replays every node of a proof tree this
 way and compares the stored premises against the recomputed ones up to
 multiset equality and renaming of bound variables; the comparison is
-structural first and renders alpha-canonical keys only on a mismatch.
+structural first and counts alpha-canonical formulas only on a mismatch.
 A node that replays leaves a mark on its conclusion's labeled view
 (a labeled sequent is its own): the frame, rule, params and weak
 references to the premise views, so a mark keeps no premise alive.
@@ -391,13 +391,6 @@ def _need(condition: bool, error, message: str):
         raise error(message)
 
 
-def _take(seq: LabeledSequent, slot: str, item, what: str) -> tuple:
-    """The drop argument of seq.replace for a principal item, which
-    must be present."""
-    _need(item in getattr(seq, slot), PrincipalMissing, f"{what} not present")
-    return (slot, item)
-
-
 def _fresh_label(seq: LabeledSequent, label: str):
     _need(label is not None, MalformedParams, "missing created label")
     _need(label not in seq.labels(), FreshnessViolation,
@@ -417,9 +410,34 @@ def _known_label(seq: LabeledSequent, label: str):
           f"label {label} does not occur in the conclusion")
 
 
+# the principal of a logical rule: its connective, its name, and the slot
+# it is dropped from, None when it is kept on the right
+_PRINCIPAL = {
+    "neg_l": (Neg, "a negation", "left"), "neg_r": (Neg, "a negation", "right"),
+    "or_l": (Or, "a disjunction", "left"), "or_r": (Or, "a disjunction", "right"),
+    "dia_l": (Dia, "a diamond", "left"), "dia_r": (Dia, "a diamond", None),
+    "p_dia": (Dia, "a diamond", None),
+    "exists_l": (Exists, "an existential", "left"),
+    "exists_r": (Exists, "an existential", None),
+    "s_ex1": (Exists, "an existential", None),
+    "s_ex2": (Exists, "an existential", None),
+}
+
+
 def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
                    p: RuleParams) -> tuple:
     name = rule.name
+    principal = _PRINCIPAL.get(name)
+    if principal is not None:
+        kind, what, slot = principal
+        if not isinstance(p.formula, kind):
+            raise MalformedParams(f"principal must be {what}")
+        item = (p.label, p.formula)
+        if item not in getattr(seq, slot or "right"):
+            what = "principal " + what.split()[1]
+            raise PrincipalMissing(f"{what} not present" if slot
+                                   else f"{what} missing on the right")
+        drop = (slot, item)
 
     if name == "ax":
         _need(isinstance(p.formula, Pred), MalformedParams,
@@ -436,56 +454,36 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         return ()
 
     if name == "neg_l":
-        _need(isinstance(p.formula, Neg), MalformedParams, "principal must be a negation")
-        drop = _take(seq, "left", (p.label, p.formula), "principal negation")
         return (seq.replace(drop, right=((p.label, p.formula.body),)),)
 
     if name == "neg_r":
-        _need(isinstance(p.formula, Neg), MalformedParams, "principal must be a negation")
-        drop = _take(seq, "right", (p.label, p.formula), "principal negation")
         return (seq.replace(drop, left=((p.label, p.formula.body),)),)
 
     if name == "or_l":
-        _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
-        drop = _take(seq, "left", (p.label, p.formula), "principal disjunction")
         return (seq.replace(drop, left=((p.label, p.formula.left),)),
                 seq.replace(drop, left=((p.label, p.formula.right),)))
 
     if name == "or_r":
-        _need(isinstance(p.formula, Or), MalformedParams, "principal must be a disjunction")
-        drop = _take(seq, "right", (p.label, p.formula), "principal disjunction")
         return (seq.replace(drop, right=((p.label, p.formula.left),
                                          (p.label, p.formula.right))),)
 
     if name == "dia_l":
-        _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
-        drop = _take(seq, "left", (p.label, p.formula), "principal diamond")
         _fresh_label(seq, p.target)
         return (seq.replace(drop, rel=((p.label, p.target),),
                             left=((p.target, p.formula.body),)),)
 
     if name == "dia_r":
-        _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
-        _need((p.label, p.formula) in seq.right, PrincipalMissing,
-              "principal diamond missing on the right")
         _need((p.label, p.target) in seq.rel, SideConditionViolation,
               f"no relational atom {p.label}R{p.target}")
         return (seq.replace(right=((p.target, p.formula.body),)),)
 
     if name == "exists_l":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        drop = _take(seq, "left", (p.label, p.formula), "principal existential")
         _fresh_var(seq, p.variable)
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
         return (seq.replace(drop, dom=((p.variable, p.label),),
                             left=((p.label, instance),)),)
 
     if name == "exists_r":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        _need((p.label, p.formula) in seq.right, PrincipalMissing,
-              "principal existential missing on the right")
         _need(p.variable is not None, MalformedParams, "missing instantiating variable")
         _need((p.variable, p.label) in seq.dom, SideConditionViolation,
               f"no atom {p.variable} in D({p.label})")
@@ -525,19 +523,12 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         return (seq.replace(dom=((p.variable, p.label),)),)
 
     if name == "p_dia":
-        _need(isinstance(p.formula, Dia), MalformedParams, "principal must be a diamond")
-        _need((p.label, p.formula) in seq.right, PrincipalMissing,
-              "principal diamond missing on the right")
         condition = side_condition(calc, rule, seq, p)
         _need(condition.holds, SideConditionViolation,
               condition.reason or "propagation condition fails")
         return (seq.replace(right=((p.target, p.formula.body),)),)
 
     if name == "s_ex1":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        _need((p.label, p.formula) in seq.right, PrincipalMissing,
-              "principal existential missing on the right")
         _need(p.variable is not None, MalformedParams, "missing instantiating variable")
         condition = side_condition(calc, rule, seq, p)
         _need(condition.holds, SideConditionViolation,
@@ -546,10 +537,6 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         return (seq.replace(right=((p.label, instance),)),)
 
     if name == "s_ex2":
-        _need(isinstance(p.formula, Exists), MalformedParams,
-              "principal must be an existential")
-        _need((p.label, p.formula) in seq.right, PrincipalMissing,
-              "principal existential missing on the right")
         _fresh_var(seq, p.variable)
         condition = side_condition(calc, rule, seq, p)
         _need(condition.holds, SideConditionViolation,

@@ -19,9 +19,10 @@ engine that also decides grammar membership: it reads S as a binarized
 context-free grammar and derives every triple (nonterminal, source,
 target) of the graph.  Each triple keeps the one derivation that
 produced it, so a concrete witness path is read back from the table
-without any further search, and each path read back is kept with the
-table.  A table depends only on the system, the labels and the edges,
-so graphs with the same skeleton share one table from a bounded cache;
+without any further search, its derivation read once, left to right,
+without recursion.  Only the paths asked for are kept with the table.
+A table depends only on the system, the labels and the edges, so
+graphs with the same skeleton share one table from a bounded cache;
 graphs are immutable once built.
 """
 
@@ -70,21 +71,6 @@ class PropPath:
     def steps(self):
         for i, c in enumerate(self.chars):
             yield (self.labels[i], c, self.labels[i + 1])
-
-
-def empty_path(label: str) -> PropPath:
-    return PropPath((label,), ())
-
-
-def edge_path(source: str, char: str, target: str) -> PropPath:
-    return PropPath((source, target), (char,))
-
-
-def join_paths(first: PropPath, second: PropPath) -> PropPath:
-    if first.target != second.source:
-        raise PropagationError(
-            f"paths do not meet: {first.target} vs {second.source}")
-    return PropPath(first.labels + second.labels[1:], first.chars + second.chars)
 
 
 def path_in(seq: LabeledSequent, path: PropPath) -> bool:
@@ -160,7 +146,7 @@ class _Closure:
 
     def __init__(self, system: ThueSystem, labels: frozenset[str], edges):
         self.back = saturate(system, labels, edges)
-        self.paths: dict[tuple, PropPath] = {}  # the triples expanded so far
+        self.paths: dict[tuple, PropPath] = {}  # the triples asked for so far
         self.by_source: dict[tuple, set[str]] = {}
         for nt, u, v in self.back:
             self.by_source.setdefault((nt, u), set()).add(v)
@@ -176,20 +162,23 @@ class _Closure:
         return self._expand(triple)
 
     def _expand(self, triple) -> PropPath:
+        """The path of triple's derivation: its edges, read left to
+        right on one stack, each appended once."""
         path = self.paths.get(triple)
         if path is None:
-            reason = self.back[triple]
-            kind = reason[0]
-            if kind == "empty":
-                path = empty_path(triple[1])
-            elif kind == "edge":
-                path = edge_path(*reason[1])
-            elif kind == "unit":
-                path = self._expand(reason[1])
-            else:
-                path = join_paths(self._expand(reason[1]),
-                                  self._expand(reason[2]))
-            self.paths[triple] = path
+            labels, chars = [triple[1]], []
+            stack = [triple]
+            while stack:
+                reason = self.back[stack.pop()]
+                if reason[0] == "edge":
+                    _, char, target = reason[1]
+                    labels.append(target)
+                    chars.append(char)
+                elif reason[0] == "unit":
+                    stack.append(reason[1])
+                elif reason[0] == "bin":
+                    stack += (reason[2], reason[1])
+            path = self.paths[triple] = PropPath(tuple(labels), tuple(chars))
         return path
 
 

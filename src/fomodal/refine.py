@@ -29,13 +29,15 @@ A step rewrites only its instance's subtree, so the other instances
 keep their paths: they are collected once onto a stack, and a swap
 pushes its copies, the first on top.  Each copy has a smaller subtree
 above it than its instance had, and an absorption or fusion leaves
-no instance, so the elimination ends.  With validation on, the
-retagged proof is checked once in full, and each step checks only the
-subtree it rewrote, whose conclusion it must keep.  The result is
-checked against the refined calculus.  nestify then maps a refined
-labeled proof whose sequents are trees with a common root onto the
-nested calculus.  Proofs are rebuilt by calculi.fold, without
-recursion.
+no instance, so the elimination ends.  A swap only builds its
+subtree; it replays nothing.  With validation on, the retagged proof
+is checked once in full, and each step checks only the subtree it
+rewrote, whose conclusion it must keep: that check replays the moved
+rule and the relational rule above each new premise, against the
+premise it had.  The result, validated or not, is checked against the
+refined calculus.  nestify then maps a refined labeled proof whose
+sequents are trees with a common root onto the nested calculus.
+Proofs are rebuilt by calculi.fold, without recursion.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ from .calculi import (AX, BOT_L, DIA_R, EXISTS_R, P_DIA, RELATIONAL, S_EX1,
                       fold, side_condition)
 from .grammar import BDIA, DIA
 from .propagation import PropPath
-from .sequents import (NotATreeError, is_labeled_tree, labeled_alpha_eq,
-                       to_labeled, to_nested)
+from .sequents import NotATreeError, is_labeled_tree, to_labeled, to_nested
 from .syntax import FrameSpec
 
 
@@ -200,20 +201,11 @@ def _bubble(calc: CalculusSpec, node: ProofTree) -> tuple[ProofTree, str, str]:
         lower = apply_rule(calc, conclusion, child.rule, fixed)
     except RuleApplicationError as err:
         raise RefineError(f"cannot move {child.rule} below {node.rule}: {err}") from err
-    if len(lower) != len(child.premises):
-        raise RefineError(f"premise count changed moving {child.rule}")
-    new_premises = []
-    for mid, grand in zip(lower, child.premises):
-        try:
-            (replayed,) = apply_rule(calc, mid, node.rule, node.params)
-        except RuleApplicationError as err:
-            raise RefineError(f"cannot replay {node.rule} above {child.rule}: "
-                              f"{err}") from err
-        if not labeled_alpha_eq(replayed, grand.conclusion):
-            raise RefineError(f"swap of {node.rule} and {child.rule} "
-                              f"does not commute")
-        new_premises.append(ProofTree(mid, node.rule, node.params, (grand,)))
-    new = ProofTree(conclusion, child.rule, fixed, tuple(new_premises))
+    # the step's check, or the final one, replays node.rule above each
+    # new premise
+    new = ProofTree(conclusion, child.rule, fixed, tuple(
+        ProofTree(mid, node.rule, node.params, (grand,))
+        for mid, grand in zip(lower, child.premises)))
     return new, "swap", f"swap {node.rule} above {child.rule}"
 
 

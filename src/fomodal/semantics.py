@@ -72,8 +72,7 @@ chunk's columns and valuation masks, depends on the arities of the
 goal's predicates in name order but not on their names.  Each run has
 a plan per arity tuple, made when a search first reaches the run and
 kept, within LANE_BYTES for each table and frame, for every later goal
-with those arities; plans with as many atoms in a block share the
-run's chunks.
+with those arities; each kept plan holds its own chunks.
 """
 
 from __future__ import annotations
@@ -425,16 +424,14 @@ class _Runs:
     places of the predicates' atoms (_places), width atoms of which the
     first bits vary within a block, chunks of step structures
     (_chunks), and the valuations per structure.  A plan is made when a
-    search first reaches its run, and plans with as many atoms in a
-    block share the run's chunks.  They are kept while what the table
-    and frame keep totals at most LANE_BYTES, counting 64 bytes for
-    each int of the chunks, 256 for each plan and 8 for each run per
-    arity tuple."""
+    search first reaches its run, and a kept plan holds its own chunks.
+    Plans are kept while what the table and frame keep totals at most
+    LANE_BYTES, counting 256 bytes and 64 for each int of its chunks
+    for each plan, and 8 for each run per arity tuple."""
 
     def __init__(self, runs: tuple[_Run, ...]):
         self.runs = runs
         self._plans: dict[tuple, list] = {}
-        self._chunks: dict[tuple, list] = {}
         self._room = LANE_BYTES
 
     def _take(self, cost: int) -> bool:
@@ -460,20 +457,16 @@ class _Runs:
         places, width = _places(arities, n, p)
         bits = min(width, _MASK_BITS)
         step = max(1, (1 << chunk_bits) >> bits)
-        chunks = self._chunks.get((i, bits, step))
-        kept = chunks is not None
-        if not kept:
-            total = len(structures)
-            chunks = _chunks(run, bits, step, total)
-            # each chunk holds this many ints of at most step << bits bits
-            ints = n * (n + p) + bits
-            kept = self._take(ints * (64 * -(-total // step)
-                                      + (total << bits) // 8))
-            if kept:
-                chunks = self._chunks[i, bits, step] = list(chunks)
+        total = len(structures)
+        chunks = _chunks(run, bits, step, total)
+        # each chunk holds this many ints of at most step << bits bits
+        ints = n * (n + p) + bits
+        kept = self._take(256 + ints * (64 * -(-total // step)
+                                        + (total << bits) // 8))
         plan = (n, p, structures, places, width, bits, step,
-                1 << min(width, MAX_VALUATIONS.bit_length()), chunks)
-        if kept and self._take(256):
+                1 << min(width, MAX_VALUATIONS.bit_length()),
+                list(chunks) if kept else chunks)
+        if kept:
             plans[i] = plan
         return plan
 

@@ -27,8 +27,9 @@ use, propagation.graph_of keeps its graph and calculi.check its replay
 mark; replace starts a copy without any of them, and copies and
 pickles carry the four slots only.
 labeled_alpha_eq, equality up to bound variable names, compares
-structurally first and renders alpha-canonical keys only on a
-mismatch; nested_alpha_eq compares the root labels and the views.
+structurally first and only on a mismatch counts the alpha-canonical
+formulas of each side, by identity since formulas are interned;
+nested_alpha_eq compares the root labels and the views.
 
 parse_labeled and parse_nested read their notations from one token
 stream of the formula parser, syntax._Parser, which also knows the
@@ -40,7 +41,7 @@ an unreadable item is a SequentError or a FormulaError.
 from __future__ import annotations
 
 from bisect import insort
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -266,10 +267,12 @@ def _succedent_item(parser: _Parser):
 
 def labeled_alpha_key(seq: LabeledSequent):
     """Canonical value equal for sequents that differ only in bound
-    variable names inside formulas."""
+    variable names inside formulas: each side counts its labeled
+    alpha-canonical formulas, which are interned, so two distinct
+    formulas never meet in one key even when they render alike."""
     return (seq.rel, seq.dom,
-            tuple(sorted((w, render_formula(alpha_canonical(f))) for w, f in seq.left)),
-            tuple(sorted((w, render_formula(alpha_canonical(f))) for w, f in seq.right)))
+            Counter((w, alpha_canonical(f)) for w, f in seq.left),
+            Counter((w, alpha_canonical(f)) for w, f in seq.right))
 
 
 def labeled_alpha_eq(a: LabeledSequent, b: LabeledSequent) -> bool:
@@ -501,21 +504,21 @@ def _body(parser: _Parser, label: str | None) -> dict:
             "kids": []}
 
 
-def parse_nested(text: str, root_label: str = "w0") -> NestedSequent:
+def parse_nested(text: str) -> NestedSequent:
     """Parse the form `G ; x, y |- D, [ ... ]@u`.
 
     The three slots may each be empty, and empty items are skipped.
     Children are bracketed sequents in the right slot, each optionally
     tagged with @label; missing labels are filled in afterwards,
-    counting up from w1 in preorder, and the root may likewise be
-    tagged with a trailing @label.  Labels and variables are
+    counting up from w1 in preorder.  The root is w0 unless the text
+    ends with a trailing @label.  Labels and variables are
     identifiers, read as formula variables are.  Children nest at most
     syntax.MAX_DEPTH brackets deep; deeper input is a SequentError.
     The text is one token stream of syntax._Parser, read left to right
     once; a stack holds the open bodies.
     """
     parser = _Parser(text)
-    order = [_body(parser, root_label)]
+    order = [_body(parser, "w0")]
     stack = order[:]
     while stack:
         node = stack[-1]

@@ -21,9 +21,10 @@ from fomodal.jsonio import proof_from_json, proof_to_json
 from fomodal.propagation import PropPath, build_graph
 from fomodal.prover import prove_formula, prove_sequent
 from fomodal.refine import labelize, nestify, refine_proof
-from fomodal.sequents import (LabeledSequent, NestedSequent, parse_labeled,
-                              parse_nested, render_nested, to_labeled)
-from fomodal.syntax import frame_spec, parse_formula
+from fomodal.sequents import (LabeledSequent, NestedSequent, labeled_alpha_eq,
+                              parse_labeled, parse_nested, render_nested,
+                              to_labeled)
+from fomodal.syntax import Neg, Pred, frame_spec, parse_formula
 from fixtures import EX_FRAME, elimination_initial
 
 
@@ -540,6 +541,24 @@ def test_check_accepts_a_premise_equal_up_to_bound_names():
     assert LS(variant) != wanted
     assert check(calc, proof(variant)).ok
     report = check(calc, proof("w: false, w: exists y. q(y) |- "))
+    assert not report.ok and report.node == (0,)
+
+
+def test_check_tells_apart_formulas_that_render_alike():
+    # a nullary atom named "p(x)" renders as the unary atom p(x), so the
+    # premise below reads as an axiom of the unprovable |- w: ~p(x), w: p(x)
+    calc = CalculusSpec("G3", frame_spec())
+    atom, lookalike = Pred("p", ("x",)), Pred("p(x)")
+    seq = LabeledSequent(right=(("w", Neg(atom)), ("w", lookalike)))
+    principal = RuleParams(label="w", formula=Neg(atom))
+    (wanted,) = apply_rule(calc, seq, NEG_R, principal)
+    premise = LabeledSequent(left=(("w", lookalike),),
+                             right=(("w", lookalike),))
+    assert str(wanted) == str(premise)
+    assert not labeled_alpha_eq(wanted, premise)
+    proof = ProofTree(seq, NEG_R, principal, (ProofTree(
+        premise, AX, RuleParams(label="w", formula=lookalike)),))
+    report = check(calc, proof)
     assert not report.ok and report.node == (0,)
 
 

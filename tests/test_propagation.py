@@ -1,13 +1,14 @@
 """Propagation graphs and language-constrained reachability."""
 
 import random
+import sys
 
 import pytest
 
 from fomodal.grammar import of_paths, s4, s5, union
 from fomodal.propagation import (PropagationError, PropagationGraph, PropPath,
-                                 build_graph, edge_path, empty_path, graph_of,
-                                 join_paths, path_in, reachable, witness_path)
+                                 build_graph, graph_of, path_in, reachable,
+                                 witness_path)
 from fomodal.sequents import LabeledSequent, parse_labeled
 from fomodal.syntax import parse_formula
 from oracles import earley_member, enumerate_reachable, random_edges
@@ -19,16 +20,11 @@ def test_prop_path_basics():
     assert path.target == "v"
     assert path.string() == "db"
     assert tuple(path.steps()) == (("w", "d", "u"), ("u", "b", "v"))
-    assert empty_path("w").string() == ""
-    assert join_paths(edge_path("w", "d", "u"),
-                      edge_path("u", "b", "v")) == path
 
 
 def test_prop_path_validation():
     with pytest.raises(PropagationError):
         PropPath(("w", "u"), ())
-    with pytest.raises(PropagationError):
-        join_paths(edge_path("w", "d", "u"), edge_path("v", "b", "w"))
 
 
 def test_build_graph_from_labeled():
@@ -132,6 +128,30 @@ def test_witness_path_is_valid_and_in_language():
     assert path_in(seq, path)
     assert earley_member(sys_, "d", path.string())
     assert witness_path(graph, sys_, "b", "w", "v") is None
+
+
+def _depth() -> int:
+    """The number of frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_witness_path_reads_a_long_derivation_without_recursion():
+    # a transitive chain w0 R w1 R ... R w60: the witness from w0 to w60
+    # is derived through many levels of d -> dd
+    seq = LabeledSequent(tuple((f"w{i}", f"w{i + 1}") for i in range(60)))
+    graph = graph_of(seq)
+    sys_ = of_paths([(0, 2)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 30)
+    try:
+        path = witness_path(graph, sys_, "d", "w0", "w60")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert path.source == "w0" and path.target == "w60"
+    assert path_in(seq, path) and earley_member(sys_, "d", path.string())
 
 
 def test_graphs_with_one_skeleton_share_one_closure():

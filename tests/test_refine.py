@@ -100,6 +100,15 @@ def _break_first_swap(monkeypatch, corrupt):
     return seen
 
 
+def _empty_swapped_premise(sub):
+    """sub with its swapped-in premise stripped of its formulas, keeping
+    its rule."""
+    (mid,) = sub.premises
+    empty = LabeledSequent(mid.conclusion.rel, mid.conclusion.dom)
+    return ProofTree(sub.conclusion, sub.rule, sub.params,
+                     (ProofTree(empty, mid.rule, mid.params, mid.premises),))
+
+
 def test_refine_refuses_a_corrupted_premise_at_that_step(monkeypatch):
     mixed = CalculusSpec("Mixed", EX_FRAME)
     steps = refine_proof(EX_FRAME, elimination_initial()).steps
@@ -110,25 +119,29 @@ def test_refine_refuses_a_corrupted_premise_at_that_step(monkeypatch):
                       if node.rule.name in RELATIONAL),
                      key=lambda found: len(found[0]))
 
-    def corrupt(sub):
-        # the swapped-in premise loses its formulas, keeping its rule
-        (mid,) = sub.premises
-        empty = LabeledSequent(mid.conclusion.rel, mid.conclusion.dom)
-        return ProofTree(sub.conclusion, sub.rule, sub.params,
-                         (ProofTree(empty, mid.rule, mid.params,
-                                    mid.premises),))
-
     # the report of a check of the whole rewritten proof
     sub, _, _ = refine._bubble(mixed, node)
-    whole = check(mixed, refine._replace_at(before, path, corrupt(sub)))
+    whole = check(mixed, refine._replace_at(before, path,
+                                            _empty_swapped_premise(sub)))
     assert not whole.ok and whole.node[:len(path)] == path
 
-    seen = _break_first_swap(monkeypatch, corrupt)
+    seen = _break_first_swap(monkeypatch, _empty_swapped_premise)
     with pytest.raises(RefineError) as err:
         refine_proof(EX_FRAME, elimination_initial())
     assert seen["node"] == node
     assert str(err.value) == (f"intermediate proof broken after "
                               f"swap id above s_ex1: {whole.message}")
+
+
+def test_refine_without_validation_still_refuses_a_corrupted_swap(monkeypatch):
+    # a swap replays nothing, so the final check must catch the corruption;
+    # the id instance alone, since in the whole walkthrough the g(0,2) swap
+    # rebuilds the premise and absorbs it into the axiom
+    seen = _break_first_swap(monkeypatch, _empty_swapped_premise)
+    with pytest.raises(RefineError, match="refined proof does not check"):
+        refine_proof(EX_FRAME, elimination_initial().premises[0],
+                     validate=False)
+    assert seen
 
 
 def test_refine_refuses_a_changed_conclusion_at_that_step(monkeypatch):
