@@ -378,36 +378,35 @@ def _view(calc: CalculusSpec, rules: frozenset[RuleId], seq, rule: RuleId,
         return seq
     if not isinstance(seq, NestedSequent):
         raise MalformedParams("NestedN proofs use nested sequents")
-    _need(params.label is not None, MalformedParams, "missing component label")
+    if params.label is None:
+        raise MalformedParams("missing component label")
     view = to_labeled(seq)
     # only a lone empty root is missing from its view
-    _need(params.label == seq.label or params.label in view.labels(),
-          SideConditionViolation, f"no component labeled {params.label}")
+    if params.label != seq.label and params.label not in view.labels():
+        raise SideConditionViolation(f"no component labeled {params.label}")
     return view
 
 
-def _need(condition: bool, error, message: str):
-    if not condition:
-        raise error(message)
-
-
 def _fresh_label(seq: LabeledSequent, label: str):
-    _need(label is not None, MalformedParams, "missing created label")
-    _need(label not in seq.labels(), FreshnessViolation,
-          f"label {label} already occurs")
+    if label is None:
+        raise MalformedParams("missing created label")
+    if label in seq.labels():
+        raise FreshnessViolation(f"label {label} already occurs")
 
 
 def _fresh_var(seq: LabeledSequent, var: str):
-    _need(var is not None, MalformedParams, "missing created variable")
-    _need(var not in seq.variables(), FreshnessViolation,
-          f"variable {var} already occurs")
+    if var is None:
+        raise MalformedParams("missing created variable")
+    if var in seq.variables():
+        raise FreshnessViolation(f"variable {var} already occurs")
 
 
 def _known_label(seq: LabeledSequent, label: str):
-    _need(label is not None, MalformedParams, "missing label")
+    if label is None:
+        raise MalformedParams("missing label")
     labels = seq.labels()
-    _need(not labels or label in labels, SideConditionViolation,
-          f"label {label} does not occur in the conclusion")
+    if labels and label not in labels:
+        raise SideConditionViolation(f"label {label} does not occur in the conclusion")
 
 
 # the principal of a logical rule: its connective, its name, and the slot
@@ -440,17 +439,17 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         drop = (slot, item)
 
     if name == "ax":
-        _need(isinstance(p.formula, Pred), MalformedParams,
-              "ax applies to an atomic formula")
-        _need((p.label, p.formula) in seq.left, PrincipalMissing,
-              "atom missing on the left")
-        _need((p.label, p.formula) in seq.right, PrincipalMissing,
-              "atom missing on the right")
+        if not isinstance(p.formula, Pred):
+            raise MalformedParams("ax applies to an atomic formula")
+        if (p.label, p.formula) not in seq.left:
+            raise PrincipalMissing("atom missing on the left")
+        if (p.label, p.formula) not in seq.right:
+            raise PrincipalMissing("atom missing on the right")
         return ()
 
     if name == "bot_l":
-        _need((p.label, Bottom()) in seq.left, PrincipalMissing,
-              "falsum missing on the left")
+        if (p.label, Bottom()) not in seq.left:
+            raise PrincipalMissing("falsum missing on the left")
         return ()
 
     if name == "neg_l":
@@ -473,8 +472,8 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
                             left=((p.target, p.formula.body),)),)
 
     if name == "dia_r":
-        _need((p.label, p.target) in seq.rel, SideConditionViolation,
-              f"no relational atom {p.label}R{p.target}")
+        if (p.label, p.target) not in seq.rel:
+            raise SideConditionViolation(f"no relational atom {p.label}R{p.target}")
         return (seq.replace(right=((p.target, p.formula.body),)),)
 
     if name == "exists_l":
@@ -484,9 +483,10 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
                             left=((p.label, instance),)),)
 
     if name == "exists_r":
-        _need(p.variable is not None, MalformedParams, "missing instantiating variable")
-        _need((p.variable, p.label) in seq.dom, SideConditionViolation,
-              f"no atom {p.variable} in D({p.label})")
+        if p.variable is None:
+            raise MalformedParams("missing instantiating variable")
+        if (p.variable, p.label) not in seq.dom:
+            raise SideConditionViolation(f"no atom {p.variable} in D({p.label})")
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
         return (seq.replace(right=((p.label, instance),)),)
 
@@ -494,27 +494,29 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
         _known_label(seq, p.label)
         _fresh_label(seq, p.target)
         # the principal is taken even where the conclusion shows no label
-        _need(p.target != p.label, FreshnessViolation,
-              f"label {p.target} already occurs")
+        if p.target == p.label:
+            raise FreshnessViolation(f"label {p.target} already occurs")
         return (seq.replace(rel=((p.label, p.target),)),)
 
     if name == "g":
         return _apply_g(seq, rule, p)
 
     if name == "id":
-        _need(p.variable is not None, MalformedParams, "missing variable")
-        _need((p.label, p.target) in seq.rel, SideConditionViolation,
-              f"no relational atom {p.label}R{p.target}")
-        _need((p.variable, p.label) in seq.dom, SideConditionViolation,
-              f"no atom {p.variable} in D({p.label})")
+        if p.variable is None:
+            raise MalformedParams("missing variable")
+        if (p.label, p.target) not in seq.rel:
+            raise SideConditionViolation(f"no relational atom {p.label}R{p.target}")
+        if (p.variable, p.label) not in seq.dom:
+            raise SideConditionViolation(f"no atom {p.variable} in D({p.label})")
         return (seq.replace(dom=((p.variable, p.target),)),)
 
     if name == "dd":
-        _need(p.variable is not None, MalformedParams, "missing variable")
-        _need((p.label, p.target) in seq.rel, SideConditionViolation,
-              f"no relational atom {p.label}R{p.target}")
-        _need((p.variable, p.target) in seq.dom, SideConditionViolation,
-              f"no atom {p.variable} in D({p.target})")
+        if p.variable is None:
+            raise MalformedParams("missing variable")
+        if (p.label, p.target) not in seq.rel:
+            raise SideConditionViolation(f"no relational atom {p.label}R{p.target}")
+        if (p.variable, p.target) not in seq.dom:
+            raise SideConditionViolation(f"no atom {p.variable} in D({p.target})")
         return (seq.replace(dom=((p.variable, p.label),)),)
 
     if name == "nd":
@@ -524,23 +526,24 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
 
     if name == "p_dia":
         condition = side_condition(calc, rule, seq, p)
-        _need(condition.holds, SideConditionViolation,
-              condition.reason or "propagation condition fails")
+        if not condition.holds:
+            raise SideConditionViolation(condition.reason)
         return (seq.replace(right=((p.target, p.formula.body),)),)
 
     if name == "s_ex1":
-        _need(p.variable is not None, MalformedParams, "missing instantiating variable")
+        if p.variable is None:
+            raise MalformedParams("missing instantiating variable")
         condition = side_condition(calc, rule, seq, p)
-        _need(condition.holds, SideConditionViolation,
-              condition.reason or "availability condition fails")
+        if not condition.holds:
+            raise SideConditionViolation(condition.reason)
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
         return (seq.replace(right=((p.label, instance),)),)
 
     if name == "s_ex2":
         _fresh_var(seq, p.variable)
         condition = side_condition(calc, rule, seq, p)
-        _need(condition.holds, SideConditionViolation,
-              condition.reason or "path condition fails")
+        if not condition.holds:
+            raise SideConditionViolation(condition.reason)
         instance = substitute(p.formula.body, p.variable, p.formula.bound)
         return (seq.replace(dom=((p.variable, p.target),),
                             right=((p.label, instance),)),)
@@ -550,18 +553,18 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
 
 def _apply_g(seq: LabeledSequent, rule: RuleId, p: RuleParams) -> tuple:
     n, k = rule.path
-    _need(p.chain_u is not None and p.chain_v is not None, MalformedParams,
-          "g needs chain_u and chain_v")
-    _need(len(p.chain_u) == n + 1, MalformedParams,
-          f"chain_u must list {n + 1} labels for g({n},{k})")
-    _need(len(p.chain_v) == k + 1, MalformedParams,
-          f"chain_v must list {k + 1} labels for g({n},{k})")
-    _need(p.chain_u[0] == p.chain_v[0], MalformedParams,
-          "both chains start at the same label")
+    if p.chain_u is None or p.chain_v is None:
+        raise MalformedParams("g needs chain_u and chain_v")
+    if len(p.chain_u) != n + 1:
+        raise MalformedParams(f"chain_u must list {n + 1} labels for g({n},{k})")
+    if len(p.chain_v) != k + 1:
+        raise MalformedParams(f"chain_v must list {k + 1} labels for g({n},{k})")
+    if p.chain_u[0] != p.chain_v[0]:
+        raise MalformedParams("both chains start at the same label")
     for chain in (p.chain_u, p.chain_v):
         for a, b in zip(chain, chain[1:]):
-            _need((a, b) in seq.rel, SideConditionViolation,
-                  f"no relational atom {a}R{b}")
+            if (a, b) not in seq.rel:
+                raise SideConditionViolation(f"no relational atom {a}R{b}")
     if n == 0 and k == 0:
         _known_label(seq, p.chain_u[0])
     return (seq.replace(rel=((p.chain_u[-1], p.chain_v[-1]),)),)

@@ -66,13 +66,13 @@ arithmetic, as _atoms lists them: over n worlds and p individuals,
 (name, w, args) is number offset + w * p**a + args read as digits in
 base p, where a is the predicate's arity and offset sums n * p**b over
 the predicates before it in name order.  So a search lists the atoms
-only to spell out the valuation of a model it returns, and what a run
-needs, the places of the atoms, the block and chunk sizes and each
-chunk's columns and valuation masks, depends on the arities of the
-goal's predicates in name order but not on their names.  Each run has
-a plan per arity tuple, made when a search first reaches the run and
-kept, within LANE_BYTES for each table and frame, for every later goal
-with those arities; each kept plan holds its own chunks.
+only to spell out the valuation of a model it returns, and works out
+the places of the atoms and the block and chunk sizes by arithmetic.
+A run's chunks, with their columns and valuation masks, depend only on
+the block width, the number of atoms varying within a block: a run
+searched in full keeps its chunk list for that width, within one
+LANE_BYTES shared by the runs of each table and frame, for every later
+goal of that width, whatever its predicates' names and arities.
 """
 
 from __future__ import annotations
@@ -397,12 +397,15 @@ class _Run:
     that satisfy a frame, in table order, span being where the table
     holds those worlds and pool.  The frame is checked, and the columns
     built, on first use: rel[w][u] has bit s set when structure s of
-    the run has wRu, and dom[w][d] when d is in its domain at w."""
+    the run has wRu, and dom[w][d] when d is in its domain at w.  room
+    is a one-item list, shared by the runs of the table and frame,
+    holding the bytes they may still keep."""
 
     def __init__(self, n: int, p: int, table: tuple, span: tuple[int, int],
-                 frame: FrameSpec):
+                 frame: FrameSpec, room: list[int]):
         self.n, self.p = n, p
         self._table, self._span, self._frame = table, span, frame
+        self._room, self._kept = room, {}
 
     @cached_property
     def structures(self) -> list[tuple]:
@@ -413,76 +416,48 @@ class _Run:
     def columns(self) -> tuple[list, list]:
         return _columns(self.n, self.p, self.structures)
 
+    def chunks(self, bits: int, count: int):
+        """The chunks (_chunks) of the run's first count structures for
+        blocks of bits varying atoms, step being the structures that fit
+        2**_CHUNK_BITS lanes.  The whole run's list is kept per (bits,
+        step) while the room lasts, counting 256 bytes and 64 for each
+        int of its chunks; a run cut short by a limit, or one with no
+        room left, gets a fresh generator."""
+        step = max(1, (1 << _CHUNK_BITS) >> bits)
+        total = len(self.structures)
+        if count < total:
+            return _chunks(self, bits, step, count)
+        kept = self._kept.get((bits, step))
+        if kept is None:
+            # each chunk holds this many ints of at most step << bits bits
+            ints = self.n * (self.n + self.p) + bits
+            cost = 256 + ints * (64 * -(-total // step) + (total << bits) // 8)
+            if cost > self._room[0]:
+                return _chunks(self, bits, step, total)
+            self._room[0] -= cost
+            kept = list(_chunks(self, bits, step, total))
+            self._kept[bits, step] = kept
+        return kept
 
-LANE_BYTES = 1 << 15  # the most the plans of one table and frame keep
 
-
-class _Runs:
-    """The runs of one table and frame, with their plans.  Run i's plan
-    for goals whose predicates have given arities in name order is (n,
-    p, structures, places, width, bits, step, valuations, chunks): the
-    places of the predicates' atoms (_places), width atoms of which the
-    first bits vary within a block, chunks of step structures
-    (_chunks), and the valuations per structure.  A plan is made when a
-    search first reaches its run, and a kept plan holds its own chunks.
-    Plans are kept while what the table and frame keep totals at most
-    LANE_BYTES, counting 256 bytes and 64 for each int of its chunks
-    for each plan, and 8 for each run per arity tuple."""
-
-    def __init__(self, runs: tuple[_Run, ...]):
-        self.runs = runs
-        self._plans: dict[tuple, list] = {}
-        self._room = LANE_BYTES
-
-    def _take(self, cost: int) -> bool:
-        if cost > self._room:
-            return False
-        self._room -= cost
-        return True
-
-    def plans(self, arities: tuple[int, ...], chunk_bits: int) -> list:
-        """One slot per run, holding its plan once one is kept."""
-        got = self._plans.get((arities, chunk_bits))
-        if got is None:
-            got = [None] * len(self.runs)
-            if self._take(8 * len(got)):
-                self._plans[arities, chunk_bits] = got
-        return got
-
-    def plan(self, plans: list, i: int, arities: tuple[int, ...],
-             chunk_bits: int) -> tuple:
-        """Run i's plan, kept in plans[i] when there is room."""
-        run = self.runs[i]
-        n, p, structures = run.n, run.p, run.structures
-        places, width = _places(arities, n, p)
-        bits = min(width, _MASK_BITS)
-        step = max(1, (1 << chunk_bits) >> bits)
-        total = len(structures)
-        chunks = _chunks(run, bits, step, total)
-        # each chunk holds this many ints of at most step << bits bits
-        ints = n * (n + p) + bits
-        kept = self._take(256 + ints * (64 * -(-total // step)
-                                        + (total << bits) // 8))
-        plan = (n, p, structures, places, width, bits, step,
-                1 << min(width, MAX_VALUATIONS.bit_length()),
-                list(chunks) if kept else chunks)
-        if kept:
-            plans[i] = plan
-        return plan
+LANE_BYTES = 1 << 15  # the most the runs of one table and frame keep
 
 
 @lru_cache(maxsize=64)
-def _runs(max_worlds: int, max_individuals: int, frame: FrameSpec) -> _Runs:
+def _runs(max_worlds: int, max_individuals: int,
+          frame: FrameSpec) -> tuple[_Run, ...]:
     """The table's structures for the frame, in runs of equal worlds n
-    and pool size p."""
+    and pool size p, which keep their chunks within one LANE_BYTES
+    room."""
     table = _all_structures(max_worlds, max_individuals)
+    room = [LANE_BYTES]
     runs, start = [], 0
     for (n, p), group in groupby(table, key=lambda s: (
             s[0], len(frozenset().union(*s[2])))):
         stop = start + sum(1 for _ in group)
-        runs.append(_Run(n, p, table, (start, stop), frame))
+        runs.append(_Run(n, p, table, (start, stop), frame, room))
         start = stop
-    return _Runs(tuple(runs))
+    return tuple(runs)
 
 
 def _columns(n: int, p: int, structures) -> tuple[list, list]:
@@ -509,8 +484,8 @@ def enumerate_structures(max_worlds: int, max_individuals: int,
     _check_bounds(max_worlds, max_individuals)
     if frame is None:
         return iter(_all_structures(max_worlds, max_individuals))
-    runs = _runs(max_worlds, max_individuals, frame).runs
-    return chain.from_iterable(run.structures for run in runs)
+    return chain.from_iterable(
+        run.structures for run in _runs(max_worlds, max_individuals, frame))
 
 
 def _atoms(signature: dict[str, int], worlds: int, pool) -> list[tuple]:
@@ -722,14 +697,15 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
     # how many nodes have k free variables, for each k
     scopes = Counter(len(names) for _, names, _ in program)
     searched = evaluated = 0
-    runs = _runs(max_worlds, max_individuals, frame)
-    plans = runs.plans(arities, _CHUNK_BITS)
-    for i, plan in enumerate(plans):
-        n, p, structures, places, width, bits, step, valuations, chunks = (
-            plan or runs.plan(plans, i, arities, _CHUNK_BITS))
+    envs = {}  # the assignments over each pool size, listed once
+    for run in _runs(max_worlds, max_individuals, frame):
+        n, p, structures = run.n, run.p, run.structures
+        places, width = _places(arities, n, p)
+        bits = min(width, _MASK_BITS)
+        valuations = 1 << min(width, MAX_VALUATIONS.bit_length())
         # a table entry per node and assignment, for each block
         assignments = (sum(nodes * p ** k for k, nodes in scopes.items())
-                       << max(width - _MASK_BITS, 0))
+                       << width - bits)
         # the run's structures within the limits, counted first: past the
         # limits the assignments may be too many to list
         by_valuations = (MAX_VALUATIONS - searched) // valuations
@@ -737,18 +713,17 @@ def find_countermodel(phi: Formula, frame: FrameSpec, max_worlds: int = 3,
         count = min(len(structures), by_valuations, by_assignments)
         searched += count * valuations
         evaluated += count * assignments
-        if count < len(structures):
-            chunks = _chunks(runs.runs[i], bits, step, count)
         if count:
             at = dict(zip(predicates, places))
-            envs = _envs(scopes, p)
-        for start, size, full, rep, rel, dom, low in chunks:
+            if p not in envs:
+                envs[p] = _envs(scopes, p)
+        for start, size, full, rep, rel, dom, low in run.chunks(bits, count):
             best = None
             for block in range(1 << width - bits):
                 masks = low + [full if block >> j & 1 else 0
                                for j in range(width - bits)]
                 falsified = [full ^ m for m in _root_table(
-                    program, n, rel, dom, envs, at, p, masks, full)[()]]
+                    program, n, rel, dom, envs[p], at, p, masks, full)[()]]
                 first = reduce(or_, falsified)
                 # fold the valuations: bit s is set when structure s is
                 # falsified here, and kept below a structure found before

@@ -43,6 +43,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 
 class FormulaError(Exception):
@@ -203,6 +204,30 @@ def fresh_variable(base: str, avoid) -> str:
     return name
 
 
+def _renamed(phi: Formula, env: dict[str, str], bind) -> Formula:
+    """phi with each free variable x renamed to env.get(x, x) and each
+    binder renamed to bind(bound, body, env), its occurrences in the
+    body with it.  A subformula in which nothing is renamed is rebuilt
+    as itself."""
+    match phi:
+        case Pred(name=name, args=args) if env:
+            return Pred(name, tuple(env.get(a, a) for a in args))
+        case Pred() | Bottom():
+            return phi
+        case Neg(body=body):
+            return Neg(_renamed(body, env, bind))
+        case Dia(body=body):
+            return Dia(_renamed(body, env, bind))
+        case Or(left=left, right=right):
+            return Or(_renamed(left, env, bind), _renamed(right, env, bind))
+        case Exists(bound=bound, body=body):
+            name = bind(bound, body, env)
+            if name != bound or bound in env:
+                env = {**env, bound: name}
+            return Exists(name, _renamed(body, env, bind))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 def substitute(phi: Formula, new: str, old: str) -> Formula:
     """Replace every free occurrence of the variable old by new.
 
@@ -210,53 +235,30 @@ def substitute(phi: Formula, new: str, old: str) -> Formula:
     substituting y for x in `exists y. p(x,y)` renames the binder first
     and yields `exists y'. p(y,y')`.
     """
-    match phi:
-        case Pred(name=name, args=args):
-            return Pred(name, tuple(new if a == old else a for a in args))
-        case Bottom():
-            return phi
-        case Neg(body=body):
-            return Neg(substitute(body, new, old))
-        case Dia(body=body):
-            return Dia(substitute(body, new, old))
-        case Or(left=left, right=right):
-            return Or(substitute(left, new, old), substitute(right, new, old))
-        case Exists(bound=bound, body=body):
-            if bound == old or old not in free_vars(body):
-                return phi
-            if bound == new:
-                # binder would capture the incoming variable
-                renamed = fresh_variable(bound, all_vars(body) | {new, old})
-                body = substitute(body, renamed, bound)
-                bound = renamed
-            return Exists(bound, substitute(body, new, old))
-    raise TypeError(f"not a formula: {phi!r}")
+    if new == old or old not in free_vars(phi):
+        return phi
+
+    def bind(bound, body, env):
+        # a binder of new catches it where old is free and not bound above
+        if bound != new or env[old] != new or old not in free_vars(body):
+            return bound
+        return fresh_variable(bound, all_vars(body) | {new, old})
+
+    return _renamed(phi, {old: new}, bind)
 
 
 def rename_apart(phi: Formula) -> Formula:
     """Rename binders so each exists binds a distinct, non-shadowing name.
     A subformula in which nothing is renamed is rebuilt as itself."""
-    def walk(psi: Formula, taken: set[str]) -> Formula:
-        match psi:
-            case Pred() | Bottom():
-                return psi
-            case Neg(body=body):
-                return Neg(walk(body, taken))
-            case Dia(body=body):
-                return Dia(walk(body, taken))
-            case Or(left=left, right=right):
-                return Or(walk(left, taken), walk(right, taken))
-            case Exists(bound=bound, body=body):
-                if bound in taken:
-                    fresh = fresh_variable(bound, taken | all_vars(body))
-                    taken.add(fresh)
-                    return Exists(fresh, walk(substitute(body, fresh, bound),
-                                              taken))
-                taken.add(bound)
-                return Exists(bound, walk(body, taken))
-        raise TypeError(f"not a formula: {psi!r}")
+    taken = set(free_vars(phi))
 
-    return walk(phi, set(free_vars(phi)))
+    def bind(bound, body, env):
+        if bound in taken:
+            bound = fresh_variable(bound, taken | all_vars(body))
+        taken.add(bound)
+        return bound
+
+    return _renamed(phi, {}, bind)
 
 
 def alpha_canonical(phi: Formula) -> Formula:
@@ -266,29 +268,8 @@ def alpha_canonical(phi: Formula) -> Formula:
     parser, so canonical forms of distinct inputs never collide by
     accident.
     """
-    counter = [0]
-
-    def walk(psi: Formula, env: dict[str, str]) -> Formula:
-        match psi:
-            case Pred(name=name, args=args):
-                return Pred(name, tuple(env.get(a, a) for a in args))
-            case Bottom():
-                return psi
-            case Neg(body=body):
-                return Neg(walk(body, env))
-            case Dia(body=body):
-                return Dia(walk(body, env))
-            case Or(left=left, right=right):
-                return Or(walk(left, env), walk(right, env))
-            case Exists(bound=bound, body=body):
-                canon = f"${counter[0]}"
-                counter[0] += 1
-                inner = dict(env)
-                inner[bound] = canon
-                return Exists(canon, walk(body, inner))
-        raise TypeError(f"not a formula: {psi!r}")
-
-    return walk(phi, {})
+    names = map("${}".format, count())
+    return _renamed(phi, {}, lambda bound, body, env: next(names))
 
 
 def alpha_eq(phi: Formula, psi: Formula) -> bool:

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from fomodal import semantics
-from fomodal.semantics import (InterpretationError, KripkeModel,
+from fomodal.semantics import (LANE_BYTES, InterpretationError, KripkeModel,
                                SemanticsError, _all_structures,
                                _check_bounds, check_frame, enumerate_models,
                                enumerate_structures, eval_formula,
@@ -546,10 +546,17 @@ def test_find_countermodel_matches_the_per_structure_search(chunk_bits,
     # two lanes per chunk: a chunk holds a single structure, or two
     # when the goal has no atom
     monkeypatch.setattr(semantics, "_CHUNK_BITS", chunk_bits)
+    searched = _searching(monkeypatch)
+    built = _counting(monkeypatch, "_chunks")
     expected = _per_structure_outcomes()
     assert len(expected) >= 200
     for case, outcome in expected:
         assert _outcome(find_countermodel, *case) == outcome, case
+    if chunk_bits == 1:
+        # no run reuses the chunks of 2**14 lanes kept by earlier
+        # searches: each builds its own at the patched width
+        assert searched and {(run, bits) for run, bits, _ in searched} <= {
+            (run, bits) for run, bits, step, _ in built if step == _step(bits)}
     outcomes = [outcome for _, outcome in expected]
     assert None in outcomes
     assert any(isinstance(outcome, str) for outcome in outcomes)
@@ -558,7 +565,7 @@ def test_find_countermodel_matches_the_per_structure_search(chunk_bits,
     assert all("valuations" in outcome for outcome in outcomes[-3:])
 
 
-# -- plans shared by goals with the same arities ---------------------------
+# -- chunks shared by goals with the same block width ----------------------
 
 def _profile_formula(rng, arities, depth):
     """A closed formula over predicates of the given arities, each of
@@ -619,7 +626,7 @@ def _profile_cases():
 
 
 def test_find_countermodel_over_arity_profiles_matches_the_reference():
-    # four frame classes, so that goals of other arities meet the plans
+    # four frame classes, so that goals of other arities meet the chunks
     # kept for one run
     semantics._runs.cache_clear()
     outcomes = []
@@ -662,19 +669,30 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _searching(monkeypatch):
+    """The (run, bits, count) of the calls of semantics._Run.chunks."""
+    calls = []
+    original = semantics._Run.chunks
+
+    def counted(run, bits, count):
+        calls.append((run, bits, count))
+        return original(run, bits, count)
+    monkeypatch.setattr(semantics._Run, "chunks", counted)
+    return calls
+
+
 def test_a_renamed_goal_is_searched_with_the_kept_plan(monkeypatch):
     phi = parse_formula("~(q0 & exists x. (p1(x) & <>~p1(x) & <><>q0))")
     frame = frame_spec()
     semantics._runs.cache_clear()
-    places = _counting(monkeypatch, "_places")
     chunks = _counting(monkeypatch, "_chunks")
     first = find_countermodel(phi, frame, 3, 2)
     assert first == oracles.find_countermodel(phi, frame, 3, 2)
     model, world = first
     assert {name for name, _, _ in model.valuation} == {"p1", "q0"}
-    made = len(places)
-    assert made and chunks
-    # the same arities in name order, under other names: no plan is made
+    made = len(chunks)
+    assert made
+    # the same arities in name order, under other names: no chunk is built
     for names in ({"p1": "a", "q0": "b"}, {"p1": "x_s1j7", "q0": "y_s1j7"}):
         renamed = _renamed(phi, names)
         assert find_countermodel(renamed, frame, 3, 2) == (KripkeModel(
@@ -683,12 +701,74 @@ def test_a_renamed_goal_is_searched_with_the_kept_plan(monkeypatch):
                       for name, w, args in model.valuation)), world)
         assert find_countermodel(renamed, frame, 3, 2) == \
             oracles.find_countermodel(renamed, frame, 3, 2)
-        assert len(places) == made
-    # the arities in the other order: plans of its own
+        assert len(chunks) == made
+    # the arities in the other order: the same block widths, so the same
+    # chunks
     swapped = _renamed(phi, {"p1": "b", "q0": "a"})
     assert find_countermodel(swapped, frame, 3, 2) == \
         oracles.find_countermodel(swapped, frame, 3, 2)
-    assert len(places) > made
+    assert len(chunks) == made
+
+
+def _step(bits):
+    """The structures of a chunk of width bits, as _Run.chunks takes them."""
+    return max(1, (1 << semantics._CHUNK_BITS) >> bits)
+
+
+def _charge(run, bits):
+    """The bytes a run's kept chunk list of width bits is charged: 256,
+    and 64 for each int of its chunks plus the bytes of their lanes."""
+    total = len(run.structures)
+    ints = run.n * (run.n + run.p) + bits
+    return 256 + ints * (64 * -(-total // _step(bits)) + (total << bits) // 8)
+
+
+def test_kept_chunks_share_one_room_and_are_reused_by_width(monkeypatch):
+    rng = random.Random(20261020)
+    searched = _searching(monkeypatch)
+    built = _counting(monkeypatch, "_chunks")
+    semantics._runs.cache_clear()
+    shared = fresh = spent = 0
+    for frame in FRAMES[::4]:
+        for bounds in ((2, 2), (3, 2)):
+            runs = semantics._runs(*bounds, frame)
+            owners = {}  # the arities of the goal that kept each list
+            for arities in PROFILES:
+                phi = _profile_formula(rng, arities, 3)
+                goal = implies(phi, phi)  # valid: every run is searched
+                profile = tuple(arities[name] for name in sorted(arities))
+                room = runs[0]._room[0]  # left before each run is searched
+                calls, made = len(searched), len(built)
+                assert _outcome(find_countermodel, goal, frame, bounds) == \
+                    _outcome(oracles.find_countermodel, goal, frame, bounds)
+                # the room is shared by the runs and charged what they keep
+                kept = {(run, bits) for run in runs for bits, _ in run._kept}
+                assert all(run._room is runs[0]._room for run in runs)
+                assert sum(_charge(*key) for key in kept) == \
+                    LANE_BYTES - runs[0]._room[0] <= LANE_BYTES
+                new = {(run, bits) for run, bits, _, _ in built[made:]}
+                whole = [(run, bits) for run, bits, count in searched[calls:]
+                         if count == len(run.structures)]
+                for key in whole:
+                    if key in owners:
+                        # kept by an earlier goal: nothing is built
+                        assert key not in new
+                        shared += owners[key] != profile
+                    else:
+                        # not kept before: its chunks are built, and
+                        # kept while the room lasts
+                        assert key in new
+                        if key in kept:
+                            # another width than the run kept before
+                            fresh += any(run is key[0] for run, _ in owners)
+                            owners[key] = profile
+                            room -= _charge(*key)
+                        else:
+                            spent += _charge(*key) <= LANE_BYTES
+                            assert _charge(*key) > room
+    # goals of other arities used the chunks kept for one width, goals
+    # of another width built their own, and some found the room spent
+    assert shared and fresh and spent
 
 
 def test_the_limits_stop_at_the_same_structure_with_a_kept_plan():
@@ -731,7 +811,7 @@ def test_runs_are_checked_against_the_frame_when_first_searched(monkeypatch):
     found = find_countermodel(parse_formula("p"), frame, 1, 1000)
     assert found == (KripkeModel(1, frozenset(), (frozenset(),),
                                  frozenset()), 0)
-    runs = semantics._runs(1, 1000, frame).runs
+    runs = semantics._runs(1, 1000, frame)
     assert len(runs) == 1001 and len(checks) == len(runs[0].structures) == 2
     # a search that reaches further checks the runs it reaches
     assert find_countermodel(parse_formula("~exists x. p(x)"), frame,
