@@ -21,7 +21,8 @@ Three calculi share one rule vocabulary:
   instead, so it never rebuilds a nested premise.
 
 A Mixed kind, union of G3 and RefinedL, exists so that the
-intermediate stages of rule elimination can be checked.
+intermediate stages of rule elimination can be checked.  Proofs are
+walked and folded on one stack, by sequents.walk and sequents.fold.
 
 Rules are applied bottom-up: apply_rule maps a conclusion to the tuple
 of premises forced by the given parameters, raising when the principal
@@ -63,15 +64,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 from weakref import ref
 
 from .grammar import BDIA, DIA, ThueSystem, derives, of_paths, s4, s5, union
 from .propagation import PropPath, graph_of, path_in, reachable, witness_path
-# not used here: kept so that fomodal.calculi.build_graph still resolves
+# not used here: kept so that calculi.build_graph and .fold still resolve
 from .propagation import build_graph  # noqa: F401
+from .sequents import fold  # noqa: F401
 from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
-                       labeled_alpha_eq, to_labeled, to_nested)
+                       labeled_alpha_eq, to_labeled, to_nested, walk)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      substitute)
 
@@ -188,34 +189,13 @@ class ProofTree:
 
     def walk(self):
         """(path, node) for every node in preorder, on one stack."""
-        stack = [((), self)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            for i in range(len(node.premises) - 1, -1, -1):
-                stack.append(((*path, i), node.premises[i]))
+        return walk(self)
 
     def at(self, path) -> ProofTree:
         node = self
         for i in path:
             node = node.premises[i]
         return node
-
-
-def fold(root, build, premises=attrgetter("premises")):
-    """build(node, values) at every node, in a recursion's order on one
-    stack: premises left to right, then the node.  premises(node) is read
-    on entering the node; values holds build's results for them."""
-    values, stack = [], [(root, iter(premises(root)), 0)]
-    while stack:
-        node, todo, start = stack[-1]
-        for sub in todo:
-            stack.append((sub, iter(premises(sub)), len(values)))
-            break
-        else:
-            stack.pop()
-            values[start:] = [build(node, tuple(values[start:]))]
-    return values[0]
 
 
 _LOGICAL = (AX, BOT_L, NEG_L, NEG_R, OR_L, OR_R, DIA_L, EXISTS_L)
@@ -501,23 +481,17 @@ def _apply_labeled(calc: CalculusSpec, seq: LabeledSequent, rule: RuleId,
     if name == "g":
         return _apply_g(seq, rule, p)
 
-    if name == "id":
+    if name in ("id", "dd"):
+        # id carries the variable along the atom labelRtarget, dd back
+        known, new = ((p.label, p.target) if name == "id"
+                      else (p.target, p.label))
         if p.variable is None:
             raise MalformedParams("missing variable")
         if (p.label, p.target) not in seq.rel:
             raise SideConditionViolation(f"no relational atom {p.label}R{p.target}")
-        if (p.variable, p.label) not in seq.dom:
-            raise SideConditionViolation(f"no atom {p.variable} in D({p.label})")
-        return (seq.replace(dom=((p.variable, p.target),)),)
-
-    if name == "dd":
-        if p.variable is None:
-            raise MalformedParams("missing variable")
-        if (p.label, p.target) not in seq.rel:
-            raise SideConditionViolation(f"no relational atom {p.label}R{p.target}")
-        if (p.variable, p.target) not in seq.dom:
-            raise SideConditionViolation(f"no atom {p.variable} in D({p.target})")
-        return (seq.replace(dom=((p.variable, p.label),)),)
+        if (p.variable, known) not in seq.dom:
+            raise SideConditionViolation(f"no atom {p.variable} in D({known})")
+        return (seq.replace(dom=((p.variable, new),)),)
 
     if name == "nd":
         _known_label(seq, p.label)

@@ -31,9 +31,8 @@ from .propagation import (PropagationError, graph_of, reachable,
 from .prover import ProverError, SearchBudget, prove_formula, prove_sequent
 from .refine import RefineError, nestify, refine_proof
 from .semantics import SemanticsError, find_countermodel
-from .sequents import (LabeledSequent, NestedSequent, SequentError,
-                       parse_labeled, parse_nested, render_labeled,
-                       render_nested, to_labeled, to_nested)
+from .sequents import (LabeledSequent, NestedSequent, SequentError, fold,
+                       parse_labeled, parse_nested, to_labeled, to_nested)
 from .syntax import MAX_DEPTH, FormulaError, frame_spec, parse_formula
 
 EXIT_OK = 0
@@ -70,10 +69,6 @@ def _read_input(value: str) -> str:
         with open(value, "r", encoding="utf-8") as handle:
             return handle.read()
     return value
-
-
-def _read_json(value: str):
-    return loads(_read_input(value))
 
 
 def _print(args, payload: dict, pretty_lines) -> None:
@@ -145,21 +140,14 @@ def _parse_sequent(text: str):
     the labeled or the nested notation."""
     text = text.strip()
     if text.startswith("{"):
-        return sequent_from_json(_read_json(text))
+        return sequent_from_json(loads(text))
     if ";" in text.split("|-")[0]:
         return parse_nested(text)
     return parse_labeled(text)
 
 
-def _render_sequent(seq) -> str:
-    if isinstance(seq, NestedSequent):
-        return render_nested(seq)
-    return render_labeled(seq)
-
-
 def _proof_lines(tree: ProofTree) -> list[str]:
-    return [f"{'  ' * len(path)}[{node.rule}] "
-            f"{_render_sequent(node.conclusion)}"
+    return [f"{'  ' * len(path)}[{node.rule}] {node.conclusion}"
             for path, node in tree.walk()]
 
 
@@ -213,7 +201,7 @@ _CALC_NAMES = {"g3": "G3", "refined": "RefinedL", "nested": "NestedN",
 def _cmd_check(args) -> int:
     frame = _frame(args)
     calc = CalculusSpec(_CALC_NAMES[args.calculus], frame)
-    proof = proof_from_json(_read_json(args.proof))
+    proof = proof_from_json(loads(_read_input(args.proof)))
     report = check(calc, proof)
     payload = {"ok": report.ok}
     if report.ok:
@@ -240,13 +228,11 @@ def _cmd_translate(args) -> int:
         if isinstance(seq, NestedSequent):
             raise CliError("--to-nested expects a labeled sequent")
         out = to_nested(seq)
-        # rendering recurses once per level; parse_nested reads this deep
-        depth, level = 0, out.children
-        while level:
-            depth, level = depth + 1, [c for n in level for c in n.children]
-        if depth > MAX_DEPTH:
+        # parse_nested reads the rendering back up to this deep
+        if fold(out, lambda node, depths: 1 + max(depths, default=-1),
+                lambda node: node.children) > MAX_DEPTH:
             raise CliError(f"sequent nested more than {MAX_DEPTH} brackets deep")
-    _print(args, sequent_to_json(out), [_render_sequent(out)])
+    _print(args, sequent_to_json(out), [str(out)])
     return EXIT_OK
 
 
@@ -256,7 +242,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_refine(args) -> int:
     frame = _frame(args)
-    proof = proof_from_json(_read_json(args.proof))
+    proof = proof_from_json(loads(_read_input(args.proof)))
     result = refine_proof(frame, proof)
     out = result.proof
     if args.nested:
@@ -275,12 +261,14 @@ def _cmd_refine(args) -> int:
 # ===================================================================
 
 def _grammar_system(args):
+    paths = _parse_paths(args.paths)
+    name = args.system or "sg"
+    if paths and (args.production or name not in ("sg", "s4+sg")):
+        raise CliError("--path goes only with --system sg or s4+sg")
     if args.production:
         if args.system:
             raise CliError("--system and --production are exclusive")
         return system(*(parse_production(p) for p in args.production))
-    name = args.system or "sg"
-    paths = _parse_paths(args.paths)
     if name in ("sg", "s4+sg") and not paths:
         raise CliError(f"--system {name} needs at least one --path N:K")
     if name == "s4":

@@ -249,16 +249,12 @@ def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
         for v in sorted(vertices):
             record((nt, v, v), ("empty",))
 
-    # index facts by (nonterminal, source) and (nonterminal, target);
-    # dicts keep insertion order, so the walks below do not depend on
+    # index facts by (nonterminal, source) and (nonterminal, target) as
+    # they are popped, so recording a fact never changes an index walked
+    # below; dicts keep insertion order, so the walks do not depend on
     # the string hash seed
     outgoing: dict[tuple, dict[tuple, None]] = {}
     incoming: dict[tuple, dict[tuple, None]] = {}
-    for triple in list(back):
-        nt, u, v = triple
-        outgoing.setdefault((nt, u), {})[triple] = None
-        incoming.setdefault((nt, v), {})[triple] = None
-
     while worklist:
         triple = worklist.pop()
         nt, u, v = triple
@@ -267,10 +263,10 @@ def saturate(sys: ThueSystem, vertices, edges) -> dict[tuple, tuple]:
         for a in units_by_rhs.get(nt, ()):
             record((a, u, v), ("unit", triple))
         for a, second in bin_by_first.get(nt, ()):
-            for other in list(outgoing.get((second, v), ())):
+            for other in outgoing.get((second, v), ()):
                 record((a, u, other[2]), ("bin", triple, other))
         for a, first in bin_by_second.get(nt, ()):
-            for other in list(incoming.get((first, u), ())):
+            for other in incoming.get((first, u), ()):
                 record((a, other[1], v), ("bin", other, triple))
     return back
 

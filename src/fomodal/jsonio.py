@@ -9,10 +9,11 @@ with two arities anywhere in the decode is an ArityError, as across a
 sequent read from text.  Labels and variables must be names
 the text readers take back, with no R in a relational atom.  Every
 from_json function validates its input and raises JsonError with a
-message naming the offending key.
+message naming the offending key; every list of fixed-size entries is
+read by _entries, whose messages name the list and the entry refused.
 
 Proofs of any height and nested sequents of any depth are written and
-read by calculi.fold, without recursion; proof_from_json checks a node
+read by sequents.fold, without recursion; proof_from_json checks a node
 on entering it and decodes it on leaving, so errors come in a
 recursion's order.  JSON text from outside is read with loads, which
 refuses arrays and objects nested more than MAX_NESTING deep, and
@@ -33,12 +34,13 @@ from contextlib import contextmanager
 from itertools import accumulate, chain
 from operator import attrgetter
 
-from .calculi import ProofTree, RuleId, RuleParams, fold
+from .calculi import ProofTree, RuleId, RuleParams
 from .grammar import GrammarError, ThueSystem, parse_production, system
 from .propagation import PropPath
 from .prover import MAX_SEARCH_DEPTH
 from .semantics import KripkeModel
-from .sequents import LabeledSequent, NestedSequent, _rel_label, is_name
+from .sequents import (LabeledSequent, NestedSequent, _rel_label, fold,
+                       is_name)
 from .syntax import (MAX_DEPTH, Formula, FormulaError, FrameSpec,
                      parse_formula, predicate_arities, render_formula)
 
@@ -97,6 +99,24 @@ def _expect(obj, kind, what: str):
     return obj
 
 
+def _entries(obj, what: str, size: int, shape: str, fits=None):
+    """The entries of the list obj, each checked to be a list of size
+    items that fits accepts, if given; what names obj in messages and
+    shape what an entry must be.  Each entry is checked as it is taken,
+    so a caller's checks of one entry come before the next entry's."""
+    where = f"{what} entry"
+    for entry in _expect(obj, list, what):
+        if not isinstance(entry, list) or len(entry) != size or (
+                fits is not None and not fits(entry)):
+            _expect(entry, list, where)
+            raise JsonError(f"{where} {entry!r} is not {shape}")
+        yield entry
+
+
+def _str_pair(pair) -> bool:
+    return isinstance(pair[0], str) and isinstance(pair[1], str)
+
+
 def _names(words, what: str, fits=is_name):
     """Refuse any of the strings words that is not a name, or not a label
     of a relational atom when fits is sequents._rel_label."""
@@ -140,15 +160,12 @@ def frame_to_json(frame: FrameSpec) -> dict:
 
 def frame_from_json(obj) -> FrameSpec:
     _expect(obj, dict, "frame")
-    paths = []
-    for pair in _expect(obj.get("paths", []), list, "frame.paths"):
-        _expect(pair, list, "frame.paths entry")
-        if len(pair) != 2 or not all(type(n) is int and n >= 0 for n in pair):
-            raise JsonError(f"frame.paths entry {pair!r} is not a pair of naturals")
-        paths.append((pair[0], pair[1]))
+    paths = frozenset(map(tuple, _entries(
+        obj.get("paths", []), "frame.paths", 2, "a pair of naturals",
+        lambda pair: all(type(n) is int and n >= 0 for n in pair))))
     flags = {key: _expect(obj.get(key, False), bool, f"frame.{key}")
              for key in ("serial", "inc", "dec", "nonempty")}
-    return FrameSpec(paths=frozenset(paths), **flags)
+    return FrameSpec(paths=paths, **flags)
 
 
 # ===================================================================
@@ -174,16 +191,11 @@ def sequent_to_json(seq) -> dict:
 
 
 def _labeled_pairs(obj, what: str, decode: _Decode):
-    _expect(obj, list, what)
-    out = []
-    for entry in obj:
-        _expect(entry, list, f"{what} entry")
-        if len(entry) != 2:
-            raise JsonError(f"{what} entry {entry!r} is not a pair")
-        out.append((_expect(entry[0], str, f"{what} label"),
-                    decode.formula(entry[1], f"{what} formula")))
-    _names([w for w, _ in out], f"{what} label")
-    return tuple(out)
+    label, formula = f"{what} label", f"{what} formula"
+    out = tuple((_expect(w, str, label), decode.formula(text, formula))
+                for w, text in _entries(obj, what, 2, "a pair"))
+    _names([w for w, _ in out], label)
+    return out
 
 
 def sequent_from_json(obj):
@@ -198,15 +210,11 @@ def _sequent(obj, decode: _Decode):
     if kind == "labeled":
         atoms = []
         for key in ("rel", "dom"):
-            pairs = []
-            for entry in _expect(obj.get(key, []), list, key):
-                _expect(entry, list, f"{key} entry")
-                if len(entry) != 2 or not all(isinstance(x, str) for x in entry):
-                    raise JsonError(f"{key} entry {entry!r} is not a pair of names")
-                pairs.append(tuple(entry))
+            pairs = tuple(map(tuple, _entries(
+                obj.get(key, []), key, 2, "a pair of names", _str_pair)))
             _names(list(chain.from_iterable(pairs)), f"{key} entry",
                    _rel_label if key == "rel" else is_name)
-            atoms.append(tuple(pairs))
+            atoms.append(pairs)
         return LabeledSequent(rel=atoms[0], dom=atoms[1],
                               left=_labeled_pairs(obj.get("left", []), "left",
                                                   decode),
@@ -376,26 +384,20 @@ def model_to_json(model: KripkeModel) -> dict:
 def model_from_json(obj) -> KripkeModel:
     _expect(obj, dict, "model")
     worlds = _expect(obj.get("worlds"), int, "model.worlds")
-    rel = set()
-    for entry in _expect(obj.get("rel", []), list, "model.rel"):
-        _expect(entry, list, "model.rel entry")
-        if len(entry) != 2 or not all(isinstance(x, int) for x in entry):
-            raise JsonError(f"model.rel entry {entry!r} is not a world pair")
-        rel.add(tuple(entry))
+    rel = frozenset(map(tuple, _entries(
+        obj.get("rel", []), "model.rel", 2, "a world pair",
+        lambda pair: all(isinstance(x, int) for x in pair))))
     domains = []
     for dom in _expect(obj.get("domains", []), list, "model.domains"):
         _expect(dom, list, "model.domains entry")
         domains.append(frozenset(_expect(i, int, "individual") for i in dom))
     valuation = set()
-    for entry in _expect(obj.get("valuation", []), list, "model.valuation"):
-        _expect(entry, list, "model.valuation entry")
-        if len(entry) != 3:
-            raise JsonError(f"model.valuation entry {entry!r} is not a triple")
-        name, world, args = entry
+    for name, world, args in _entries(obj.get("valuation", []),
+                                      "model.valuation", 3, "a triple"):
         _expect(name, str, "valuation predicate")
         _expect(world, int, "valuation world")
         _expect(args, list, "valuation arguments")
         valuation.add((name, world,
                        tuple(_expect(a, int, "valuation argument") for a in args)))
-    return KripkeModel(worlds, frozenset(rel), tuple(domains),
+    return KripkeModel(worlds, rel, tuple(domains),
                        frozenset(valuation))

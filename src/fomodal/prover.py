@@ -43,12 +43,13 @@ from dataclasses import dataclass, fields, replace
 
 from .calculi import (AX, BOT_L, D, DIA_L, EXISTS_L, NEG_L, NEG_R, OR_L, OR_R,
                       P_DIA, S_EX1, S_EX2, CalculusSpec, ProofTree, RuleParams,
-                      apply_rule, check, fold, propagation_system, rule_set,
+                      apply_rule, check, propagation_system, rule_set,
                       side_condition)
 from .grammar import DIA
 from .propagation import graph_of, reachable
-from .sequents import (LabeledSequent, NestedSequent, components, fresh_label,
-                       nested_of, shape_key, to_labeled, update_components)
+from .sequents import (LabeledSequent, NestedSequent, components, fold,
+                       fresh_label, nested_of, shape_key, to_labeled,
+                       update_components)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      fresh_variable, substitute)
 

@@ -37,7 +37,7 @@ rule and the relational rule above each new premise, against the
 premise it had.  The result, validated or not, is checked against the
 refined calculus.  nestify then maps a refined labeled proof whose
 sequents are trees with a common root onto the nested calculus.
-Proofs are rebuilt by calculi.fold, without recursion.
+Proofs are rebuilt by sequents.fold, without recursion.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from dataclasses import dataclass, replace
 from .calculi import (AX, BOT_L, DIA_R, EXISTS_R, P_DIA, RELATIONAL, S_EX1,
                       S_EX2, CalculusSpec, ProofTree, RuleApplicationError,
                       RuleParams, apply_rule, availability_system, check,
-                      fold, side_condition)
+                      side_condition)
 from .grammar import BDIA, DIA
 from .propagation import PropPath
-from .sequents import NotATreeError, is_labeled_tree, to_labeled, to_nested
+from .sequents import (NotATreeError, fold, is_labeled_tree, to_labeled,
+                       to_nested)
 from .syntax import FrameSpec
 
 

@@ -421,11 +421,11 @@ class _Run:
         blocks of bits varying atoms, step being the structures that fit
         2**_CHUNK_BITS lanes.  The whole run's list is kept per (bits,
         step) while the room lasts, counting 256 bytes and 64 for each
-        int of its chunks; a run cut short by a limit, or one with no
-        room left, gets a fresh generator."""
+        int of its chunks; a run cut short by a limit, an empty one, or
+        one with no room left gets a fresh generator."""
         step = max(1, (1 << _CHUNK_BITS) >> bits)
         total = len(self.structures)
-        if count < total:
+        if count < total or not total:
             return _chunks(self, bits, step, count)
         kept = self._kept.get((bits, step))
         if kept is None:

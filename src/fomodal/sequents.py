@@ -1,4 +1,5 @@
-"""Labeled and nested sequents.
+"""Labeled and nested sequents, and walk and fold, which walk trees,
+proofs and nested sequents alike, on one stack.
 
 A labeled sequent is a pair of formula multisets indexed by labels,
 together with a multiset of relational atoms wRu and domain atoms
@@ -12,9 +13,10 @@ components in preorder, each with its formulas, its variables and its
 children in label order.  A nested sequent writes that tree as nested
 components, whose children keep the order they were built in; it is
 notation, for input, output and NestedN proofs.  to_nested is built on
-components and to_labeled flattens a tree; the two are inverse on
-tree sequents.  update_components reads a premise's components from
-its conclusion's, reading again only the labels a rule changed.  A
+components and to_labeled flattens a tree in one walk, which refuses
+a repeated label; the two are inverse on tree sequents.  render_nested
+is a fold.  update_components reads a premise's components from its
+conclusion's, reading again only the labels a rule changed.  A
 nested sequent keeps its labeled view: to_labeled stores the
 flattened sequent on it, and to_nested (through nested_of) its input
 on its result.  The view keeps the nested sequent only by a weak
@@ -45,7 +47,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from weakref import ref
 
 from .syntax import (MAX_DEPTH, Formula, ParseError, _Parser, _tokenize,
@@ -66,6 +68,7 @@ class DuplicateLabelError(SequentError):
 
 _first = itemgetter(0)
 _second = itemgetter(1)
+_children = attrgetter("children")
 
 
 def fresh_label(taken, base: str = "w") -> str:
@@ -74,6 +77,38 @@ def fresh_label(taken, base: str = "w") -> str:
     numbers = [int(name[len(base):]) for name in taken
                if name.startswith(base) and name[len(base):].isdecimal()]
     return f"{base}{max(numbers, default=-1) + 1}"
+
+
+def walk(root, children=attrgetter("premises")):
+    """(path, node) for each node under root in preorder, on one stack;
+    path lists child indices from root, and children(node), by default
+    a proof node's premises, a node's children."""
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        kids = children(node)
+        i = len(kids)
+        for kid in reversed(kids):
+            i -= 1
+            stack.append(((*path, i), kid))
+
+
+def fold(root, build, children=attrgetter("premises")):
+    """build(node, values) at every node under root, in a recursion's
+    order on one stack: children left to right, then the node.
+    children(node), by default a proof node's premises, is read on
+    entering the node; values holds build's results for them."""
+    values, stack = [], [(root, iter(children(root)), 0)]
+    while stack:
+        node, todo, start = stack[-1]
+        for sub in todo:
+            stack.append((sub, iter(children(sub)), len(values)))
+            break
+        else:
+            stack.pop()
+            values[start:] = [build(node, tuple(values[start:]))]
+    return values[0]
 
 
 # ===================================================================
@@ -316,9 +351,8 @@ class NestedSequent:
         object.__setattr__(self, "children", tuple(self.children))
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every component in preorder, on one stack."""
+        return map(_second, walk(self, _children))
 
     def labels(self) -> list[str]:
         return [node.label for node in self.walk()]
@@ -328,11 +362,8 @@ class NestedSequent:
 
 
 def check_unique_labels(phi: NestedSequent) -> None:
-    seen = set()
-    for label in phi.labels():
-        if label in seen:
-            raise DuplicateLabelError(f"label {label} occurs twice")
-        seen.add(label)
+    """Raise DuplicateLabelError when a label occurs twice in phi."""
+    to_labeled(phi)
 
 
 def nested_alpha_eq(a: NestedSequent, b: NestedSequent) -> bool:
@@ -399,14 +430,17 @@ def to_labeled(phi: NestedSequent) -> LabeledSequent:
     contributes its formulas and variables at its own label and one
     relational atom per child.  The result is kept on phi as its view,
     and phi on the view by a weak reference when its children are in
-    label order, so that to_nested gives phi back."""
+    label order, so that to_nested gives phi back.  Raises
+    DuplicateLabelError when a label occurs twice."""
     view = getattr(phi, "_view", None)
     if view is not None:
         return view
-    check_unique_labels(phi)
-    rel, dom, left, right = [], [], [], []
+    rel, dom, left, right, seen = [], [], [], [], set()
     in_order = True
     for node in phi.walk():
+        if node.label in seen:
+            raise DuplicateLabelError(f"label {node.label} occurs twice")
+        seen.add(node.label)
         dom.extend((x, node.label) for x in node.vars)
         left.extend((node.label, f) for f in node.left)
         right.extend((node.label, f) for f in node.right)
@@ -483,15 +517,18 @@ def nested_of(parts: tuple[Component, ...],
 # Concrete syntax for nested sequents
 # ===================================================================
 
-def render_nested(phi: NestedSequent, top: bool = True) -> str:
-    lefts = ", ".join(render_formula(f) for f in phi.left)
-    vars_ = ", ".join(phi.vars)
-    rights = [render_formula(f) for f in phi.right]
-    rights += [f"[{render_nested(c, top=False)}]@{c.label}" for c in phi.children]
-    body = f"{lefts} ; {vars_} |- {', '.join(rights)}"
-    if top and phi.label != "w0":
-        body = f"{body} @{phi.label}"
-    return body
+def render_nested(phi: NestedSequent) -> str:
+    body = fold(phi, _render_body, _children)
+    return body if phi.label == "w0" else f"{body} @{phi.label}"
+
+
+def _render_body(node: NestedSequent, kids: tuple[str, ...]) -> str:
+    """The text of a component, given its children's."""
+    rights = [render_formula(f) for f in node.right]
+    rights += [f"[{kid}]@{child.label}"
+               for kid, child in zip(kids, node.children)]
+    return (f"{', '.join(map(render_formula, node.left))} ; "
+            f"{', '.join(node.vars)} |- {', '.join(rights)}")
 
 
 def _body(parser: _Parser, label: str | None) -> dict:

@@ -6,8 +6,8 @@ import time
 import pytest
 
 from fomodal.cli import main
-from fomodal.jsonio import (MAX_NESTING, proof_from_json, proof_to_json,
-                            sequent_from_json)
+from fomodal.jsonio import (MAX_NESTING, dumps, proof_from_json,
+                            proof_to_json, sequent_from_json)
 from fomodal.prover import MAX_SEARCH_DEPTH
 from fomodal.refine import refine_proof
 from fomodal.sequents import (NestedSequent, parse_labeled, parse_nested,
@@ -108,6 +108,25 @@ def test_grammar_sg_needs_path(capsys):
     assert code == 3
 
 
+def test_grammar_refuses_a_path_it_would_ignore(capsys):
+    ignored = "--path goes only with --system sg or s4+sg"
+    for argv, message in [
+            (["--production", "d -> dd", "--path", "nonsense"],
+             "bad path condition 'nonsense', expected N:K"),
+            (["--production", "d -> dd", "--path", "0:2"], ignored),
+            (["--system", "s4", "--path", "0:2"], ignored),
+            (["--system", "s5", "--path", "1:1"], ignored)]:
+        code = main(["grammar", *argv, "--start", "d", "--string", "d"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    # sg and s4+sg read their productions from it
+    for name in ("sg", "s4+sg"):
+        code, out = _run(capsys, "grammar", "--system", name, "--path", "0:2",
+                         "--start", "d", "--string", "dd")
+        assert code == 0 and _json(out)["member"] is True
+
+
 def test_check_good_and_corrupted_proof(capsys, tmp_path):
     proof = elimination_initial()
     good = tmp_path / "good.json"
@@ -206,6 +225,22 @@ def test_check_refuses_mistyped_params(capsys, params, key):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith(f"error: {key}: expected str")
+
+
+def test_a_json_sequent_is_read_once(capsys, tmp_path, monkeypatch):
+    # the JSON text read from seq.json also names a file: the text is the
+    # sequent, and that file is not read
+    monkeypatch.chdir(tmp_path)
+    text = '{"kind": "labeled", "left": [["w0", "p"]], "right": [["w0", "p"]]}'
+    (tmp_path / "seq.json").write_text(text)
+    (tmp_path / text).write_text('{"kind": "labeled", "left": [["w0", "q"]]}')
+    for argv in (["translate", "--to-nested"], ["graph"]):
+        code, out = _run(capsys, *argv, "seq.json", "--pretty")
+        assert code == 0
+        assert out.splitlines()[-1] == ("p ;  |- p" if argv[0] == "translate"
+                                        else "vertex w0: (no terms)")
+    code, out = _run(capsys, "translate", "--to-nested", "seq.json")
+    assert sequent_from_json(_json(out)) == parse_nested("p ; |- p")
 
 
 def test_translate_rejects_wrong_direction(capsys):
@@ -426,6 +461,33 @@ def test_check_reads_back_a_proof_at_the_prover_depth_limit(capsys):
     assert proof_from_json(proof).height() == 262
     assert _run(capsys, "check", "--calculus", "nested",
                 json.dumps(proof))[0] == 0
+
+
+def test_check_reports_a_mismatch_500_components_deep(capsys):
+    # neg_r on a chain 500 components deep, whose premise drops the p
+    # the rule puts on the left: both render in the message
+    def chain(right):
+        node = None
+        for i in range(499, -1, -1):
+            node = {"kind": "nested", "label": f"w{i}",
+                    "right": right if i == 0 else [],
+                    "children": [node] if node else []}
+        return node
+
+    proof = dumps({"conclusion": chain(["~p"]), "rule": "neg_r",
+                   "params": {"label": "w0", "formula": "~p"},
+                   "premises": [{"conclusion": chain([]), "rule": "ax"}]})
+    body = " ;  |- "
+    for i in range(499, 0, -1):
+        body = f" ;  |- [{body}]@w{i}"
+    message = (f"premise 0 of neg_r does not match the rule: "
+               f"wanted p{body}, found {body}")
+    code, out = _run(capsys, "check", "--calculus", "nested", proof)
+    assert code == 4
+    assert _json(out) == {"ok": False, "node": [0], "message": message}
+    code, out = _run(capsys, "check", "--calculus", "nested", "--pretty", proof)
+    assert code == 4
+    assert out == f"fail at node 0: {message}\n"
 
 
 def _balanced(atoms: int, first: int = 0) -> str:

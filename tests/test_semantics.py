@@ -769,6 +769,17 @@ def test_kept_chunks_share_one_room_and_are_reused_by_width(monkeypatch):
     # goals of other arities used the chunks kept for one width, goals
     # of another width built their own, and some found the room spent
     assert shared and fresh and spent
+    # a run that no structure of the frame survives keeps nothing and is
+    # charged nothing: on nonempty domains, the runs over no individuals
+    frame = frame_spec(nonempty=True)
+    runs = semantics._runs(3, 2, frame)
+    goal = implies(Pred("p"), Pred("p"))
+    assert find_countermodel(goal, frame, 3, 2) is None
+    empty = [run for run in runs if not run.structures]
+    assert [(run.n, run.p) for run in empty] == [(1, 0), (2, 0), (3, 0)]
+    assert not any(run._kept for run in empty)
+    assert sum(_charge(run, bits) for run in runs for bits, _ in run._kept) \
+        == LANE_BYTES - runs[0]._room[0]
 
 
 def test_the_limits_stop_at_the_same_structure_with_a_kept_plan():

@@ -83,6 +83,35 @@ def test_nested_walk_and_labels():
         check_unique_labels(clash)
 
 
+def test_to_labeled_refuses_a_repeated_label():
+    clash = NestedSequent("w0", children=(
+        NestedSequent("v", children=(NestedSequent("u"),)),
+        NestedSequent("u", right=(Pred("p"),))))
+    for _ in range(2):
+        with pytest.raises(DuplicateLabelError, match="^label u occurs twice$"):
+            to_labeled(clash)
+    assert "_view" not in clash.__dict__
+
+
+def test_a_deep_chain_flattens_renders_and_reads_back():
+    # 3000 components built through the API, far past the recursion limit
+    phi = NestedSequent("w2999", right=(Pred("p"),))
+    text = " ;  |- p"
+    for i in range(2998, -1, -1):
+        phi = NestedSequent(f"w{i}", children=(phi,))
+        text = f" ;  |- [{text}]@w{i + 1}"
+    assert phi.labels() == [f"w{i}" for i in range(3000)]
+    view = to_labeled(phi)
+    assert set(view.rel) == {(f"w{i}", f"w{i + 1}") for i in range(2999)}
+    assert view.right == (("w2999", Pred("p")),) and not view.left
+    assert str(phi) == render_nested(phi) == text
+    assert to_nested(view) is phi
+    # a copy of the view, which keeps no nested sequent, reads back
+    back = to_nested(LabeledSequent(view.rel, view.dom, view.left, view.right))
+    assert back is not phi and str(back) == text
+    assert to_labeled(back) == view
+
+
 def test_nested_alpha_eq_is_alpha_on_bound_variables_only():
     a = parse_nested("exists x. p(x) ;  |- [ ;  |- q]@v")
     b = parse_nested("exists y. p(y) ;  |- [ ;  |- q]@v")
