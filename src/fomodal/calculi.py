@@ -72,7 +72,7 @@ from .propagation import PropPath, graph_of, path_in, reachable, witness_path
 from .propagation import build_graph  # noqa: F401
 from .sequents import fold  # noqa: F401
 from .sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
-                       labeled_alpha_eq, to_labeled, to_nested, walk)
+                       Tree, labeled_alpha_eq, to_labeled, to_nested, walk)
 from .syntax import (Bottom, Dia, Exists, Formula, FrameSpec, Neg, Or, Pred,
                      substitute)
 
@@ -174,8 +174,8 @@ class RuleParams:
     witness: PropPath | None = None
 
 
-@dataclass(frozen=True)
-class ProofTree:
+@dataclass(frozen=True, eq=False, repr=False)
+class ProofTree(Tree):
     conclusion: LabeledSequent | NestedSequent
     rule: RuleId
     params: RuleParams = field(default_factory=RuleParams)

@@ -53,9 +53,10 @@ refused at the structure where that walk would pass MAX_VALUATIONS
 valuations or MAX_ASSIGNMENTS table entries, one per node, assignment
 of its free variables and block; both are counted per run, before its
 assignments are listed.  The structure table of each pair of bounds,
-and its runs for each frame class, are cached per process in bounded
-caches; a run's structures are checked against the frame, and its
-columns built, when a search first reaches it.
+its blocks of equal worlds and pool, which the tables share, and its
+runs for each frame class, are cached per process in bounded caches;
+a run's structures are checked against the frame, and its columns
+built, when a search first reaches it.
 
 A formula's program is compiled in one walk, each node's free
 variables read off its children's, and kept in a bounded cache that
@@ -344,7 +345,10 @@ def _relation_classes(n: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(classes)
 
 
-def _structure_block(n: int, p: int) -> list[tuple]:
+# the tables of one process share their blocks: every block of the
+# tables up to three worlds and two individuals fits
+@lru_cache(maxsize=16)
+def _structure_block(n: int, p: int) -> tuple[tuple, ...]:
     """The least structures of n worlds whose domains cover the pool
     0..p-1, ordered by their domains as a tuple of subset bitmasks, then
     by relation bitmask."""
@@ -382,7 +386,7 @@ def _structure_block(n: int, p: int) -> list[tuple]:
                                     for d in domains[c]), bits,
                               (n, rel, domains[c])))
     block.sort(key=lambda entry: entry[:2])
-    return [structure for _, _, structure in block]
+    return tuple(structure for _, _, structure in block)
 
 
 @lru_cache(maxsize=8)

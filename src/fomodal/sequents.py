@@ -1,5 +1,5 @@
-"""Labeled and nested sequents, and walk and fold, which walk trees,
-proofs and nested sequents alike, on one stack.
+"""Labeled and nested sequents, and walk, fold and spell, which walk,
+fold and write trees, proofs and nested sequents alike, on one stack.
 
 A labeled sequent is a pair of formula multisets indexed by labels,
 together with a multiset of relational atoms wRu and domain atoms
@@ -13,21 +13,22 @@ components in preorder, each with its formulas, its variables and its
 children in label order.  A nested sequent writes that tree as nested
 components, whose children keep the order they were built in; it is
 notation, for input, output and NestedN proofs.  to_nested is built on
-components and to_labeled flattens a tree in one walk, which refuses
-a repeated label; the two are inverse on tree sequents.  render_nested
-is a fold.  update_components reads a premise's components from its
-conclusion's, reading again only the labels a rule changed.  A
-nested sequent keeps its labeled view: to_labeled stores the
-flattened sequent on it, and to_nested (through nested_of) its input
-on its result.  The view keeps the nested sequent only by a weak
-reference, which would otherwise close a cycle that only the garbage
-collector frees; while that nested sequent lives, to_nested of the
-view under the same root returns it.  to_labeled leaves the reference
-only on a tree whose children are in label order, as to_nested writes
-them.  A labeled sequent keeps its labels the same way, read on first
-use, propagation.graph_of keeps its graph and calculi.check its replay
-mark; replace starts a copy without any of them, and copies and
-pickles carry the four slots only.
+components and to_labeled flattens a tree in one walk, which refuses a
+repeated label; the two are inverse on tree sequents.  render_nested
+writes its text with spell, and Tree gives NestedSequent and
+calculi.ProofTree their ==, hash and repr on one stack.
+update_components reads a premise's components from its conclusion's,
+reading again only the labels a rule changed.  A nested sequent keeps
+its labeled view: to_labeled stores the flattened sequent on it, and
+to_nested (through nested_of) its input on its result.  The view keeps
+the nested sequent only by a weak reference, which would otherwise
+close a cycle that only the garbage collector frees; while that nested
+sequent lives, to_nested of the view under the same root returns it.
+to_labeled leaves the reference only on a tree whose children are in
+label order, as to_nested writes them.  A labeled sequent keeps its
+labels the same way, read on first use, propagation.graph_of keeps its
+graph and calculi.check its replay mark; replace starts a copy without
+any of them, and copies and pickles carry the four slots only.
 labeled_alpha_eq, equality up to bound variable names, compares
 structurally first and only on a mismatch counts the alpha-canonical
 formulas of each side, by identity since formulas are interned;
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import count
 from operator import attrgetter, itemgetter
@@ -109,6 +110,69 @@ def fold(root, build, children=attrgetter("premises")):
             stack.pop()
             values[start:] = [build(node, tuple(values[start:]))]
     return values[0]
+
+
+def spell(root, parts, children=attrgetter("premises")):
+    """The text of the tree under root, in one preorder pass on one
+    stack: parts(node) gives the head and the tail of a node's text,
+    between which its children's texts stand, separated by ', '."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+            continue
+        head, tail = parts(node)
+        out.append(head)
+        stack.append(tail)
+        kids = children(node)
+        for i in range(len(kids) - 1, 0, -1):
+            stack += (kids[i], ", ")
+        if kids:
+            stack.append(kids[0])
+    return "".join(out)
+
+
+class Tree:
+    """Base of the frozen dataclasses whose last field holds their
+    subtrees, NestedSequent and calculi.ProofTree, which are declared
+    with eq=False and repr=False.  ==, hash and repr are those that
+    dataclass would generate, children in order, but computed on one
+    stack by walk, fold and spell, so that deep trees do not meet the
+    recursion limit."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        """The names of the node's own fields, and of its children's."""
+        *own, kids = (f.name for f in fields(self))
+        return own, kids
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        own, kids = self._fields()
+        own, kids = attrgetter(*own), attrgetter(kids)
+        # equal child counts at every node so far keep the walks in step
+        return all(own(x) == own(y) and len(kids(x)) == len(kids(y))
+                   for (_, x), (_, y) in zip(walk(self, kids),
+                                             walk(other, kids)))
+
+    def __hash__(self):
+        own, kids = self._fields()
+        own = attrgetter(*own)
+        return fold(self, lambda node, values: hash((*own(node), values)),
+                    attrgetter(kids))
+
+    def __repr__(self):
+        own, kids = self._fields()
+
+        def parts(node):
+            values = ", ".join(f"{name}={getattr(node, name)!r}" for name in own)
+            tail = ",))" if len(getattr(node, kids)) == 1 else "))"
+            return f"{type(node).__qualname__}({values}, {kids}=(", tail
+
+        return spell(self, parts, attrgetter(kids))
 
 
 # ===================================================================
@@ -334,8 +398,8 @@ def is_labeled_tree(seq: LabeledSequent) -> tuple[bool, str | None]:
 # Nested sequents
 # ===================================================================
 
-@dataclass(frozen=True)
-class NestedSequent:
+@dataclass(frozen=True, eq=False, repr=False)
+class NestedSequent(Tree):
     """One component of a nested sequent tree: left formulas, variables
     known to exist here, right formulas, and child components."""
     label: str = "w0"
@@ -518,17 +582,19 @@ def nested_of(parts: tuple[Component, ...],
 # ===================================================================
 
 def render_nested(phi: NestedSequent) -> str:
-    body = fold(phi, _render_body, _children)
-    return body if phi.label == "w0" else f"{body} @{phi.label}"
+    """The text of phi: each component's left formulas, variables and
+    right formulas, then its children as [text]@label."""
+    def parts(node):
+        rights = ", ".join(map(render_formula, node.right))
+        if rights and node.children:
+            rights += ", "
+        body = (f"{', '.join(map(render_formula, node.left))} ; "
+                f"{', '.join(node.vars)} |- {rights}")
+        if node is not phi:
+            return "[" + body, f"]@{node.label}"
+        return body, "" if phi.label == "w0" else f" @{phi.label}"
 
-
-def _render_body(node: NestedSequent, kids: tuple[str, ...]) -> str:
-    """The text of a component, given its children's."""
-    rights = [render_formula(f) for f in node.right]
-    rights += [f"[{kid}]@{child.label}"
-               for kid, child in zip(kids, node.children)]
-    return (f"{', '.join(map(render_formula, node.left))} ; "
-            f"{', '.join(node.vars)} |- {', '.join(rights)}")
+    return spell(phi, parts, _children)
 
 
 def _body(parser: _Parser, label: str | None) -> dict:

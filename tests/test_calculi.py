@@ -460,6 +460,25 @@ def test_check_reports_repeated_label_in_nested_premise():
     assert report.message == "bot_l: label w1 occurs twice"
 
 
+def test_deep_proofs_compare_hash_and_print():
+    seq = parse_nested("~p ;  |- [ ;  |- p]@w1")
+
+    def tall(leaf, height=3000):
+        proof = ProofTree(seq, AX, RuleParams(label="w0", formula=leaf))
+        for _ in range(height - 1):
+            proof = ProofTree(seq, NEG_L, RuleParams(label="w0"), (proof,))
+        return proof
+
+    a, b, c = tall(Pred("p")), tall(Pred("p")), tall(Pred("q"))
+    assert a.height() == 3000
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and not a == c
+    text = repr(a)
+    assert text.startswith(f"ProofTree(conclusion={seq!r}, rule={NEG_L!r}, ")
+    assert text.endswith(", premises=())" + ",))" * 2999)
+    assert repr(b) == text and repr(c) != text
+
+
 def _neg_l_proof(premise):
     """neg_l on the root of a three-component sequent, then ax."""
     seq = parse_nested("p, ~p ;  |- [ ;  |- q]@w2, [ ;  |- r]@w10")

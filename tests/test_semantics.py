@@ -119,6 +119,23 @@ def test_structure_table_matches_the_reference(bounds):
     assert _all_structures(*bounds) == least_structures(*bounds)
 
 
+def test_structure_tables_share_their_blocks():
+    semantics._structure_block.cache_clear()
+    _all_structures.cache_clear()
+    tables = {bounds: _all_structures(*bounds)
+              for bounds in ((2, 2), (3, 1), (3, 2))}
+    for (m, k), table in tables.items():
+        fresh = tuple(s for n in range(1, m + 1) for p in range(k + 1)
+                      for s in semantics._structure_block.__wrapped__(n, p))
+        assert table == fresh
+    # (3, 2) starts with (2, 2), and its three-world part with (3, 1)'s
+    big, small = tables[3, 2], tables[2, 2]
+    assert all(x is y for x, y in zip(big, small))
+    three = [s for s in big if s[0] == 3]
+    assert all(x is y for x, y in zip(three, (s for s in tables[3, 1] if s[0] == 3)))
+    assert semantics._structure_block.cache_info().misses == 9
+
+
 def test_structure_table_counts_relation_classes():
     # binary relations on 1..4 unlabeled points (OEIS A000595)
     table = _all_structures(4, 0)

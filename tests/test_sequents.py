@@ -2,10 +2,12 @@
 
 import random
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from fomodal import sequents, syntax
+from fomodal.calculi import AX, NEG_R, ProofTree, RuleParams
 from fomodal.sequents import (DuplicateLabelError, LabeledSequent, NestedSequent,
                               NotATreeError, SequentError, check_unique_labels,
                               components, fresh_label, is_labeled_tree,
@@ -110,6 +112,108 @@ def test_a_deep_chain_flattens_renders_and_reads_back():
     back = to_nested(LabeledSequent(view.rel, view.dom, view.left, view.right))
     assert back is not phi and str(back) == text
     assert to_labeled(back) == view
+
+
+def _chain(leaf, n=3000):
+    """A chain of n components built through the API, leaf on the right
+    of the last."""
+    phi = NestedSequent(f"w{n - 1}", right=(leaf,))
+    for i in range(n - 2, -1, -1):
+        phi = NestedSequent(f"w{i}", children=(phi,))
+    return phi
+
+
+def test_deep_chains_compare_hash_and_print():
+    a, b, c = _chain(Pred("p")), _chain(Pred("p")), _chain(Pred("q"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and not a == c
+    text = repr(a)
+    assert text.startswith("NestedSequent(label='w0', left=(), vars=(), "
+                           "right=(), children=(NestedSequent(label='w1', ")
+    assert text.endswith("right=(Pred(name='p', args=()),), children=())"
+                         + ",))" * 2999)
+    assert repr(b) == text and repr(c) != text
+
+
+@dataclass(frozen=True)
+class _Nested:
+    """NestedSequent's fields with the methods dataclass generates."""
+    label: str
+    left: tuple
+    vars: tuple
+    right: tuple
+    children: tuple
+
+
+@dataclass(frozen=True)
+class _Proof:
+    """ProofTree's fields with the methods dataclass generates."""
+    conclusion: object
+    rule: object
+    params: object
+    premises: tuple
+
+
+def test_tree_methods_agree_with_the_dataclass_ones():
+    rng = random.Random(20261022)
+    formulas = (Pred("p"), Pred("q"))
+
+    def nested(depth):
+        kids = tuple(nested(depth - 1) for _ in range(rng.randint(0, 2 * (depth > 0))))
+        return NestedSequent(rng.choice(("w0", "w1")),
+                             rng.sample(formulas, rng.randint(0, 1)), (),
+                             rng.sample(formulas, rng.randint(0, 1)), kids)
+
+    def proof(depth):
+        kids = tuple(proof(depth - 1) for _ in range(rng.randint(0, 2 * (depth > 0))))
+        return ProofTree(nested(1), rng.choice((AX, NEG_R)),
+                         RuleParams(label=rng.choice(("w0", None))), kids)
+
+    def reference(tree):
+        if isinstance(tree, NestedSequent):
+            return _Nested(tree.label, tree.left, tree.vars, tree.right,
+                           tuple(map(reference, tree.children)))
+        return _Proof(reference(tree.conclusion), tree.rule, tree.params,
+                      tuple(map(reference, tree.premises)))
+
+    for build in (nested, proof):
+        trees = [build(rng.randint(0, 2)) for _ in range(60)]
+        # children in the other order: equal only when they are alike
+        trees += [NestedSequent(t.label, t.left, t.vars, t.right, t.children[::-1])
+                  if build is nested else
+                  ProofTree(t.conclusion, t.rule, t.params, t.premises[::-1])
+                  for t in trees[:20]]
+        refs = list(map(reference, trees))
+        equal = 0
+        for a, ref_a in zip(trees, refs):
+            for b, ref_b in zip(trees, refs):
+                same = ref_a == ref_b
+                assert (a == b) is same and (a != b) is not same
+                if same:
+                    assert hash(a) == hash(b)
+                    equal += a is not b
+            expected = repr(ref_a).replace("_Nested(", "NestedSequent(")
+            assert repr(a) == expected.replace("_Proof(", "ProofTree(")
+            assert a != "text"
+        assert equal > 20
+
+
+def test_render_nested_matches_the_recursive_reference():
+    rng = random.Random(20261023)
+    for _ in range(300):
+        seq = random_nested(rng, depth=rng.randint(0, 4))
+        if rng.random() < 0.3:
+            seq = NestedSequent("v", seq.left, seq.vars, seq.right, seq.children)
+        assert render_nested(seq) == _render(seq)
+
+
+def _render(seq, top=True):
+    """render_nested written as a recursion."""
+    rights = [render_formula(f) for f in seq.right]
+    rights += [f"[{_render(kid, False)}]@{kid.label}" for kid in seq.children]
+    body = (f"{', '.join(map(render_formula, seq.left))} ; "
+            f"{', '.join(seq.vars)} |- {', '.join(rights)}")
+    return body if not top or seq.label == "w0" else f"{body} @{seq.label}"
 
 
 def test_nested_alpha_eq_is_alpha_on_bound_variables_only():

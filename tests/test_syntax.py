@@ -8,6 +8,7 @@ import random
 import pytest
 
 from fomodal import semantics, syntax
+from fomodal.sequents import LabeledSequent
 from fomodal.syntax import (ArityError, Bottom, Dia, Exists, Neg, Or, ParseError,
                             Pred, _Parser, all_vars, alpha_eq, box, conj,
                             forall, frame_spec, free_vars, fresh_variable,
@@ -84,6 +85,28 @@ def test_dead_formulas_leave_the_table():
     semantics._compile.cache_clear()
     gc.collect()
     assert live() == 0
+
+
+def test_variable_caches_keep_few_dropped_formulas():
+    # the formulas other tests hold, and none the caches keep
+    free_vars.cache_clear()
+    all_vars.cache_clear()
+    gc.collect()
+    held = len(syntax._table)
+    # 3000 goals of five quantified formulas each, as a search's parse,
+    # instances, renamings and sequents make them
+    for i in range(3000):
+        phi = parse_formula(f"p{i}(z) & exists x. q{i}(x, z) | forall y. ~r{i}(y)")
+        psi = rename_apart(substitute(phi, "x", "z"))
+        assert LabeledSequent(left=(("w0", phi),),
+                              right=(("w0", psi),)).variables() >= {"x", "z"}
+    del phi, psi
+    gc.collect()
+    # each cache keeps the variables of its last 512 formulas
+    assert len(syntax._table) - held < 2 * 512
+    for cache in (free_vars, all_vars):
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def test_box_and_forall_are_abbreviations():
